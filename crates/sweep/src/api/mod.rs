@@ -12,17 +12,24 @@
 //! * [`Shard`] — deterministic grid slicing for CI matrices and
 //!   multi-host runs sharing one cache.
 //!
+//! The server side of one exchange runs in process through
+//! [`Runtime::handle_line`](crate::serve::Runtime::handle_line), with a
+//! `Vec<Response>` collecting the reply frames:
+//!
 //! ```
-//! use yoco_sweep::api::{EvalRequest, Request, ScenarioBuilder, handle_request, Response};
-//! use yoco_sweep::{AcceleratorKind, Engine, StudyId};
+//! use yoco_sweep::api::{EvalRequest, Request, Response, ScenarioBuilder};
+//! use yoco_sweep::{AcceleratorKind, Engine, Runtime, ServeConfig, StudyId};
 //!
 //! let batch = vec![
 //!     ScenarioBuilder::gemm(AcceleratorKind::Yoco).zoo("resnet18").build().unwrap(),
 //!     ScenarioBuilder::study(StudyId::Table2).build().unwrap(),
 //! ];
-//! let request = Request::Eval(EvalRequest::new("r-1", batch));
-//! let Response::Eval(response) = handle_request(request, &Engine::ephemeral()) else {
-//!     unreachable!("Eval requests get Eval responses");
+//! let line = serde_json::to_string(&Request::Eval(EvalRequest::new("r-1", batch))).unwrap();
+//! let runtime = Runtime::new(Engine::ephemeral(), ServeConfig::default());
+//! let mut frames: Vec<Response> = Vec::new();
+//! runtime.handle_line(&line, &mut frames).unwrap();
+//! let [Response::Eval(response)] = &frames[..] else {
+//!     unreachable!("a v1 request gets one buffered Eval response");
 //! };
 //! assert!(response.is_ok());
 //! assert_eq!(response.cells.len(), 2);
@@ -37,8 +44,8 @@ pub use builder::ScenarioBuilder;
 pub use error::SweepError;
 pub use metrics::Metrics;
 pub use wire::{
-    handle_line, handle_request, CellOutcome, CellStatus, EvalRequest, EvalResponse, Request,
-    Response, StatusReport, API_V1, API_V2, API_VERSION,
+    CellOutcome, CellStatus, EvalRequest, EvalResponse, Request, Response, StatusReport, API_V1,
+    API_V2, API_VERSION,
 };
 
 pub use crate::telemetry::MetricsReport;

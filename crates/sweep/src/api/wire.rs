@@ -35,7 +35,7 @@
 //! is what makes the protocol testable end-to-end.
 
 use crate::api::{Metrics, SweepError};
-use crate::engine::{CellResult, Engine, SweepReport};
+use crate::engine::{CellResult, SweepReport};
 use crate::scenario::Scenario;
 use crate::telemetry::MetricsReport;
 use serde::{Deserialize, Serialize};
@@ -208,8 +208,9 @@ pub enum Request {
     /// Occupancy/queue/counter snapshot — the load-balancing probe.
     Status,
     /// Full telemetry scrape: every counter, gauge, and histogram of
-    /// the process-wide registry. Like `Status` it bypasses admission
-    /// control, so a saturated server still answers mid-run scrapes.
+    /// the answering server's registry. Like `Status` it bypasses
+    /// admission control, so a saturated server still answers mid-run
+    /// scrapes.
     Metrics,
     /// Stop accepting connections and exit after responding.
     Shutdown,
@@ -222,8 +223,8 @@ pub enum Request {
 /// coordinator ranks workers by `occupancy` before dispatching shards.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StatusReport {
-    /// What is answering: `"serve"` (a worker runtime), `"coordinator"`
-    /// (a cluster fan-out front), or `"inline"` (the in-process helper).
+    /// What is answering: `"serve"` (a worker runtime) or
+    /// `"coordinator"` (a cluster fan-out front).
     pub role: String,
     /// Configured downstream worker hosts (0 for a single-box runtime).
     pub workers: usize,
@@ -310,59 +311,12 @@ pub enum Response {
     Error(SweepError),
 }
 
-/// Executes one decoded request against an engine, buffered — the
-/// protocol-v1 dispatch, shared with in-process tests so those
-/// semantics are covered without a socket. Requests of any other
-/// version (including v2, whose streamed frames need a
-/// [`crate::serve::Runtime`] sink) are refused with the id echoed.
-pub fn handle_request(request: Request, engine: &Engine) -> Response {
-    match request {
-        Request::Ping => Response::Pong,
-        Request::Shutdown => Response::Bye,
-        // The in-process helper has no gate or counters; it answers a
-        // degenerate report so `Status` stays version-independent here
-        // too. Live numbers come from `serve::Runtime`.
-        Request::Status => Response::Status(StatusReport {
-            role: "inline".into(),
-            ..StatusReport::default()
-        }),
-        // The registry is process-wide, so even the in-process helper
-        // answers the real numbers.
-        Request::Metrics => Response::Metrics(crate::telemetry::global().snapshot()),
-        Request::Eval(req) => {
-            if req.version != API_V1 {
-                return Response::Eval(EvalResponse::refusal(
-                    req.id,
-                    SweepError::schema(
-                        "request envelope",
-                        format!(
-                            "client speaks version {}, this buffered endpoint speaks {API_V1} \
-                             (v2 streaming is served by the serve runtime)",
-                            req.version
-                        ),
-                    ),
-                ));
-            }
-            let engine = engine.clone().force(req.force);
-            let report = engine.run(&req.scenarios);
-            Response::Eval(EvalResponse::from_report(req.id, &report))
-        }
-    }
-}
-
-/// Decodes one NDJSON line and executes it: the full server-side path
-/// for a single exchange.
-pub fn handle_line(line: &str, engine: &Engine) -> Response {
-    match serde_json::from_str::<Request>(line) {
-        Ok(request) => handle_request(request, engine),
-        Err(e) => Response::Error(SweepError::schema("request line", e)),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Engine;
     use crate::scenario::{Scenario, StudyId};
+    use crate::serve::{Runtime, ServeConfig};
 
     fn tiny_request(id: &str) -> Request {
         Request::Eval(EvalRequest::new(
@@ -374,10 +328,30 @@ mod tests {
         ))
     }
 
+    /// The protocol's reference endpoint: an uncached serve runtime.
+    fn runtime() -> Runtime {
+        Runtime::new(Engine::ephemeral(), ServeConfig::default())
+    }
+
+    /// Sends one request line and collects every reply frame.
+    fn exchange(runtime: &Runtime, line: &str) -> Vec<Response> {
+        let mut frames: Vec<Response> = Vec::new();
+        runtime
+            .handle_line(line, &mut frames)
+            .expect("in-process sink never fails");
+        frames
+    }
+
+    fn one_frame(runtime: &Runtime, request: &Request) -> Response {
+        let line = serde_json::to_string(request).expect("request serializes");
+        let mut frames = exchange(runtime, &line);
+        assert_eq!(frames.len(), 1, "one buffered frame: {frames:?}");
+        frames.remove(0)
+    }
+
     #[test]
     fn eval_round_trip_and_statuses() {
-        let engine = Engine::ephemeral();
-        let resp = handle_request(tiny_request("r-1"), &engine);
+        let resp = one_frame(&runtime(), &tiny_request("r-1"));
         let Response::Eval(resp) = resp else {
             panic!("expected an Eval response, got {resp:?}");
         };
@@ -397,10 +371,10 @@ mod tests {
 
     #[test]
     fn version_mismatch_is_refused_with_the_id_echoed() {
-        for version in [99, API_V2] {
+        for version in [0, 99] {
             let mut req = EvalRequest::new("r-2", vec![Scenario::study(StudyId::Fig9a)]);
             req.version = version;
-            let resp = handle_request(Request::Eval(req), &Engine::ephemeral());
+            let resp = one_frame(&runtime(), &Request::Eval(req));
             let Response::Eval(resp) = resp else {
                 panic!("expected an Eval refusal, got {resp:?}");
             };
@@ -448,36 +422,35 @@ mod tests {
 
     #[test]
     fn malformed_lines_and_control_requests() {
-        let engine = Engine::ephemeral();
+        let rt = runtime();
         assert!(matches!(
-            handle_line("this is not json", &engine),
-            Response::Error(SweepError::SchemaMismatch { .. })
+            exchange(&rt, "this is not json")[..],
+            [Response::Error(SweepError::SchemaMismatch { .. })]
         ));
-        assert_eq!(handle_line("\"Ping\"", &engine), Response::Pong);
-        assert_eq!(handle_line("\"Shutdown\"", &engine), Response::Bye);
-        let Response::Status(status) = handle_line("\"Status\"", &engine) else {
-            panic!("Status must answer a report even inline");
+        assert_eq!(exchange(&rt, "\"Ping\""), [Response::Pong]);
+        assert_eq!(exchange(&rt, "\"Shutdown\""), [Response::Bye]);
+        let [Response::Status(status)] = &exchange(&rt, "\"Status\"")[..] else {
+            panic!("Status must answer a report");
         };
-        assert_eq!(status.role, "inline");
+        assert_eq!(status.role, "serve");
         // The report survives the wire like every other frame.
         let text = serde_json::to_string(&Response::Status(status.clone())).unwrap();
         let back: Response = serde_json::from_str(&text).unwrap();
-        assert_eq!(back, Response::Status(status));
+        assert_eq!(back, Response::Status(status.clone()));
     }
 
     #[test]
     fn metrics_scrape_answers_and_round_trips() {
-        let engine = Engine::ephemeral();
-        // Drive one eval through the inline path so the scrape is
-        // histogram-bearing; the registry is process-global, so only
-        // deltas and shape are asserted.
-        crate::telemetry::global().observe_eval(std::time::Duration::from_micros(100));
-        let _ = handle_request(tiny_request("r-m"), &engine);
-        let Response::Metrics(report) = handle_line("\"Metrics\"", &engine) else {
+        // One eval makes the scrape histogram-bearing; the registry
+        // belongs to this runtime, so the counts are absolute.
+        let rt = runtime();
+        let _ = one_frame(&rt, &tiny_request("r-m"));
+        let Response::Metrics(report) = one_frame(&rt, &Request::Metrics) else {
             panic!("Metrics must answer a report");
         };
         assert_eq!(report.schema, crate::telemetry::METRICS_SCHEMA);
-        assert!(report.hist("eval_us").is_some());
+        assert_eq!(report.counter("requests_total"), Some(1));
+        assert_eq!(report.hist("eval_us").map(|h| h.count), Some(1));
         let text = serde_json::to_string(&Response::Metrics(report.clone())).unwrap();
         let back: Response = serde_json::from_str(&text).unwrap();
         assert_eq!(back, Response::Metrics(report));
@@ -498,7 +471,7 @@ mod tests {
                 ),
             ],
         );
-        let Response::Eval(resp) = handle_request(Request::Eval(req), &Engine::ephemeral()) else {
+        let Response::Eval(resp) = one_frame(&runtime(), &Request::Eval(req)) else {
             panic!("expected Eval");
         };
         assert!(resp.error.is_none(), "request level is fine");

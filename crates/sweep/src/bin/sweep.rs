@@ -38,6 +38,7 @@ use yoco_sweep::cluster::{
     TcpPool,
 };
 use yoco_sweep::serve::DEFAULT_QUEUE_DEPTH;
+use yoco_sweep::telemetry::Registry;
 use yoco_sweep::{
     grids, loadgen, root, Engine, GcBudget, ResultCache, Scenario, ServeClient, Shard,
     StreamOutcome, StudyId,
@@ -740,23 +741,16 @@ struct BenchHistory {
 
 const BENCH_HISTORY_SCHEMA: &str = "yoco-serve-bench-history/v1";
 
-/// Reads an existing `--out` file as a history, accepting the legacy
-/// single-record format by wrapping it as a one-run history.
+/// Reads an existing `--out` history (none yet is an empty one).
 fn read_bench_history(path: &str) -> Result<Vec<ServeBench>, String> {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
         Err(e) => return Err(format!("cannot read {path}: {e}")),
     };
-    if let Ok(history) = serde_json::from_str::<BenchHistory>(&text) {
-        return Ok(history.runs);
-    }
-    match serde_json::from_str::<ServeBench>(&text) {
-        Ok(legacy) => Ok(vec![legacy]),
-        Err(e) => Err(format!(
-            "{path} is neither a bench history nor a legacy bench record: {e}"
-        )),
-    }
+    serde_json::from_str::<BenchHistory>(&text)
+        .map(|history| history.runs)
+        .map_err(|e| format!("{path} is not a bench history: {e}"))
 }
 
 /// The per-connection closed loop: `share` warm requests back to back,
@@ -1112,11 +1106,21 @@ fn cluster_run(workers: &[String], args: &[String]) -> ExitCode {
         );
     }
     let start = Instant::now();
-    let result = fan_out(&pool, &selected, &id, &scenarios, force, &|cell, _| {
-        if !quiet {
-            println!("  cell {} {}", cell.id, status_word(cell.status));
-        }
-    });
+    // A one-shot run serves no scrapes; its registry is thrown away.
+    let metrics = Registry::default();
+    let result = fan_out(
+        &pool,
+        &selected,
+        &id,
+        &scenarios,
+        force,
+        &metrics,
+        &|_, cell, _| {
+            if !quiet {
+                println!("  cell {} {}", cell.id, status_word(cell.status));
+            }
+        },
+    );
     let outcome = match result {
         FanoutResult::AllBusy { retry_after_ms } => {
             eprintln!("error: every worker is busy (retry after {retry_after_ms} ms)");

@@ -3,24 +3,21 @@
 //! [`fan_out`] is a pure orchestration function over a [`WorkerPool`]:
 //! partition → dispatch → merge → requeue, no sockets, no protocol —
 //! which is what makes the requeue semantics unit-testable. The
-//! [`Coordinator`] wraps it with the same admission gate, tally, and
-//! NDJSON dispatch shape as the single-box
-//! [`Runtime`](crate::serve::Runtime), so both plug into the shared
-//! epoll reactor ([`serve_reactor`](crate::serve::serve_reactor))
-//! unchanged.
+//! [`Coordinator`] makes it the backend of the request lifecycle the
+//! single-box [`Runtime`](crate::serve::Runtime) also runs — one
+//! admission gate, metrics registry, and NDJSON dispatch shape — so
+//! both plug into the shared epoll reactor
+//! ([`serve_reactor`](crate::serve::serve_reactor)) unchanged.
 
-use crate::api::{
-    CellOutcome, CellStatus, EvalRequest, EvalResponse, Response, Shard, StatusReport, SweepError,
-    API_V1,
-};
+use crate::api::{CellOutcome, CellStatus, EvalRequest, Response, Shard, StatusReport, SweepError};
 use crate::cluster::pool::{select_workers, ShardOutcome, TcpPool, WorkerPool};
 use crate::engine::{CellResult, SweepReport};
 use crate::scenario::Scenario;
 use crate::serve::{
-    reject_buffered, reject_streaming, FrameSink, Gate, LatchSink, LineHandler, Served, Tally,
-    DEFAULT_QUEUE_DEPTH, RETRY_QUANTUM_MS,
+    Busy, Emit, FrameSink, Gate, Lifecycle, LineHandler, Ran, Served, DEFAULT_QUEUE_DEPTH,
+    RETRY_QUANTUM_MS,
 };
-use crate::telemetry::{self, trace};
+use crate::telemetry::Registry;
 use std::io;
 use std::sync::Mutex;
 use std::time::Instant;
@@ -86,10 +83,12 @@ struct FanState {
 
 /// Fans `scenarios` out over `workers` (already probed and ordered by
 /// [`select_workers`]) and merges the streamed cells back, calling
-/// `emit(cell, raw_line)` exactly once per scenario as its outcome
-/// arrives (worker frames are forwarded with their original bytes).
-/// `emit` runs on the dispatch threads *outside* the merge lock and may
-/// be called concurrently — callers serialize their own sink.
+/// `emit(index, cell, raw_line)` exactly once per scenario as its
+/// outcome arrives (`index` is the scenario's position; worker frames
+/// are forwarded with their original bytes). `emit` runs on the
+/// dispatch threads *outside* the merge lock and may be called
+/// concurrently — callers serialize their own sink. Requeued cells and
+/// per-worker dispatch latency are recorded in `metrics`.
 ///
 /// Partitioning reuses the `--shard i/n` round-robin rule
 /// ([`Shard::select_indices`]). A worker lost mid-shard — connection
@@ -105,7 +104,8 @@ pub fn fan_out(
     id: &str,
     scenarios: &[Scenario],
     force: bool,
-    emit: &(dyn Fn(&CellOutcome, &str) + Sync),
+    metrics: &Registry,
+    emit: &(dyn Fn(usize, CellOutcome, &str) + Sync),
 ) -> FanoutResult {
     let state = Mutex::new(FanState {
         outcomes: vec![None; scenarios.len()],
@@ -133,7 +133,7 @@ pub fn fan_out(
         // Rounds past the first re-dispatch cells a lost worker left
         // unfinished — the requeue volume the metrics surface.
         if rounds > 0 {
-            telemetry::global().note_requeued_cells(remaining.len() as u64);
+            metrics.note_requeued_cells(remaining.len() as u64);
         }
         let shards = live.len().min(remaining.len());
         let parts: Vec<Vec<usize>> = (1..=shards)
@@ -171,19 +171,17 @@ pub fn fan_out(
                             // (emit callees do their own serialization).
                             let claimed = {
                                 let mut st = state.lock().expect("fan-out state");
-                                match claim(&mut st.pending[k], scenarios, keys, &cell) {
-                                    Some(idx) => {
-                                        st.outcomes[idx] = Some(cell.clone());
-                                        true
-                                    }
-                                    None => false,
+                                let idx = claim(&mut st.pending[k], scenarios, keys, &cell);
+                                if let Some(idx) = idx {
+                                    st.outcomes[idx] = Some(cell.clone());
                                 }
+                                idx
                             };
-                            if claimed {
-                                emit(&cell, raw);
+                            if let Some(idx) = claimed {
+                                emit(idx, cell, raw);
                             }
                         });
-                        telemetry::global().observe_dispatch(&addr, dispatch_started.elapsed());
+                        metrics.observe_dispatch(&addr, dispatch_started.elapsed());
                         result
                     })
                 })
@@ -239,7 +237,8 @@ pub fn fan_out(
         .outcomes
         .into_iter()
         .zip(scenarios)
-        .map(|(outcome, scenario)| {
+        .enumerate()
+        .map(|(idx, (outcome, scenario))| {
             outcome.unwrap_or_else(|| {
                 let cell = CellOutcome {
                     id: scenario.id.clone(),
@@ -253,7 +252,7 @@ pub fn fan_out(
                 };
                 let raw = serde_json::to_string(&Response::Cell(cell.clone()))
                     .expect("frame serialization is infallible");
-                emit(&cell, &raw);
+                emit(idx, cell.clone(), &raw);
                 cell
             })
         })
@@ -325,21 +324,20 @@ impl ClusterConfig {
 }
 
 /// The cluster front: speaks the ordinary v1/v2 NDJSON protocol to
-/// clients and fans admitted requests out over the worker hosts.
-/// Plugs into [`crate::serve::serve_reactor`] exactly like the
-/// single-box runtime.
+/// clients and fans admitted requests out over the worker hosts,
+/// through the same request lifecycle as the single-box runtime. Plugs
+/// into [`crate::serve::serve_reactor`] exactly like the runtime.
 pub struct Coordinator {
     pool: Box<dyn WorkerPool + Send + Sync>,
     workers: Vec<String>,
-    gate: Gate,
-    tally: Tally,
+    lifecycle: Lifecycle,
 }
 
 impl std::fmt::Debug for Coordinator {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Coordinator")
             .field("workers", &self.workers)
-            .field("queue_depth", &self.gate.depth())
+            .field("queue_depth", &self.gate().depth())
             .finish()
     }
 }
@@ -355,14 +353,13 @@ impl Coordinator {
         Self {
             pool,
             workers: config.workers,
-            gate: Gate::new(config.queue_depth),
-            tally: Tally::default(),
+            lifecycle: Lifecycle::new(config.queue_depth, "this coordinator"),
         }
     }
 
     /// The coordinator's admission gate (exposed for observability).
     pub fn gate(&self) -> &Gate {
-        &self.gate
+        &self.lifecycle.gate
     }
 
     /// The configured worker addresses.
@@ -374,258 +371,66 @@ impl Coordinator {
     /// (`role: "coordinator"`), not an aggregate over workers — probe
     /// each worker for theirs.
     pub fn status(&self) -> StatusReport {
-        let telem = telemetry::global();
-        let mut report = StatusReport {
+        StatusReport {
             role: "coordinator".into(),
             workers: self.workers.len(),
-            occupancy: self.gate.occupancy(),
-            queue_depth: self.gate.depth(),
-            service_estimate_ms: self.gate.service_estimate_ms().round() as u64,
-            busy_ms: self.gate.slot_held_ms(),
-            fd_sheds: telem.fd_sheds(),
-            slow_reader_disconnects: telem.slow_reader_disconnects(),
-            ..StatusReport::default()
-        };
-        self.tally.fill(&mut report);
-        report
-    }
-
-    /// Handles one client line end to end — the coordinator-side mirror
-    /// of [`crate::serve::Runtime::handle_line`], on the same shared
-    /// dispatch.
-    pub fn handle_line(&self, line: &str, sink: &mut dyn FrameSink) -> io::Result<Served> {
-        self.handle_line_at(line, Instant::now(), sink)
-    }
-
-    /// [`Coordinator::handle_line`] with an explicit receipt instant
-    /// (see [`crate::serve::Runtime::handle_line_at`]): deadline
-    /// checks measure queueing from when the transport parsed the
-    /// line, which under the reactor includes worker-pool wait.
-    pub fn handle_line_at(
-        &self,
-        line: &str,
-        received: Instant,
-        sink: &mut dyn FrameSink,
-    ) -> io::Result<Served> {
-        crate::serve::dispatch_line(
-            line,
-            sink,
-            "this coordinator",
-            || self.status(),
-            |req, sink| self.eval_buffered(req, received, sink),
-            |req, sink| self.eval_streaming(req, received, sink),
-        )
-    }
-
-    /// Probes and selects workers for one admitted request.
-    fn selection(&self) -> Vec<String> {
-        select_workers(&*self.pool, &self.workers)
-    }
-
-    /// Protocol v1 through the cluster: admission, silent fan-out, one
-    /// buffered [`EvalResponse`] — byte-identical to a single box's
-    /// response for the same batch (cells in request order, identical
-    /// statuses and payloads).
-    fn eval_buffered(
-        &self,
-        req: EvalRequest,
-        received: Instant,
-        sink: &mut dyn FrameSink,
-    ) -> io::Result<Served> {
-        let mut ticket = match self.gate.admit(received, req.deadline_ms) {
-            Ok(ticket) => ticket,
-            Err(busy) => {
-                return reject_buffered(sink, &self.tally, req.id, busy.retry_after_ms);
-            }
-        };
-        let (span, fan_id) = observe_fanout_admission(&req, received);
-        let selected = self.selection();
-        if selected.is_empty() {
-            // No worker answered its probe — most likely transient
-            // (restart, network blip), so answer retryable Busy with
-            // the cold-start quantum rather than a hard failure. A
-            // rejection's duration (probe timeouts) is not service
-            // time; keep it out of the retry-hint EWMA.
-            ticket.skip_service_record();
-            return reject_buffered(sink, &self.tally, req.id, RETRY_QUANTUM_MS);
+            ..self.lifecycle.status()
         }
-        let fan_started = Instant::now();
+    }
+
+    /// Probes and selects workers for one admitted request. When none
+    /// answers — most likely transient (restart, network blip) — the
+    /// request gets a retryable `Busy` with the cold-start quantum
+    /// rather than a hard failure.
+    fn selection(&self) -> Result<Vec<String>, Busy> {
+        let selected = select_workers(&*self.pool, &self.workers);
+        if selected.is_empty() {
+            return Err(Busy {
+                retry_after_ms: RETRY_QUANTUM_MS,
+            });
+        }
+        Ok(selected)
+    }
+
+    /// The coordinator's backend call: the fan-out, with worker `Cell`
+    /// frames emitted with their original bytes. A fan-out every worker
+    /// refused becomes a `Busy` for the client.
+    fn fan_out_batch(
+        &self,
+        selected: &[String],
+        req: &EvalRequest,
+        span: Option<&str>,
+        emit: &Emit,
+    ) -> Result<Ran, Busy> {
+        // Embedding the span after a `#t` marker in the sub-request ids
+        // stitches a fan-out trace across hosts: each worker adopts it
+        // for its own stage records instead of minting a fresh one.
+        let fan_id = match span {
+            Some(span) => format!("{}#t{span}", req.id),
+            None => req.id.clone(),
+        };
         let result = fan_out(
             &*self.pool,
-            &selected,
+            selected,
             &fan_id,
             &req.scenarios,
             req.force,
-            &|_, _| {},
+            &self.lifecycle.metrics,
+            &|i, cell, raw| emit(i, cell, Some(raw)),
         );
-        observe_fanout_eval(&req, span.as_deref(), fan_started);
         match result {
-            FanoutResult::AllBusy { retry_after_ms } => {
-                ticket.skip_service_record();
-                reject_buffered(sink, &self.tally, req.id, retry_after_ms)
-            }
-            FanoutResult::Ran(out) => {
-                let response = EvalResponse {
-                    version: API_V1,
-                    id: req.id.clone(),
-                    cells: out.cells,
-                    hits: out.hits,
-                    misses: out.misses,
-                    error: None,
-                };
-                let cells = response.cells.len();
-                // Free the slot before the response line: a client
-                // reacting to it instantly must see its slot back.
-                drop(ticket);
-                let flush_started = Instant::now();
-                sink.send(&Response::Eval(response))?;
-                self.tally.note_eval(cells, out.hits, out.misses);
-                observe_fanout_flush(&req, span.as_deref(), flush_started, cells);
-                Ok(Served::Eval {
-                    id: req.id,
-                    cells,
-                    hits: out.hits,
-                    misses: out.misses,
-                    streamed: false,
-                })
-            }
-        }
-    }
-
-    /// Protocol v2 through the cluster: `Accepted` at admission, worker
-    /// `Cell` frames forwarded verbatim (original bytes) as they
-    /// arrive from any worker, then one merged `Done`. If every worker
-    /// refuses admission before any cell flows, the stream closes with
-    /// a `Busy` frame instead of `Done`.
-    fn eval_streaming(
-        &self,
-        req: EvalRequest,
-        received: Instant,
-        sink: &mut dyn FrameSink,
-    ) -> io::Result<Served> {
-        let mut ticket = match self.gate.admit(received, req.deadline_ms) {
-            Ok(ticket) => ticket,
-            Err(busy) => {
-                return reject_streaming(sink, &self.tally, req.id, busy.retry_after_ms);
-            }
-        };
-        let (span, fan_id) = observe_fanout_admission(&req, received);
-        let selected = self.selection();
-        if selected.is_empty() {
-            // No worker answered its probe — most likely transient, so
-            // answer retryable Busy; a rejection's duration is not
-            // service time (see eval_buffered).
-            ticket.skip_service_record();
-            return reject_streaming(sink, &self.tally, req.id, RETRY_QUANTUM_MS);
-        }
-        sink.send(&Response::Accepted {
-            id: req.id.clone(),
-            position: ticket.position(),
-        })?;
-        // Worker frames arrive concurrently on dispatch threads; the
-        // latch serializes the forwards and, past the first transport
-        // error, stops writing but lets the fan-out finish — the
-        // workers' caches still fill, so the client's retry is warm.
-        let fan_started = Instant::now();
-        let latch = LatchSink::new(sink);
-        let result = fan_out(
-            &*self.pool,
-            &selected,
-            &fan_id,
-            &req.scenarios,
-            req.force,
-            &|_, raw| latch.send_raw(raw),
-        );
-        let (sink, error) = latch.finish();
-        if let Some(e) = error {
-            return Err(e);
-        }
-        observe_fanout_eval(&req, span.as_deref(), fan_started);
-        match result {
-            FanoutResult::AllBusy { retry_after_ms } => {
-                ticket.skip_service_record();
-                reject_streaming(sink, &self.tally, req.id, retry_after_ms)
-            }
-            FanoutResult::Ran(out) => {
-                drop(ticket);
-                let flush_started = Instant::now();
-                sink.send(&Response::Done {
-                    id: req.id.clone(),
-                    hits: out.hits,
-                    misses: out.misses,
-                })?;
-                self.tally.note_eval(out.cells.len(), out.hits, out.misses);
-                observe_fanout_flush(&req, span.as_deref(), flush_started, out.cells.len());
-                Ok(Served::Eval {
-                    id: req.id,
-                    cells: out.cells.len(),
-                    hits: out.hits,
-                    misses: out.misses,
-                    streamed: true,
-                })
-            }
+            FanoutResult::Ran(out) => Ok(Ran::Cells {
+                hits: out.hits,
+                misses: out.misses,
+            }),
+            FanoutResult::AllBusy { retry_after_ms } => Err(Busy { retry_after_ms }),
         }
     }
 }
 
-/// The coordinator's post-admission bookkeeping: the queue-wait sample
-/// plus, when tracing is on, the request's span with its `queued`
-/// record — and the fan-out id workers see. Embedding the span after a
-/// `#t` marker inside the sub-request id is what stitches a fan-out
-/// trace across hosts: each worker adopts the embedded span for its own
-/// stage records instead of minting a fresh one.
-fn observe_fanout_admission(req: &EvalRequest, received: Instant) -> (Option<String>, String) {
-    let queued = received.elapsed();
-    telemetry::global().observe_queue_wait(queued);
-    let Some(span) = trace::span_for_request(&req.id) else {
-        return (None, req.id.clone());
-    };
-    trace::record(
-        &span,
-        &req.id,
-        &crate::serve::trace_grid(&req.scenarios),
-        "queued",
-        queued,
-        req.scenarios.len(),
-    );
-    let fan_id = format!("{}#t{}", req.id, span);
-    (Some(span), fan_id)
-}
-
-/// The coordinator's `eval` stage is the fan-out itself: dispatch,
-/// merge, and any requeue rounds.
-fn observe_fanout_eval(req: &EvalRequest, span: Option<&str>, started: Instant) {
-    let fanned = started.elapsed();
-    telemetry::global().observe_eval(fanned);
-    if let Some(span) = span {
-        trace::record(
-            span,
-            &req.id,
-            &crate::serve::trace_grid(&req.scenarios),
-            "eval",
-            fanned,
-            req.scenarios.len(),
-        );
-    }
-}
-
-/// The coordinator's `flush` stage: merged result → terminal frame
-/// buffered toward the client.
-fn observe_fanout_flush(req: &EvalRequest, span: Option<&str>, started: Instant, cells: usize) {
-    let flushed = started.elapsed();
-    telemetry::global().observe_flush(flushed);
-    if let Some(span) = span {
-        trace::record(
-            span,
-            &req.id,
-            &crate::serve::trace_grid(&req.scenarios),
-            "flush",
-            flushed,
-            cells,
-        );
-    }
-}
-
+/// The coordinator-side mirror of the runtime's dispatch, on the same
+/// lifecycle: deadlines measure queueing from when the transport parsed
+/// the line, which under the reactor includes worker-pool wait.
 impl LineHandler for Coordinator {
     fn handle_line_at(
         &self,
@@ -633,7 +438,24 @@ impl LineHandler for Coordinator {
         received: Instant,
         sink: &mut dyn FrameSink,
     ) -> io::Result<Served> {
-        Coordinator::handle_line_at(self, line, received, sink)
+        self.lifecycle.dispatch(
+            line,
+            sink,
+            || self.status(),
+            |req, sink| {
+                self.lifecycle.serve(
+                    req,
+                    received,
+                    sink,
+                    || self.selection(),
+                    |selected, req, span, emit| self.fan_out_batch(&selected, req, span, emit),
+                )
+            },
+        )
+    }
+
+    fn metrics(&self) -> &Registry {
+        &self.lifecycle.metrics
     }
 }
 
@@ -667,8 +489,9 @@ pub fn serve_coordinator(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::Request;
+    use crate::api::{Request, API_V1};
     use crate::scenario::StudyId;
+    use crate::serve::tests::TerminalProbe;
     use std::collections::HashMap;
     use std::sync::Mutex as StdMutex;
 
@@ -829,8 +652,9 @@ mod tests {
             "t-1",
             &scenarios,
             false,
-            &|cell, raw| {
-                cells_seen.lock().unwrap().push(cell.clone());
+            &Registry::default(),
+            &|_, cell, raw| {
+                cells_seen.lock().unwrap().push(cell);
                 raws_seen.lock().unwrap().push(raw.to_owned());
             },
         );
@@ -873,7 +697,8 @@ mod tests {
             "t-2",
             &scenarios,
             false,
-            &|cell, _| cells_seen.lock().unwrap().push(cell.clone()),
+            &Registry::default(),
+            &|_, cell, _| cells_seen.lock().unwrap().push(cell),
         );
         let FanoutResult::Ran(out) = result else {
             panic!("expected Ran, got {result:?}");
@@ -920,7 +745,8 @@ mod tests {
             "t-3",
             &scenarios,
             false,
-            &|_, _| {},
+            &Registry::default(),
+            &|_, _, _| {},
         );
         let FanoutResult::Ran(out) = result else {
             panic!("expected Ran, got {result:?}");
@@ -949,7 +775,8 @@ mod tests {
             "t-4",
             &grid(3),
             false,
-            &|_, _| {},
+            &Registry::default(),
+            &|_, _, _| {},
         );
         let FanoutResult::AllBusy { retry_after_ms } = result else {
             panic!("expected AllBusy, got {result:?}");
@@ -974,7 +801,8 @@ mod tests {
             "t-6",
             &grid(2),
             false,
-            &|_, _| {},
+            &Registry::default(),
+            &|_, _, _| {},
         );
         let FanoutResult::AllBusy { retry_after_ms } = result else {
             panic!("expected AllBusy, got {result:?}");
@@ -1000,7 +828,8 @@ mod tests {
             "t-dup",
             &scenarios,
             false,
-            &|_, _| {},
+            &Registry::default(),
+            &|_, _, _| {},
         );
         let FanoutResult::Ran(out) = result else {
             panic!("expected Ran, got {result:?}");
@@ -1025,7 +854,8 @@ mod tests {
             "t-5",
             &scenarios,
             false,
-            &|cell, _| cells_seen.lock().unwrap().push(cell.clone()),
+            &Registry::default(),
+            &|_, cell, _| cells_seen.lock().unwrap().push(cell),
         );
         let FanoutResult::Ran(out) = result else {
             panic!("expected Ran, got {result:?}");
@@ -1208,6 +1038,52 @@ mod tests {
         assert!(matches!(served, Served::Rejected { .. }));
         assert!(matches!(frames.first(), Some(Response::Busy { .. })));
         assert_eq!(c.status().rejected, 3, "all three rejections counted");
+    }
+
+    #[test]
+    fn coordinator_terminal_frames_leave_after_the_exchange_is_counted() {
+        let pool = FakePool::new(&[
+            ("a", Behavior::Healthy { occupancy: 0 }),
+            ("b", Behavior::Healthy { occupancy: 0 }),
+        ]);
+        let c = coordinator(pool, &["a", "b"], 2);
+        let snapshot = || (c.status(), c.metrics().snapshot());
+        let requests = [
+            EvalRequest::streaming("cl-v2", grid(3)),
+            EvalRequest::new("cl-v1", grid(3)),
+        ];
+        for (n, request) in (1u64..).zip(requests) {
+            let mut probe = TerminalProbe::new(&snapshot);
+            c.handle_line(&line(&Request::Eval(request)), &mut probe)
+                .unwrap();
+            let [(frame, status, metrics)] = &probe.seen[..] else {
+                panic!("one terminal frame, got {:?}", probe.seen);
+            };
+            assert_eq!(status.served, n, "served counted before {frame:?}");
+            assert_eq!(status.cells, 3 * n, "cells counted before {frame:?}");
+            assert_eq!(status.occupancy, 0, "slot freed before {frame:?}");
+            assert_eq!(metrics.counter("requests_total"), Some(n));
+            assert_eq!(metrics.hist("flush_us").unwrap().count, n);
+        }
+
+        // Every worker refusing closes the stream with a counted Busy.
+        let busy = coordinator(
+            FakePool::new(&[("b1", Behavior::AlwaysBusy { hint: 7 })]),
+            &["b1"],
+            2,
+        );
+        let snapshot = || (busy.status(), busy.metrics().snapshot());
+        let mut probe = TerminalProbe::new(&snapshot);
+        busy.handle_line(
+            &line(&Request::Eval(EvalRequest::streaming("cl-busy", grid(2)))),
+            &mut probe,
+        )
+        .unwrap();
+        let [(Response::Busy { .. }, status, metrics)] = &probe.seen[..] else {
+            panic!("one Busy frame, got {:?}", probe.seen);
+        };
+        assert_eq!(status.rejected, 1);
+        assert_eq!(metrics.counter("requests_rejected_total"), Some(1));
     }
 
     #[test]

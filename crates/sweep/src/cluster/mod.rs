@@ -12,7 +12,7 @@
 //! ```text
 //!                       ┌──────────────┐   Status / EvalRequest (v2)
 //!   client ──(v1/v2)──▶ │ Coordinator  │ ─────────────┬──────────────┐
-//!                       │  gate+tally  │              ▼              ▼
+//!                       │ gate+metrics │              ▼              ▼
 //!                       └──────┬───────┘        ┌──────────┐   ┌──────────┐
 //!                              │  merged Cell   │ worker A │   │ worker B │
 //!                              ◀── frames ──────│ (serve)  │   │ (serve)  │

@@ -34,12 +34,12 @@
 //!   driver that charges coordinated omission to the tail, and the
 //!   p50/p99/p999 + Busy-rate trajectory persisted in
 //!   `results/loadgen_history.json`;
-//! * [`telemetry`] — server-side observability: the process-wide
+//! * [`telemetry`] — server-side observability: each server's own
 //!   metrics [`telemetry::Registry`] (counters, gauges, and the shared
-//!   log-linear [`LatencyHistogram`]) exposed through the
-//!   gate-bypassing `Metrics` control frame and Prometheus-style text,
-//!   plus request-scoped stage tracing (`--trace-dir`) aggregated by
-//!   `sweep trace report`;
+//!   log-linear [`LatencyHistogram`]), owned by its request lifecycle
+//!   and exposed through the gate-bypassing `Metrics` control frame and
+//!   Prometheus-style text, plus request-scoped stage tracing
+//!   (`--trace-dir`) aggregated by `sweep trace report`;
 //! * [`cache`] — a content-addressed result cache under `results/cache/`,
 //!   keyed by a stable hash of the scenario plus the evaluator version
 //!   ([`hash`]), with age/size garbage collection ([`cache::GcBudget`]);

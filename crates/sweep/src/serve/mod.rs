@@ -30,6 +30,12 @@
 //!   [`StatusReport`] (occupancy, queue depth, jobs, service counters)
 //!   without touching the gate, so load balancers — including the
 //!   [`crate::cluster`] coordinator — can probe a fully busy server.
+//! * **One lifecycle** — the runtime and the cluster coordinator answer
+//!   every evaluation request through the same sequence: admit,
+//!   `Accepted` (v2), one backend call, commit, terminal frame. The
+//!   commit — counters, stage samples, and span records in this
+//!   server's own metrics registry — lands before the terminal frame
+//!   leaves.
 //!
 //! Frames leave through the [`FrameSink`] trait, so the whole dispatch
 //! ([`Runtime::handle_line`]) is testable in process — `Vec<Response>`
@@ -38,16 +44,16 @@
 //! [`LineHandler`] so the cluster coordinator reuses it unchanged).
 
 use crate::api::{
-    CellOutcome, CellStatus, EvalResponse, Request, Response, StatusReport, SweepError, API_V1,
-    API_V2,
+    CellOutcome, CellStatus, EvalRequest, EvalResponse, Request, Response, StatusReport,
+    SweepError, API_V1, API_V2,
 };
 use crate::engine::{Engine, SweepReport};
 use crate::executor;
 use crate::scenario::Scenario;
-use crate::telemetry::{self, trace};
+use crate::telemetry::{trace, Registry};
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
-use std::io::{self, Write};
+use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -112,7 +118,8 @@ pub struct Busy {
 /// no waiting list — a full gate answers [`Busy`] immediately so clients
 /// hold the backoff, not the server. Dropped tickets feed the observed
 /// service time into an EWMA ([`Gate::record_service`]) that the busy
-/// hint is derived from.
+/// hint is derived from. `occupied` is the one count of admitted
+/// requests; `Status` reads its occupancy from here.
 #[derive(Debug)]
 pub struct Gate {
     depth: usize,
@@ -150,33 +157,12 @@ impl Gate {
         }
         let position = *occupied;
         *occupied += 1;
-        telemetry::global().gate_entered();
         Ok(Ticket {
             gate: self,
             position,
             entered: Instant::now(),
             record: true,
         })
-    }
-
-    /// Deadline-aware admission: like [`Gate::try_enter`], but a
-    /// request whose `deadline_ms` budget was already spent between
-    /// receipt (`received`, stamped by the transport when the line was
-    /// parsed) and this call is answered [`Busy`] without occupying a
-    /// slot — by its own declaration the client has stopped waiting,
-    /// so evaluating would burn a slot on an abandoned request. The
-    /// hint still carries the current estimate, so a retrying client
-    /// backs off sensibly.
-    pub fn admit(&self, received: Instant, deadline_ms: Option<u64>) -> Result<Ticket<'_>, Busy> {
-        if let Some(ms) = deadline_ms {
-            if received.elapsed() >= Duration::from_millis(ms) {
-                telemetry::global().note_deadline_drop();
-                return Err(Busy {
-                    retry_after_ms: self.retry_hint_ms(),
-                });
-            }
-        }
-        self.try_enter()
     }
 
     /// Requests currently admitted.
@@ -266,7 +252,6 @@ impl Drop for Ticket<'_> {
             Ordering::Relaxed,
         );
         *self.gate.occupied.lock().expect("gate lock") -= 1;
-        telemetry::global().gate_released();
     }
 }
 
@@ -281,45 +266,6 @@ impl Drop for Ticket<'_> {
 /// exceed `budget` until earlier requests finish.
 pub fn split_jobs(budget: usize, in_flight: usize) -> usize {
     (budget / in_flight.max(1)).max(1)
-}
-
-/// Monotonic service counters shared by the runtime and the cluster
-/// coordinator, surfaced through [`StatusReport`].
-#[derive(Debug, Default)]
-pub struct Tally {
-    served: AtomicU64,
-    cells: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    rejected: AtomicU64,
-}
-
-impl Tally {
-    /// Records one completed evaluation (mirrored into the process-wide
-    /// [`telemetry`] registry so `Metrics` scrapes agree with `Status`).
-    pub fn note_eval(&self, cells: usize, hits: usize, misses: usize) {
-        self.served.fetch_add(1, Ordering::Relaxed);
-        self.cells.fetch_add(cells as u64, Ordering::Relaxed);
-        self.hits.fetch_add(hits as u64, Ordering::Relaxed);
-        self.misses.fetch_add(misses as u64, Ordering::Relaxed);
-        telemetry::global().note_eval_cells(cells as u64, hits as u64, misses as u64);
-    }
-
-    /// Records one admission rejection.
-    pub fn note_rejected(&self) {
-        self.rejected.fetch_add(1, Ordering::Relaxed);
-        telemetry::global().note_rejected();
-    }
-
-    /// Copies the counters into a partially filled [`StatusReport`]
-    /// (the caller supplies role, sizing, and occupancy).
-    pub fn fill(&self, report: &mut StatusReport) {
-        report.served = self.served.load(Ordering::Relaxed);
-        report.cells = self.cells.load(Ordering::Relaxed);
-        report.hits = self.hits.load(Ordering::Relaxed);
-        report.misses = self.misses.load(Ordering::Relaxed);
-        report.rejected = self.rejected.load(Ordering::Relaxed);
-    }
 }
 
 /// Where response frames go: the runtime's only output channel.
@@ -348,34 +294,6 @@ impl FrameSink for Vec<Response> {
     fn send(&mut self, frame: &Response) -> io::Result<()> {
         self.push(frame.clone());
         Ok(())
-    }
-}
-
-/// A sink writing one JSON frame per line (the NDJSON wire form),
-/// flushing after every frame so streamed progress is visible
-/// immediately.
-#[derive(Debug)]
-pub struct LineSink<W: Write + Send> {
-    inner: W,
-}
-
-impl<W: Write + Send> LineSink<W> {
-    /// Wraps a writer (for the server: the TCP stream's write half).
-    pub fn new(inner: W) -> Self {
-        Self { inner }
-    }
-}
-
-impl<W: Write + Send> FrameSink for LineSink<W> {
-    fn send(&mut self, frame: &Response) -> io::Result<()> {
-        let text = serde_json::to_string(frame).map_err(|e| io::Error::other(e.to_string()))?;
-        writeln!(self.inner, "{text}")?;
-        self.inner.flush()
-    }
-
-    fn send_raw(&mut self, line: &str) -> io::Result<()> {
-        writeln!(self.inner, "{line}")?;
-        self.inner.flush()
     }
 }
 
@@ -540,7 +458,7 @@ impl CellMemo {
 /// buffered warm response splices cached bytes instead of cloning and
 /// re-serializing every outcome.
 #[derive(Debug)]
-struct BatchEntry {
+pub(crate) struct BatchEntry {
     cells: Vec<Arc<MemoCell>>,
     /// `[<outcome>,<outcome>,…]` — byte-identical to serde's
     /// serialization of the response's `cells` vector.
@@ -692,16 +610,342 @@ fn hash_design(d: &crate::scenario::DesignPoint, h: &mut impl Hasher) {
     d.activity.map(f64::to_bits).hash(h);
 }
 
+/// The request lifecycle both endpoints share — the single-box
+/// [`Runtime`] and the cluster
+/// [`Coordinator`](crate::cluster::Coordinator) — together with the
+/// admission gate and the metrics registry it commits to. One
+/// evaluation request runs these steps, in order ([`Lifecycle::serve`]):
+///
+/// 1. admit it and open its span (the `queued` stage);
+/// 2. send `Accepted` (v2 only);
+/// 3. make one backend call — the engine plus the warm memo, or the
+///    cluster fan-out — which hands each finished cell to an emit
+///    callback (v2 streams it, v1 buffers it) and returns the totals;
+/// 4. commit: counters, the `eval` and `flush` samples, span records;
+/// 5. send the terminal frame (`Eval` for v1, `Done` for v2).
+///
+/// Committing before the terminal frame is what lets a client reacting
+/// to it instantly — a `Status` or `Metrics` probe, a span-file reader —
+/// see its exchange already counted.
+#[derive(Debug)]
+pub(crate) struct Lifecycle {
+    pub(crate) gate: Gate,
+    pub(crate) metrics: Registry,
+    /// Names the endpoint in version refusals.
+    speaker: &'static str,
+}
+
+/// Where a backend hands each finished cell: its position in the batch,
+/// its outcome, and its frame line when the backend already holds one
+/// (a worker's forwarded bytes). Called from several threads at once.
+pub(crate) type Emit<'a> = dyn Fn(usize, CellOutcome, Option<&str>) + Sync + 'a;
+
+/// What one backend call produced.
+pub(crate) enum Ran {
+    /// Every cell went through the emit callback; the batch's cache
+    /// split.
+    Cells { hits: usize, misses: usize },
+    /// Every cell is memoized: the lifecycle replays the batch's
+    /// pre-serialized frames (raw v2 `Cell` lines, or the spliced v1
+    /// line) and nothing is evaluated.
+    Memo(Arc<BatchEntry>),
+}
+
+impl Lifecycle {
+    pub(crate) fn new(queue_depth: usize, speaker: &'static str) -> Self {
+        Self {
+            gate: Gate::new(queue_depth),
+            metrics: Registry::default(),
+            speaker,
+        }
+    }
+
+    /// The gate and registry view of a [`StatusReport`]; the endpoint
+    /// adds its role and sizing.
+    pub(crate) fn status(&self) -> StatusReport {
+        let mut report = StatusReport {
+            occupancy: self.gate.occupancy(),
+            queue_depth: self.gate.depth(),
+            service_estimate_ms: self.gate.service_estimate_ms().round() as u64,
+            busy_ms: self.gate.slot_held_ms(),
+            ..StatusReport::default()
+        };
+        self.metrics.fill_status(&mut report);
+        report
+    }
+
+    /// Decodes one request line and answers what is the same at both
+    /// endpoints: control frames (`Ping`/`Status`/`Metrics`/`Shutdown`),
+    /// malformed lines, and unsupported versions. A v1/v2 evaluation
+    /// request is counted and handed to `eval`.
+    pub(crate) fn dispatch(
+        &self,
+        line: &str,
+        sink: &mut dyn FrameSink,
+        status: impl FnOnce() -> StatusReport,
+        eval: impl FnOnce(EvalRequest, &mut dyn FrameSink) -> io::Result<Served>,
+    ) -> io::Result<Served> {
+        let request = match serde_json::from_str::<Request>(line) {
+            Ok(request) => request,
+            Err(e) => {
+                sink.send(&Response::Error(SweepError::schema("request line", e)))?;
+                return Ok(Served::Malformed);
+            }
+        };
+        match request {
+            Request::Ping => {
+                sink.send(&Response::Pong)?;
+                Ok(Served::Ping)
+            }
+            Request::Status => {
+                sink.send(&Response::Status(status()))?;
+                Ok(Served::Status)
+            }
+            // Control-plane like `Status`: never touches the gate, so a
+            // fully busy server can still be scraped mid-run.
+            Request::Metrics => {
+                sink.send(&Response::Metrics(self.metrics.snapshot()))?;
+                Ok(Served::Metrics)
+            }
+            Request::Shutdown => {
+                sink.send(&Response::Bye)?;
+                Ok(Served::Shutdown)
+            }
+            Request::Eval(req) => {
+                // Every evaluation request received counts — admitted,
+                // rejected, or refused — so `requests_total` reconciles
+                // with a load generator's sent count. Warm memo hits skip
+                // this dispatch and count in `Runtime::try_handle_warm`.
+                self.metrics.note_request();
+                if req.version == API_V1 || req.version == API_V2 {
+                    return eval(req, sink);
+                }
+                sink.send(&Response::Eval(EvalResponse::refusal(
+                    req.id.clone(),
+                    SweepError::schema(
+                        "request envelope",
+                        format!(
+                            "client speaks version {}, {} speaks {API_V1} (buffered) and \
+                             {API_V2} (streamed)",
+                            req.version, self.speaker
+                        ),
+                    ),
+                )))?;
+                Ok(Served::Refused { id: req.id })
+            }
+        }
+    }
+
+    /// Deadline-aware admission: a request whose `deadline_ms` budget
+    /// was already spent between receipt (`received`, stamped by the
+    /// transport when the line was parsed) and now is answered [`Busy`]
+    /// without occupying a slot — by its own declaration the client has
+    /// stopped waiting, so evaluating would burn a slot on an abandoned
+    /// request. The hint still carries the current estimate, so a
+    /// retrying client backs off sensibly.
+    fn admit(&self, req: &EvalRequest, received: Instant) -> Result<Ticket<'_>, Busy> {
+        let expired = req
+            .deadline_ms
+            .is_some_and(|ms| received.elapsed() >= Duration::from_millis(ms));
+        if expired {
+            self.metrics.note_deadline_drop();
+            return Err(Busy {
+                retry_after_ms: self.gate.retry_hint_ms(),
+            });
+        }
+        self.gate.try_enter()
+    }
+
+    /// Runs steps 1–5 (see [`Lifecycle`]) for one counted v1/v2
+    /// request. `prepare` runs after admission, before `Accepted`; its
+    /// `Err` refuses the request (the coordinator: no worker answered
+    /// its probe). `run` is the backend call; its `Err` refuses the
+    /// request after `Accepted` (the coordinator: every worker busy).
+    pub(crate) fn serve<T>(
+        &self,
+        req: EvalRequest,
+        received: Instant,
+        sink: &mut dyn FrameSink,
+        prepare: impl FnOnce() -> Result<T, Busy>,
+        run: impl FnOnce(T, &EvalRequest, Option<&str>, &Emit<'_>) -> Result<Ran, Busy>,
+    ) -> io::Result<Served> {
+        let streamed = req.version == API_V2;
+        let mut ticket = match self.admit(&req, received) {
+            Ok(ticket) => ticket,
+            Err(busy) => return self.reject(sink, req.id, streamed, busy),
+        };
+        let queued = received.elapsed();
+        self.metrics.observe_queue_wait(queued);
+        let span = trace::span_for_request(&req.id);
+        record_stage(span.as_deref(), &req, "queued", queued);
+        let prepared = match prepare() {
+            Ok(prepared) => prepared,
+            Err(busy) => {
+                // A refusal's duration (probe timeouts) is not service
+                // time; keep it out of the retry-hint EWMA.
+                ticket.skip_service_record();
+                return self.reject(sink, req.id, streamed, busy);
+            }
+        };
+        if streamed {
+            sink.send(&Response::Accepted {
+                id: req.id.clone(),
+                position: ticket.position(),
+            })?;
+        }
+
+        // Cells arrive on several threads (engine workers, dispatch
+        // threads). v2 forwards each through the latch, which serializes
+        // the sends and, past the first transport error, stops writing
+        // but lets the backend finish (caches still fill, so the
+        // client's retry is warm); v1 buffers them for its one line.
+        let eval_started = Instant::now();
+        let latch = LatchSink::new(sink);
+        let buffered = Mutex::new(Vec::new());
+        let ran = run(prepared, &req, span.as_deref(), &|i, cell, line| {
+            if !streamed {
+                buffered.lock().expect("buffer lock").push((i, cell));
+            } else if let Some(line) = line {
+                latch.send_raw(line);
+            } else {
+                latch.send(&Response::Cell(cell));
+            }
+        });
+        let (sink, error) = latch.finish();
+        if let Some(e) = error {
+            return Err(e);
+        }
+        let flush_started = Instant::now();
+        if !matches!(ran, Ok(Ran::Memo(_))) {
+            let evaled = flush_started - eval_started;
+            self.metrics.observe_eval(evaled);
+            record_stage(span.as_deref(), &req, "eval", evaled);
+        }
+        let done = |hits, misses| {
+            frame_line(&Response::Done {
+                id: req.id.clone(),
+                hits,
+                misses,
+            })
+        };
+        let (hits, misses, terminal) = match ran {
+            Err(busy) => {
+                ticket.skip_service_record();
+                return self.reject(sink, req.id, streamed, busy);
+            }
+            Ok(Ran::Cells { hits, misses }) if streamed => (hits, misses, done(hits, misses)?),
+            Ok(Ran::Cells { hits, misses }) => {
+                let cells = buffered.into_inner().expect("buffer lock");
+                (hits, misses, buffered_line(&req.id, cells, hits, misses)?)
+            }
+            // Memo replays finish in microseconds and never queue
+            // anyone; folding them into the service-time EWMA would
+            // collapse the busy hint while slow requests hold slots.
+            Ok(Ran::Memo(entry)) => {
+                ticket.skip_service_record();
+                self.metrics.note_memo_served();
+                let n = entry.cells.len();
+                if !streamed {
+                    (n, 0, warm_eval_line(&req.id, &entry))
+                } else {
+                    for cell in &entry.cells {
+                        sink.send_raw(&cell.line)?;
+                    }
+                    (n, 0, done(n, 0)?)
+                }
+            }
+        };
+
+        // The slot is freed and the exchange counted before the terminal
+        // frame leaves: a client reacting to it instantly must see its
+        // slot available and its request counted.
+        drop(ticket);
+        let cells = hits + misses;
+        self.metrics
+            .note_served(cells as u64, hits as u64, misses as u64);
+        let flushed = flush_started.elapsed();
+        self.metrics.observe_flush(flushed);
+        record_stage(span.as_deref(), &req, "flush", flushed);
+        sink.send_raw(&terminal)?;
+        Ok(Served::Eval {
+            id: req.id,
+            cells,
+            hits,
+            misses,
+            streamed,
+        })
+    }
+
+    /// Refuses an evaluation request with a retryable `Busy`: a `Busy`
+    /// frame for v2, a typed refusal inside the buffered envelope for
+    /// v1 — counted before the frame leaves.
+    fn reject(
+        &self,
+        sink: &mut dyn FrameSink,
+        id: String,
+        streamed: bool,
+        busy: Busy,
+    ) -> io::Result<Served> {
+        self.metrics.note_rejected();
+        let retry_after_ms = busy.retry_after_ms;
+        sink.send(&if streamed {
+            Response::Busy {
+                id: id.clone(),
+                retry_after_ms,
+            }
+        } else {
+            Response::Eval(EvalResponse::refusal(
+                id.clone(),
+                SweepError::Busy { retry_after_ms },
+            ))
+        })?;
+        Ok(Served::Rejected { id, retry_after_ms })
+    }
+}
+
+/// Appends one stage record for a traced request. Records aggregate
+/// under the batch's first scenario id (requests built from the
+/// named-grid CLI are homogeneous, so one id names the whole batch).
+fn record_stage(span: Option<&str>, req: &EvalRequest, stage: &str, dur: Duration) {
+    if let Some(span) = span {
+        let grid = req.scenarios.first().map_or("empty", |s| s.id.as_str());
+        trace::record(span, &req.id, grid, stage, dur, req.scenarios.len());
+    }
+}
+
+/// The v1 response line over the cells a backend emitted, in any order.
+fn buffered_line(
+    id: &str,
+    mut cells: Vec<(usize, CellOutcome)>,
+    hits: usize,
+    misses: usize,
+) -> io::Result<String> {
+    cells.sort_unstable_by_key(|&(i, _)| i);
+    frame_line(&Response::Eval(EvalResponse {
+        version: API_V1,
+        id: id.to_owned(),
+        cells: cells.into_iter().map(|(_, cell)| cell).collect(),
+        hits,
+        misses,
+        error: None,
+    }))
+}
+
+/// One frame's wire line.
+fn frame_line(frame: &Response) -> io::Result<String> {
+    serde_json::to_string(frame).map_err(|e| io::Error::other(e.to_string()))
+}
+
 /// The shared server runtime: one engine + cache + admission gate,
-/// shared by every connection. The transport (TCP, a test harness)
-/// feeds request lines to [`Runtime::handle_line`] with a sink for the
-/// reply frames.
+/// shared by every connection, answering through the request lifecycle
+/// it shares with the cluster coordinator. The transport (TCP, a test
+/// harness) feeds request lines to [`Runtime::handle_line`] with a sink
+/// for the reply frames.
 #[derive(Debug)]
 pub struct Runtime {
     engine: Engine,
-    gate: Gate,
+    lifecycle: Lifecycle,
     jobs_budget: usize,
-    tally: Tally,
     memo: Mutex<CellMemo>,
     batch_memo: Mutex<BatchMemo>,
 }
@@ -712,9 +956,8 @@ impl Runtime {
     pub fn new(engine: Engine, config: ServeConfig) -> Self {
         Self {
             engine,
-            gate: Gate::new(config.queue_depth),
+            lifecycle: Lifecycle::new(config.queue_depth, "server"),
             jobs_budget: config.jobs.max(1),
-            tally: Tally::default(),
             memo: Mutex::new(CellMemo::new(MEMO_CAP)),
             batch_memo: Mutex::new(BatchMemo::new(MEMO_BATCH_CAP)),
         }
@@ -722,7 +965,7 @@ impl Runtime {
 
     /// The admission gate (exposed for observability).
     pub fn gate(&self) -> &Gate {
-        &self.gate
+        &self.lifecycle.gate
     }
 
     /// The engine policy requests run under.
@@ -733,20 +976,11 @@ impl Runtime {
     /// The current [`StatusReport`]: occupancy, sizing, and service
     /// counters. Control-plane — never touches the gate.
     pub fn status(&self) -> StatusReport {
-        let telem = telemetry::global();
-        let mut report = StatusReport {
+        StatusReport {
             role: "serve".into(),
-            occupancy: self.gate.occupancy(),
-            queue_depth: self.gate.depth(),
             jobs: self.jobs_budget,
-            service_estimate_ms: self.gate.service_estimate_ms().round() as u64,
-            busy_ms: self.gate.slot_held_ms(),
-            fd_sheds: telem.fd_sheds(),
-            slow_reader_disconnects: telem.slow_reader_disconnects(),
-            ..StatusReport::default()
-        };
-        self.tally.fill(&mut report);
-        report
+            ..self.lifecycle.status()
+        }
     }
 
     /// Handles one request line end to end, emitting every reply frame
@@ -756,30 +990,10 @@ impl Runtime {
         self.handle_line_at(line, Instant::now(), sink)
     }
 
-    /// [`Runtime::handle_line`] with an explicit receipt instant: the
-    /// reactor stamps each line as it is parsed off the socket, so a
-    /// request's `deadline_ms` measures real queueing time (parse →
-    /// worker pickup → admission), not just the final dispatch hop.
-    pub fn handle_line_at(
-        &self,
-        line: &str,
-        received: Instant,
-        sink: &mut dyn FrameSink,
-    ) -> io::Result<Served> {
-        dispatch_line(
-            line,
-            sink,
-            "server",
-            || self.status(),
-            |req, sink| self.eval_buffered(req, received, sink),
-            |req, sink| self.eval_streaming(req, received, sink),
-        )
-    }
-
     /// Answers `line` on the calling thread iff it can be served
     /// without compute: an eval request whose every cell is memoized
     /// (or that the gate rejects outright). `None` defers to
-    /// [`Runtime::handle_line_at`] with no frames emitted. The reactor
+    /// [`LineHandler::handle_line_at`] with no frames emitted. The reactor
     /// calls this from its event thread, sparing warm repeats the
     /// worker handoff — two context switches per request, which is
     /// most of a warm request's latency on a loaded box.
@@ -801,25 +1015,49 @@ impl Runtime {
         // identical either way).
         let entry = self.memo_lookup(&req)?;
         // This request is handled here for good — it never reaches
-        // `dispatch_line` — so it joins `requests_total` now.
-        telemetry::global().note_request();
-        let streamed = req.version == API_V2;
-        let ticket = match self.gate.admit(received, req.deadline_ms) {
-            Ok(ticket) => ticket,
-            Err(busy) => {
-                return Some(if streamed {
-                    reject_streaming(sink, &self.tally, req.id, busy.retry_after_ms)
-                } else {
-                    reject_buffered(sink, &self.tally, req.id, busy.retry_after_ms)
-                });
-            }
-        };
-        let span = self.observe_admission(&req, received);
-        Some(if streamed {
-            self.eval_streaming_warm(req, ticket, entry, span, sink)
-        } else {
-            self.eval_buffered_warm(req, ticket, entry, span, sink)
-        })
+        // `Lifecycle::dispatch` — so it joins `requests_total` now.
+        self.lifecycle.metrics.note_request();
+        Some(self.serve(req, received, sink, Some(entry)))
+    }
+
+    /// The runtime's pass through the lifecycle. Its backend is the
+    /// warm memo — `warm` when the reactor already found the batch
+    /// memoized, else a lookup after admission — or, on a miss, the
+    /// engine, whose finished cells then refresh the memo.
+    fn serve(
+        &self,
+        req: EvalRequest,
+        received: Instant,
+        sink: &mut dyn FrameSink,
+        warm: Option<Arc<BatchEntry>>,
+    ) -> io::Result<Served> {
+        self.lifecycle.serve(
+            req,
+            received,
+            sink,
+            || Ok(()),
+            |(), req, _, emit| {
+                Ok(match warm.or_else(|| self.memo_lookup(req)) {
+                    Some(entry) => Ran::Memo(entry),
+                    None => self.evaluate(req, emit),
+                })
+            },
+        )
+    }
+
+    /// A memo miss: the engine runs the batch (cache hits still count
+    /// as hits) and its finished cells refresh the memo.
+    fn evaluate(&self, req: &EvalRequest, emit: &Emit) -> Ran {
+        let report = self
+            .request_engine(req.force)
+            .run_with(&req.scenarios, |i, cell| {
+                emit(i, CellOutcome::from_cell(cell), None);
+            });
+        self.memo_store(&report);
+        Ran::Cells {
+            hits: report.hits,
+            misses: report.misses,
+        }
     }
 
     /// The memoized cells answering a request, if the warm path
@@ -829,7 +1067,7 @@ impl Runtime {
     /// under `force`, and only when *every* cell of the batch is
     /// memoized (cells memoized by any earlier batch count — the keys
     /// are per cell, so overlapping grids share).
-    fn memo_lookup(&self, req: &crate::api::EvalRequest) -> Option<Arc<BatchEntry>> {
+    fn memo_lookup(&self, req: &EvalRequest) -> Option<Arc<BatchEntry>> {
         if req.force || self.engine.cache().is_none() {
             return None;
         }
@@ -869,333 +1107,13 @@ impl Runtime {
         }
     }
 
-    /// Post-admission bookkeeping shared by every eval path: the
-    /// queue-wait histogram sample (receipt → admission) and, when
-    /// tracing is on, the request's span with its `queued` stage
-    /// record. Returns the span id later stages append under.
-    fn observe_admission(
-        &self,
-        req: &crate::api::EvalRequest,
-        received: Instant,
-    ) -> Option<String> {
-        let queued = received.elapsed();
-        telemetry::global().observe_queue_wait(queued);
-        let span = trace::span_for_request(&req.id)?;
-        trace::record(
-            &span,
-            &req.id,
-            &trace_grid(&req.scenarios),
-            "queued",
-            queued,
-            req.scenarios.len(),
-        );
-        Some(span)
-    }
-
-    /// The `flush` stage sample: evaluation end → terminal frame
-    /// buffered toward the client.
-    fn observe_flush(
-        &self,
-        req: &crate::api::EvalRequest,
-        span: Option<&str>,
-        started: Instant,
-        cells: usize,
-    ) {
-        let flushed = started.elapsed();
-        telemetry::global().observe_flush(flushed);
-        if let Some(span) = span {
-            trace::record(
-                span,
-                &req.id,
-                &trace_grid(&req.scenarios),
-                "flush",
-                flushed,
-                cells,
-            );
-        }
-    }
-
-    /// Protocol v1: admission, then one buffered [`EvalResponse`] line.
-    fn eval_buffered(
-        &self,
-        req: crate::api::EvalRequest,
-        received: Instant,
-        sink: &mut dyn FrameSink,
-    ) -> io::Result<Served> {
-        let ticket = match self.gate.admit(received, req.deadline_ms) {
-            Ok(ticket) => ticket,
-            Err(busy) => {
-                return reject_buffered(sink, &self.tally, req.id, busy.retry_after_ms);
-            }
-        };
-        let span = self.observe_admission(&req, received);
-        if let Some(entry) = self.memo_lookup(&req) {
-            return self.eval_buffered_warm(req, ticket, entry, span, sink);
-        }
-        let eval_started = Instant::now();
-        let report = self.request_engine(req.force).run(&req.scenarios);
-        let evaled = eval_started.elapsed();
-        telemetry::global().observe_eval(evaled);
-        if let Some(span) = &span {
-            trace::record(
-                span,
-                &req.id,
-                &trace_grid(&req.scenarios),
-                "eval",
-                evaled,
-                report.cells.len(),
-            );
-        }
-        self.memo_store(&report);
-        let flush_started = Instant::now();
-        let response = EvalResponse::from_report(req.id.clone(), &report);
-        drop(ticket);
-        // Counters commit before the terminal frame: a client reacting
-        // to the response instantly (a `Status` probe, say) must see
-        // this exchange already counted.
-        self.tally
-            .note_eval(report.cells.len(), report.hits, report.misses);
-        sink.send(&Response::Eval(response))?;
-        self.observe_flush(&req, span.as_deref(), flush_started, report.cells.len());
-        Ok(Served::Eval {
-            id: req.id,
-            cells: report.cells.len(),
-            hits: report.hits,
-            misses: report.misses,
-            streamed: false,
-        })
-    }
-
-    /// Protocol v2: `Accepted` at admission, a `Cell` frame per scenario
-    /// in completion order, then `Done` — or one `Busy` frame when the
-    /// gate is full. Warm repeats of memoized batches replay the
-    /// pre-serialized frame bytes instead of re-reading the cache.
-    fn eval_streaming(
-        &self,
-        req: crate::api::EvalRequest,
-        received: Instant,
-        sink: &mut dyn FrameSink,
-    ) -> io::Result<Served> {
-        let ticket = match self.gate.admit(received, req.deadline_ms) {
-            Ok(ticket) => ticket,
-            Err(busy) => {
-                return reject_streaming(sink, &self.tally, req.id, busy.retry_after_ms);
-            }
-        };
-        let span = self.observe_admission(&req, received);
-        if let Some(entry) = self.memo_lookup(&req) {
-            return self.eval_streaming_warm(req, ticket, entry, span, sink);
-        }
-        sink.send(&Response::Accepted {
-            id: req.id.clone(),
-            position: ticket.position(),
-        })?;
-        // Cell frames are written from the engine's worker threads;
-        // the latch serializes them and, past the first transport
-        // error, stops writing but lets the computation finish (the
-        // cache still fills, so the client's retry is warm).
-        let eval_started = Instant::now();
-        let latch = LatchSink::new(sink);
-        let report = self
-            .request_engine(req.force)
-            .run_with(&req.scenarios, |_, cell| {
-                latch.send(&Response::Cell(CellOutcome::from_cell(cell)));
-            });
-        let evaled = eval_started.elapsed();
-        telemetry::global().observe_eval(evaled);
-        if let Some(span) = &span {
-            trace::record(
-                span,
-                &req.id,
-                &trace_grid(&req.scenarios),
-                "eval",
-                evaled,
-                report.cells.len(),
-            );
-        }
-        self.memo_store(&report);
-        let (sink, error) = latch.finish();
-        if let Some(e) = error {
-            return Err(e);
-        }
-        let flush_started = Instant::now();
-        drop(ticket);
-        self.tally
-            .note_eval(report.cells.len(), report.hits, report.misses);
-        sink.send(&Response::Done {
-            id: req.id.clone(),
-            hits: report.hits,
-            misses: report.misses,
-        })?;
-        self.observe_flush(&req, span.as_deref(), flush_started, report.cells.len());
-        Ok(Served::Eval {
-            id: req.id,
-            cells: report.cells.len(),
-            hits: report.hits,
-            misses: report.misses,
-            streamed: true,
-        })
-    }
-
-    /// The warm (memoized) tail of [`Runtime::eval_buffered`]: the
-    /// response line is spliced around the batch's pre-assembled
-    /// `cells` fragment ([`warm_eval_line`]) instead of cloning and
-    /// re-serializing every outcome. Factored out so
-    /// [`Runtime::try_handle_warm`] can run it on the reactor thread —
-    /// by construction it never computes.
-    fn eval_buffered_warm(
-        &self,
-        req: crate::api::EvalRequest,
-        mut ticket: Ticket<'_>,
-        entry: Arc<BatchEntry>,
-        span: Option<String>,
-        sink: &mut dyn FrameSink,
-    ) -> io::Result<Served> {
-        ticket.skip_service_record();
-        telemetry::global().note_memo_served();
-        let n = entry.cells.len();
-        let flush_started = Instant::now();
-        let line = warm_eval_line(&req.id, entry.as_ref());
-        // The slot is freed before the response line: a client
-        // reacting to it instantly must see its slot available,
-        // not a stale occupancy (or a spurious `Busy` at depth 1).
-        drop(ticket);
-        self.tally.note_eval(n, n, 0);
-        sink.send_raw(&line)?;
-        self.observe_flush(&req, span.as_deref(), flush_started, n);
-        Ok(Served::Eval {
-            id: req.id,
-            cells: n,
-            hits: n,
-            misses: 0,
-            streamed: false,
-        })
-    }
-
-    /// The warm tail of [`Runtime::eval_streaming`]: `Accepted`, the
-    /// pre-serialized cell frames, `Done`. Shared with
-    /// [`Runtime::try_handle_warm`]; never computes.
-    fn eval_streaming_warm(
-        &self,
-        req: crate::api::EvalRequest,
-        mut ticket: Ticket<'_>,
-        entry: Arc<BatchEntry>,
-        span: Option<String>,
-        sink: &mut dyn FrameSink,
-    ) -> io::Result<Served> {
-        sink.send(&Response::Accepted {
-            id: req.id.clone(),
-            position: ticket.position(),
-        })?;
-        ticket.skip_service_record();
-        telemetry::global().note_memo_served();
-        let n = entry.cells.len();
-        let flush_started = Instant::now();
-        for cell in &entry.cells {
-            sink.send_raw(&cell.line)?;
-        }
-        drop(ticket);
-        self.tally.note_eval(n, n, 0);
-        sink.send(&Response::Done {
-            id: req.id.clone(),
-            hits: n,
-            misses: 0,
-        })?;
-        self.observe_flush(&req, span.as_deref(), flush_started, n);
-        Ok(Served::Eval {
-            id: req.id,
-            cells: n,
-            hits: n,
-            misses: 0,
-            streamed: true,
-        })
-    }
-
     /// The engine policy for one admitted request: the shared engine
     /// with its share of the worker budget (split across everything in
     /// flight at admission time) and the request's `force` flag.
     fn request_engine(&self, force: bool) -> Engine {
-        let share = split_jobs(self.jobs_budget, self.gate.occupancy());
+        let share = split_jobs(self.jobs_budget, self.gate().occupancy());
         self.engine.clone().jobs(share).force(force)
     }
-}
-
-/// The shared request-line dispatch of the single-box [`Runtime`] and
-/// the cluster [`Coordinator`](crate::cluster::Coordinator): decode,
-/// control frames (`Ping`/`Status`/`Shutdown`), malformed lines, and
-/// version routing with the unsupported-version refusal — everything
-/// that must stay byte-identical between the two endpoints lives here
-/// exactly once. The caller supplies its status snapshot and the two
-/// eval paths; `speaker` names the endpoint in the refusal text.
-pub(crate) fn dispatch_line(
-    line: &str,
-    sink: &mut dyn FrameSink,
-    speaker: &str,
-    status: impl FnOnce() -> StatusReport,
-    eval_buffered: impl FnOnce(crate::api::EvalRequest, &mut dyn FrameSink) -> io::Result<Served>,
-    eval_streaming: impl FnOnce(crate::api::EvalRequest, &mut dyn FrameSink) -> io::Result<Served>,
-) -> io::Result<Served> {
-    let request = match serde_json::from_str::<Request>(line) {
-        Ok(request) => request,
-        Err(e) => {
-            sink.send(&Response::Error(SweepError::schema("request line", e)))?;
-            return Ok(Served::Malformed);
-        }
-    };
-    match request {
-        Request::Ping => {
-            sink.send(&Response::Pong)?;
-            Ok(Served::Ping)
-        }
-        Request::Status => {
-            sink.send(&Response::Status(status()))?;
-            Ok(Served::Status)
-        }
-        // Control-plane like `Status`: never touches the gate, so a
-        // fully busy server can still be scraped mid-run.
-        Request::Metrics => {
-            sink.send(&Response::Metrics(telemetry::global().snapshot()))?;
-            Ok(Served::Metrics)
-        }
-        Request::Shutdown => {
-            sink.send(&Response::Bye)?;
-            Ok(Served::Shutdown)
-        }
-        Request::Eval(req) => {
-            // Every evaluation request received counts — admitted,
-            // rejected, or refused — so `requests_total` reconciles
-            // with a load generator's sent count. Warm memo hits skip
-            // this dispatch entirely and count in `try_handle_warm`.
-            telemetry::global().note_request();
-            match req.version {
-                API_V1 => eval_buffered(req, sink),
-                API_V2 => eval_streaming(req, sink),
-                other => {
-                    sink.send(&Response::Eval(EvalResponse::refusal(
-                        req.id.clone(),
-                        SweepError::schema(
-                            "request envelope",
-                            format!(
-                                "client speaks version {other}, {speaker} speaks {API_V1} \
-                                 (buffered) and {API_V2} (streamed)"
-                            ),
-                        ),
-                    )))?;
-                    Ok(Served::Refused { id: req.id })
-                }
-            }
-        }
-    }
-}
-
-/// The grid label server-side span records aggregate under: the
-/// batch's first scenario id (requests built from the named-grid CLI
-/// are homogeneous, so one id names the whole batch), or `"empty"`.
-pub(crate) fn trace_grid(scenarios: &[Scenario]) -> String {
-    scenarios
-        .first()
-        .map(|s| s.id.clone())
-        .unwrap_or_else(|| "empty".into())
 }
 
 /// Assembles the buffered v1 warm response line around a batch's
@@ -1216,40 +1134,6 @@ fn warm_eval_line(id: &str, entry: &BatchEntry) -> String {
     line
 }
 
-/// The shared admission-rejection path for buffered (v1) requests: a
-/// typed `Busy` refusal inside the envelope, with the tally and
-/// [`Served`] bookkeeping both endpoints need.
-pub(crate) fn reject_buffered(
-    sink: &mut dyn FrameSink,
-    tally: &Tally,
-    id: String,
-    retry_after_ms: u64,
-) -> io::Result<Served> {
-    tally.note_rejected();
-    sink.send(&Response::Eval(EvalResponse::refusal(
-        id.clone(),
-        SweepError::Busy { retry_after_ms },
-    )))?;
-    Ok(Served::Rejected { id, retry_after_ms })
-}
-
-/// The shared admission-rejection path for streamed (v2) requests: one
-/// `Busy` frame (also used when a cluster fan-out finds every worker
-/// busy after `Accepted` already went out).
-pub(crate) fn reject_streaming(
-    sink: &mut dyn FrameSink,
-    tally: &Tally,
-    id: String,
-    retry_after_ms: u64,
-) -> io::Result<Served> {
-    tally.note_rejected();
-    sink.send(&Response::Busy {
-        id: id.clone(),
-        retry_after_ms,
-    })?;
-    Ok(Served::Rejected { id, retry_after_ms })
-}
-
 /// A shared-by-reference adapter over a [`FrameSink`] for streamed
 /// responses: frames are emitted from several threads (engine workers,
 /// cluster dispatch threads), so sends are serialized through a mutex,
@@ -1257,12 +1141,12 @@ pub(crate) fn reject_streaming(
 /// later sends become no-ops so the producing computation can finish
 /// (its results still land in caches), and the caller surfaces the
 /// latched error once the stream is over via [`LatchSink::finish`].
-pub(crate) struct LatchSink<'a> {
+struct LatchSink<'a> {
     inner: Mutex<(&'a mut dyn FrameSink, Option<io::Error>)>,
 }
 
 impl<'a> LatchSink<'a> {
-    pub(crate) fn new(sink: &'a mut dyn FrameSink) -> Self {
+    fn new(sink: &'a mut dyn FrameSink) -> Self {
         Self {
             inner: Mutex::new((sink, None)),
         }
@@ -1279,18 +1163,18 @@ impl<'a> LatchSink<'a> {
     }
 
     /// Sends one typed frame (no-op once an error is latched).
-    pub(crate) fn send(&self, frame: &Response) {
+    fn send(&self, frame: &Response) {
         self.dispatch(|sink| sink.send(frame));
     }
 
     /// Forwards one already-serialized frame line (no-op once an error
     /// is latched).
-    pub(crate) fn send_raw(&self, line: &str) {
+    fn send_raw(&self, line: &str) {
         self.dispatch(|sink| sink.send_raw(line));
     }
 
     /// Hands the sink back along with the first error, if any.
-    pub(crate) fn finish(self) -> (&'a mut dyn FrameSink, Option<io::Error>) {
+    fn finish(self) -> (&'a mut dyn FrameSink, Option<io::Error>) {
         self.inner.into_inner().expect("sink lock")
     }
 }
@@ -1302,8 +1186,11 @@ impl<'a> LatchSink<'a> {
 /// change.
 pub trait LineHandler: Send + Sync {
     /// Handles one request line end to end (see
-    /// [`Runtime::handle_line_at`]). `received` is when the transport
-    /// parsed the line off the wire; deadline checks measure from it.
+    /// [`Runtime::handle_line`]). `received` is when the transport
+    /// parsed the line off the wire: the reactor stamps each line as it
+    /// is parsed off the socket, so a request's `deadline_ms` measures
+    /// real queueing time (parse → worker pickup → admission), not just
+    /// the final dispatch hop.
     fn handle_line_at(
         &self,
         line: &str,
@@ -1331,6 +1218,11 @@ pub trait LineHandler: Send + Sync {
     ) -> Option<io::Result<Served>> {
         None
     }
+
+    /// This server's metrics registry. The reactor records its own
+    /// transport metrics here (loop passes, reads, out-buffer depth,
+    /// fd sheds, slow readers), beside the endpoint's request counts.
+    fn metrics(&self) -> &Registry;
 }
 
 impl LineHandler for Runtime {
@@ -1340,7 +1232,12 @@ impl LineHandler for Runtime {
         received: Instant,
         sink: &mut dyn FrameSink,
     ) -> io::Result<Served> {
-        Runtime::handle_line_at(self, line, received, sink)
+        self.lifecycle.dispatch(
+            line,
+            sink,
+            || self.status(),
+            |req, sink| self.serve(req, received, sink, None),
+        )
     }
 
     fn try_handle_warm(
@@ -1350,6 +1247,10 @@ impl LineHandler for Runtime {
         sink: &mut dyn FrameSink,
     ) -> Option<io::Result<Served>> {
         Runtime::try_handle_warm(self, line, received, sink)
+    }
+
+    fn metrics(&self) -> &Registry {
+        &self.lifecycle.metrics
     }
 }
 
@@ -1362,11 +1263,46 @@ pub fn listen(addr: &str) -> io::Result<(TcpListener, SocketAddr)> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::api::{CellStatus, EvalRequest};
+    use crate::api::CellStatus;
     use crate::cache::ResultCache;
     use crate::scenario::{Scenario, StudyId};
+    use crate::telemetry::MetricsReport;
+
+    /// What an endpoint reports about itself: its `Status` and its
+    /// `Metrics` snapshot.
+    pub(crate) type Snapshot<'a> = dyn Fn() -> (StatusReport, MetricsReport) + Sync + 'a;
+
+    /// A sink that snapshots the endpoint the moment each terminal
+    /// frame (`Eval`, `Done`, `Busy`) arrives — what a client reacting
+    /// to the frame instantly would see.
+    pub(crate) struct TerminalProbe<'a> {
+        snapshot: &'a Snapshot<'a>,
+        pub(crate) seen: Vec<(Response, StatusReport, MetricsReport)>,
+    }
+
+    impl<'a> TerminalProbe<'a> {
+        pub(crate) fn new(snapshot: &'a Snapshot<'a>) -> Self {
+            Self {
+                snapshot,
+                seen: Vec::new(),
+            }
+        }
+    }
+
+    impl FrameSink for TerminalProbe<'_> {
+        fn send(&mut self, frame: &Response) -> io::Result<()> {
+            if matches!(
+                frame,
+                Response::Eval(_) | Response::Done { .. } | Response::Busy { .. }
+            ) {
+                let (status, metrics) = (self.snapshot)();
+                self.seen.push((frame.clone(), status, metrics));
+            }
+            Ok(())
+        }
+    }
 
     fn tiny_batch() -> Vec<Scenario> {
         vec![
@@ -1956,7 +1892,8 @@ mod tests {
     }
 
     /// A sink capturing raw wire lines: typed frames serialize exactly
-    /// as the TCP `LineSink` would, raw lines pass through untouched.
+    /// as the reactor's connection sink does, raw lines pass through
+    /// untouched.
     #[derive(Default)]
     struct RawLines(Vec<String>);
 
@@ -2135,6 +2072,90 @@ mod tests {
         assert_eq!(response.hits, 1);
         assert_eq!(response.misses, 0);
         let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    #[test]
+    fn terminal_frames_leave_after_the_exchange_is_counted() {
+        let cache = temp_cache("commit");
+        let rt = Runtime::new(
+            Engine::ephemeral().with_cache(cache.clone()),
+            ServeConfig {
+                queue_depth: 1,
+                jobs: 2,
+            },
+        );
+        let snapshot = || (rt.status(), rt.metrics().snapshot());
+        let v1 = |id: &str| line(&Request::Eval(EvalRequest::new(id, tiny_batch())));
+        let v2 = |id: &str| line(&Request::Eval(EvalRequest::streaming(id, tiny_batch())));
+        let mut forced = EvalRequest::new("cold-v1", tiny_batch());
+        forced.force = true;
+        // Cold v2 and v1 run the engine; the warm pairs replay the memo,
+        // first after admission on a worker, then inline on the reactor
+        // thread.
+        let exchanges = [
+            (v2("cold-v2"), false),
+            (line(&Request::Eval(forced)), false),
+            (v2("warm-v2"), false),
+            (v1("warm-v1"), false),
+            (v2("inline-v2"), true),
+            (v1("inline-v1"), true),
+        ];
+        for (n, (request, inline)) in (1u64..).zip(&exchanges) {
+            let mut probe = TerminalProbe::new(&snapshot);
+            if *inline {
+                rt.try_handle_warm(request, Instant::now(), &mut probe)
+                    .expect("memoized batch answers inline")
+                    .unwrap();
+            } else {
+                rt.handle_line(request, &mut probe).unwrap();
+            }
+            let [(frame, status, metrics)] = &probe.seen[..] else {
+                panic!("one terminal frame, got {:?}", probe.seen);
+            };
+            assert_eq!(status.served, n, "served counted before {frame:?}");
+            assert_eq!(status.cells, 2 * n, "cells counted before {frame:?}");
+            assert_eq!(status.occupancy, 0, "slot freed before {frame:?}");
+            assert_eq!(metrics.counter("requests_total"), Some(n));
+            assert_eq!(metrics.counter("requests_served_total"), Some(n));
+            assert_eq!(metrics.hist("flush_us").unwrap().count, n);
+        }
+
+        // A rejection is counted before its Busy frame.
+        let _held = rt.gate().try_enter().expect("hold the only slot");
+        let mut probe = TerminalProbe::new(&snapshot);
+        rt.handle_line(&v2("busy-v2"), &mut probe).unwrap();
+        let [(Response::Busy { .. }, status, metrics)] = &probe.seen[..] else {
+            panic!("one Busy frame, got {:?}", probe.seen);
+        };
+        assert_eq!(status.rejected, 1);
+        assert_eq!(metrics.counter("requests_total"), Some(7));
+        let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    #[test]
+    fn each_runtime_scrapes_its_own_metrics() {
+        let runtimes = [runtime(2), runtime(2)];
+        for (n, rt) in runtimes.iter().enumerate() {
+            let mut frames: Vec<Response> = Vec::new();
+            rt.handle_line(
+                &line(&Request::Eval(EvalRequest::new(
+                    format!("own-{n}"),
+                    tiny_batch(),
+                ))),
+                &mut frames,
+            )
+            .unwrap();
+        }
+        for rt in &runtimes {
+            let mut frames: Vec<Response> = Vec::new();
+            rt.handle_line("\"Metrics\"", &mut frames).unwrap();
+            let [Response::Metrics(report)] = &frames[..] else {
+                panic!("expected one Metrics frame, got {frames:?}");
+            };
+            assert_eq!(report.counter("requests_total"), Some(1));
+            assert_eq!(report.counter("cells_total"), Some(2));
+            assert_eq!(rt.status().served, 1);
+        }
     }
 
     #[test]

@@ -49,7 +49,7 @@
 
 use super::{FrameSink, LineHandler, Served};
 use crate::api::Response;
-use crate::telemetry;
+use crate::telemetry::Registry;
 use mio::unix::SourceFd;
 use mio::{Events, Interest, Poll, Token, Waker};
 use std::collections::{HashMap, VecDeque};
@@ -280,17 +280,21 @@ struct DoneMsg {
     result: io::Result<Served>,
 }
 
-/// The [`FrameSink`] workers hand to the handler: frames serialize
-/// into the connection's bounded outbuf, and the reactor is woken to
-/// flush. Failures (overflow, closed connection) propagate into the
-/// handler so streams abort instead of buffering blindly.
-struct ReactorSink {
+/// The [`FrameSink`] over one connection's bounded outbuf. Failures
+/// (overflow, closed connection) propagate into the handler so streams
+/// abort instead of buffering blindly. A worker's sink wakes the
+/// reactor to flush (`wake`); the sink for lines answered on the
+/// reactor thread itself ([`LineHandler::try_handle_warm`]) has none —
+/// the event loop flushes every touched connection in the same pass,
+/// so a warm request costs no waker round trip.
+struct ConnSink<'a> {
     conn: usize,
-    out: Arc<ConnOut>,
-    shared: Arc<Shared>,
+    out: &'a ConnOut,
+    metrics: &'a Registry,
+    wake: Option<&'a Shared>,
 }
 
-impl FrameSink for ReactorSink {
+impl FrameSink for ConnSink<'_> {
     fn send(&mut self, frame: &Response) -> io::Result<()> {
         let line = serde_json::to_string(frame).map_err(|e| io::Error::other(e.to_string()))?;
         self.send_raw(&line)
@@ -302,33 +306,10 @@ impl FrameSink for ReactorSink {
             out.push(line)?;
             out.len()
         };
-        telemetry::global().note_outbuf_depth(depth as u64);
-        self.shared.mark_dirty(self.conn);
-        Ok(())
-    }
-}
-
-/// The sink for lines answered on the reactor thread itself
-/// ([`LineHandler::try_handle_warm`]): frames append straight to the
-/// connection's outbuf with no waker round trip — the event loop
-/// flushes every touched connection in the same pass.
-struct InlineSink {
-    out: Arc<ConnOut>,
-}
-
-impl FrameSink for InlineSink {
-    fn send(&mut self, frame: &Response) -> io::Result<()> {
-        let line = serde_json::to_string(frame).map_err(|e| io::Error::other(e.to_string()))?;
-        self.send_raw(&line)
-    }
-
-    fn send_raw(&mut self, line: &str) -> io::Result<()> {
-        let depth = {
-            let mut out = self.out.buf.lock().expect("outbuf lock");
-            out.push(line)?;
-            out.len()
-        };
-        telemetry::global().note_outbuf_depth(depth as u64);
+        self.metrics.note_outbuf_depth(depth as u64);
+        if let Some(shared) = self.wake {
+            shared.mark_dirty(self.conn);
+        }
         Ok(())
     }
 }
@@ -433,10 +414,11 @@ fn worker_loop(
             Ok(job) => job,
             Err(_) => return,
         };
-        let mut sink = ReactorSink {
+        let mut sink = ConnSink {
             conn: job.conn,
-            out: Arc::clone(&job.out),
-            shared: Arc::clone(&shared),
+            out: &job.out,
+            metrics: handler.metrics(),
+            wake: Some(&shared),
         };
         let result = handler.handle_line_at(&job.line, job.received, &mut sink);
         shared.push_done(DoneMsg {
@@ -524,7 +506,9 @@ impl Reactor {
             for id in touched {
                 self.refresh(id);
             }
-            telemetry::global().observe_loop_iter(pass_started.elapsed());
+            self.handler
+                .metrics()
+                .observe_loop_iter(pass_started.elapsed());
             if let Some(since) = self.shutdown {
                 let drained = self
                     .conns
@@ -565,7 +549,7 @@ impl Reactor {
                 // the client sees an immediate close and can back off —
                 // then re-arm and let epoll re-fire for any backlog.
                 Err(e) if matches!(e.raw_os_error(), Some(23) | Some(24)) => {
-                    telemetry::global().note_fd_shed();
+                    self.handler.metrics().note_fd_shed();
                     self.fd_reserve.take();
                     if let Some(listener) = self.listener.as_ref() {
                         match listener.accept() {
@@ -659,7 +643,9 @@ impl Reactor {
             }
             conn.queued.push_back((line, received));
         }
-        telemetry::global().observe_read_parse(read_started.elapsed());
+        self.handler
+            .metrics()
+            .observe_read_parse(read_started.elapsed());
         self.advance(id);
     }
 
@@ -687,8 +673,11 @@ impl Reactor {
             };
             let out = Arc::clone(&conn.out);
             let peer = conn.peer.clone();
-            let mut sink = InlineSink {
-                out: Arc::clone(&out),
+            let mut sink = ConnSink {
+                conn: id,
+                out: &out,
+                metrics: handler.metrics(),
+                wake: None,
             };
             match handler.try_handle_warm(&line, received, &mut sink) {
                 Some(Ok(served)) => {
@@ -730,7 +719,7 @@ impl Reactor {
             let mut out = conn.out.buf.lock().expect("outbuf lock");
             if out.overflowed() {
                 drop(out);
-                telemetry::global().note_slow_reader_disconnect();
+                self.handler.metrics().note_slow_reader_disconnect();
                 eprintln!(
                     "warning: [{}] output buffer full (slow reader) — disconnecting",
                     conn.peer

@@ -1,21 +1,22 @@
 //! # yoco-telemetry — server-side metrics and request tracing
 //!
 //! The observability substrate of the serve/cluster runtime: a
-//! process-wide [`Registry`] of atomic counters, gauges, and log-linear
-//! histograms ([`hist`]), plus request-scoped stage tracing ([`trace`]).
+//! [`Registry`] of atomic counters, gauges, and log-linear histograms
+//! ([`hist`]), plus request-scoped stage tracing ([`trace`]).
 //!
-//! ## Why process-wide
+//! ## One registry per server
 //!
-//! The interesting counters live in places that share no state: the
-//! reactor sheds connections at the fd limit before a `Runtime` ever
-//! sees them, the gate drops overdue requests without running them, and
-//! the cluster pool times dispatches on short-lived probe threads. A
-//! single [`global`] registry (reached via `OnceLock`, updated with
-//! relaxed atomics and per-histogram mutexes) lets every layer record
-//! without threading a handle through four APIs — and a server process
-//! hosts exactly one runtime *or* one coordinator, so "process-wide"
-//! and "server-wide" coincide. In-process tests share the registry, so
-//! they assert count *deltas*, never absolutes.
+//! Each endpoint — a [`Runtime`](crate::serve::Runtime) or a
+//! [`Coordinator`](crate::cluster::Coordinator) — owns its registry
+//! inside the request lifecycle it shares with the other endpoint. The
+//! layers that share no state with that lifecycle reach the same
+//! registry through the endpoint: the reactor records its loop passes,
+//! reads, fd sheds and slow-reader disconnects via
+//! [`LineHandler::metrics`](crate::serve::LineHandler::metrics), and
+//! the cluster fan-out is handed it per request. Two servers in one
+//! process therefore never mix their counts, `Status` is a view over
+//! the registry plus the admission gate, and tests assert absolute
+//! values on a fresh instance.
 //!
 //! ## Exposition
 //!
@@ -46,19 +47,21 @@ pub mod trace;
 pub use hist::{HistBucket, HistSnapshot, LatencyHistogram};
 pub use trace::SpanRecord;
 
+use crate::api::StatusReport;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// Schema tag of the [`MetricsReport`] answered to a `Metrics` frame.
 pub const METRICS_SCHEMA: &str = "yoco-metrics/v1";
 
-/// The process-wide metrics registry. Reach it through [`global`].
+/// One server's metrics registry, owned by its request lifecycle.
 #[derive(Debug, Default)]
 pub struct Registry {
     // Counters (monotone).
     requests_total: AtomicU64,
+    requests_served_total: AtomicU64,
     requests_rejected_total: AtomicU64,
     deadline_drops_total: AtomicU64,
     memo_served_total: AtomicU64,
@@ -69,7 +72,6 @@ pub struct Registry {
     slow_reader_disconnects_total: AtomicU64,
     cluster_requeues_total: AtomicU64,
     // Gauges.
-    gate_occupancy: AtomicU64,
     outbuf_highwater_bytes: AtomicU64,
     // Histograms (µs).
     loop_iter_us: Mutex<LatencyHistogram>,
@@ -107,9 +109,10 @@ impl Registry {
         self.memo_served_total.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// One completed evaluation delivered `cells` cells split into
-    /// cache `hits` and `misses`.
-    pub fn note_eval_cells(&self, cells: u64, hits: u64, misses: u64) {
+    /// One evaluation request completed, delivering `cells` cells split
+    /// into cache `hits` and `misses`.
+    pub fn note_served(&self, cells: u64, hits: u64, misses: u64) {
+        self.requests_served_total.fetch_add(1, Ordering::Relaxed);
         self.cells_total.fetch_add(cells, Ordering::Relaxed);
         self.cache_hits_total.fetch_add(hits, Ordering::Relaxed);
         self.cache_misses_total.fetch_add(misses, Ordering::Relaxed);
@@ -130,16 +133,6 @@ impl Registry {
     pub fn note_requeued_cells(&self, cells: u64) {
         self.cluster_requeues_total
             .fetch_add(cells, Ordering::Relaxed);
-    }
-
-    /// A request entered the admission gate (occupancy gauge +1).
-    pub fn gate_entered(&self) {
-        self.gate_occupancy.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A request released its admission slot (occupancy gauge −1).
-    pub fn gate_released(&self) {
-        self.gate_occupancy.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// Raises the out-buffer high-water mark to `bytes` if higher.
@@ -168,8 +161,9 @@ impl Registry {
         self.eval_us.lock().unwrap().record_us(micros(d));
     }
 
-    /// Records one request's response-flush time (eval end → terminal
-    /// frame handed to the connection's output buffer).
+    /// Records one request's response-flush time: eval end → terminal
+    /// frame serialized, just before it is handed to the connection
+    /// (the sample commits before the frame leaves).
     pub fn observe_flush(&self, d: Duration) {
         self.flush_us.lock().unwrap().record_us(micros(d));
     }
@@ -187,14 +181,17 @@ impl Registry {
         }
     }
 
-    /// Connections shed at the fd limit so far (feeds `Status`).
-    pub fn fd_sheds(&self) -> u64 {
-        self.fd_sheds_total.load(Ordering::Relaxed)
-    }
-
-    /// Slow readers disconnected so far (feeds `Status`).
-    pub fn slow_reader_disconnects(&self) -> u64 {
-        self.slow_reader_disconnects_total.load(Ordering::Relaxed)
+    /// Copies the service counters into a [`StatusReport`] (the caller
+    /// supplies role, sizing, and the gate's load figures).
+    pub fn fill_status(&self, report: &mut StatusReport) {
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        report.served = load(&self.requests_served_total);
+        report.cells = load(&self.cells_total);
+        report.hits = load(&self.cache_hits_total);
+        report.misses = load(&self.cache_misses_total);
+        report.rejected = load(&self.requests_rejected_total);
+        report.fd_sheds = load(&self.fd_sheds_total);
+        report.slow_reader_disconnects = load(&self.slow_reader_disconnects_total);
     }
 
     /// Freezes every metric into a serializable report.
@@ -217,6 +214,7 @@ impl Registry {
             schema: METRICS_SCHEMA.to_owned(),
             counters: vec![
                 counter("requests_total", &self.requests_total),
+                counter("requests_served_total", &self.requests_served_total),
                 counter("requests_rejected_total", &self.requests_rejected_total),
                 counter("deadline_drops_total", &self.deadline_drops_total),
                 counter("memo_served_total", &self.memo_served_total),
@@ -230,19 +228,13 @@ impl Registry {
                 ),
                 counter("cluster_requeues_total", &self.cluster_requeues_total),
             ],
-            gauges: vec![
-                counter("gate_occupancy", &self.gate_occupancy),
-                counter("outbuf_highwater_bytes", &self.outbuf_highwater_bytes),
-            ],
+            gauges: vec![counter(
+                "outbuf_highwater_bytes",
+                &self.outbuf_highwater_bytes,
+            )],
             hists,
         }
     }
-}
-
-/// The one process-wide registry.
-pub fn global() -> &'static Registry {
-    static REGISTRY: OnceLock<Registry> = OnceLock::new();
-    REGISTRY.get_or_init(Registry::default)
 }
 
 /// One named counter or gauge sample on the wire.
@@ -344,40 +336,42 @@ mod tests {
     use super::*;
 
     #[test]
-    fn registry_counts_and_snapshots_as_deltas() {
-        // The registry is process-global and shared with every other
-        // in-process test, so all assertions are deltas.
-        let before = global().snapshot();
-        global().note_request();
-        global().note_request();
-        global().note_rejected();
-        global().note_eval_cells(5, 3, 2);
-        global().observe_queue_wait(Duration::from_micros(250));
-        let after = global().snapshot();
-        let delta =
-            |name: &str| after.counter(name).unwrap_or(0) - before.counter(name).unwrap_or(0);
-        assert_eq!(delta("requests_total"), 2);
-        assert_eq!(delta("requests_rejected_total"), 1);
-        assert_eq!(delta("cells_total"), 5);
-        assert_eq!(delta("cache_hits_total"), 3);
-        assert_eq!(delta("cache_misses_total"), 2);
+    fn registry_counts_and_snapshots_absolute_values() {
+        let registry = Registry::default();
+        let fresh = registry.snapshot();
+        assert!(fresh.counters.iter().all(|c| c.value == 0), "{fresh:?}");
+        assert_eq!(fresh.hist("queue_wait_us").unwrap().count, 0);
+
+        registry.note_request();
+        registry.note_request();
+        registry.note_rejected();
+        registry.note_served(5, 3, 2);
+        registry.observe_queue_wait(Duration::from_micros(250));
+        let report = registry.snapshot();
+        assert_eq!(report.counter("requests_total"), Some(2));
+        assert_eq!(report.counter("requests_served_total"), Some(1));
+        assert_eq!(report.counter("requests_rejected_total"), Some(1));
+        assert_eq!(report.counter("cells_total"), Some(5));
+        assert_eq!(report.counter("cache_hits_total"), Some(3));
+        assert_eq!(report.counter("cache_misses_total"), Some(2));
+        assert_eq!(report.hist("queue_wait_us").unwrap().count, 1);
+        assert_eq!(report.schema, METRICS_SCHEMA);
+
+        let mut status = StatusReport::default();
+        registry.fill_status(&mut status);
         assert_eq!(
-            after.hist("queue_wait_us").unwrap().count,
-            before.hist("queue_wait_us").unwrap().count + 1
+            (status.served, status.cells, status.hits, status.misses),
+            (1, 5, 3, 2)
         );
-        assert_eq!(after.schema, METRICS_SCHEMA);
+        assert_eq!(status.rejected, 1);
     }
 
     #[test]
-    fn gauges_track_highwater_and_occupancy() {
+    fn gauges_track_outbuf_highwater() {
         let registry = Registry::default();
-        registry.gate_entered();
-        registry.gate_entered();
-        registry.gate_released();
         registry.note_outbuf_depth(4096);
         registry.note_outbuf_depth(1024);
         let report = registry.snapshot();
-        assert_eq!(report.gauge("gate_occupancy"), Some(1));
         assert_eq!(report.gauge("outbuf_highwater_bytes"), Some(4096));
     }
 

@@ -4,8 +4,10 @@
 //! request gets a **span id** minted at admission (`PID-SEQ`, both
 //! hex), and each stage it passes through — `queued` (receipt →
 //! admission), `eval` (engine run), `flush` (eval end → terminal frame
-//! buffered) — appends one [`SpanRecord`] line to
-//! `DIR/spans-<pid>.ndjson`.
+//! ready to send) — appends one [`SpanRecord`] line to
+//! `DIR/spans-<pid>.ndjson`. Every record is written before the
+//! request's terminal frame leaves, so a client that has its answer can
+//! read all of its spans.
 //!
 //! ## Cross-host stitching
 //!

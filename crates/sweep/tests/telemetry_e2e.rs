@@ -4,8 +4,8 @@
 //! durations sum to no more than its wall time, and tracing never
 //! changes warm-response bytes.
 //!
-//! Each test spawns its own server process, so the process-wide
-//! registry starts from zero and counter assertions can be absolute.
+//! Each test spawns its own server process, whose registry starts from
+//! zero, so counter assertions are absolute.
 
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
