@@ -168,7 +168,7 @@ fn main() -> ExitCode {
             workers,
             queue_depth: config.queue_depth,
         };
-        if let Err(e) = serve_coordinator(&addr, cluster, "yoco-serve", quiet) {
+        if let Err(e) = serve_coordinator(&addr, cluster, quiet) {
             return fail(&format!("cannot bind {addr}: {e}"));
         }
     } else {

@@ -14,14 +14,13 @@
 //! sweep client status                 # occupancy/queue/counter probe
 //! sweep client run fig8               # evaluate on a server, streamed (v2)
 //! sweep client run fig8 --v1 --raw    # buffered v1 exchange, raw NDJSON out
-//! sweep client bench fig8 --requests 512 --connections 64 \
-//!     --out results/serve_bench.json  # append to the bench history
 //! sweep client shutdown               # drain and stop the server
 //! sweep cluster workers --worker H:P ...      # probe every worker's Status
 //! sweep cluster run fig8 --worker H:P ...     # one-shot multi-host fan-out
-//! sweep cluster serve --worker H:P ...        # long-running coordinator
 //! sweep loadgen --rate 200 --duration 10s \
 //!     --mix fig9a=9,fig10:v1=1                # open-loop latency trajectory
+//! sweep loadgen --mix fig8 --rate 128000 --duration 10ms \
+//!     --arrivals fixed --connections 64       # saturated: warm capacity
 //! sweep loadgen report                        # render the history table
 //! sweep loadgen gate --factor 2.0             # CI p99 regression gate
 //! sweep client metrics                        # Prometheus-style scrape
@@ -29,15 +28,10 @@
 //! sweep trace report                          # span files -> stage table
 //! ```
 
-use serde::{Deserialize, Serialize};
 use std::process::ExitCode;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 use yoco_sweep::api::{CellStatus, EvalRequest, Request, Response, StatusReport};
-use yoco_sweep::cluster::{
-    fan_out, report_from_outcomes, select_workers, serve_coordinator, ClusterConfig, FanoutResult,
-    TcpPool,
-};
-use yoco_sweep::serve::DEFAULT_QUEUE_DEPTH;
+use yoco_sweep::cluster::{fan_out, report_from_outcomes, select_workers, FanoutResult, TcpPool};
 use yoco_sweep::telemetry::Registry;
 use yoco_sweep::{
     grids, loadgen, root, Engine, GcBudget, ResultCache, Scenario, ServeClient, Shard,
@@ -59,13 +53,9 @@ fn usage() -> &'static str {
      sweep client status [--addr HOST:PORT] [--raw]\n  \
      sweep client run <grid>|--file <path> [--addr HOST:PORT] [--v1] [--force]\n               \
      [--id ID] [--raw] [--quiet]\n  \
-     sweep client bench <grid> [--addr HOST:PORT] [--requests N]\n               \
-     [--connections N] [--out <path>]\n  \
      sweep cluster workers --worker HOST:PORT [--worker HOST:PORT]...\n  \
      sweep cluster run <grid>|--file <path> --worker HOST:PORT [--worker ...]\n                \
      [--force] [--id ID] [--report <path>] [--quiet]\n  \
-     sweep cluster serve --worker HOST:PORT [--worker ...] [--addr HOST:PORT]\n                  \
-     [--queue-depth N] [--quiet]\n  \
      sweep loadgen [run] [--addr HOST:PORT] [--rate R] [--duration D]\n                \
      [--connections N] [--mix SPEC] [--arrivals fixed|poisson|burstN]\n                \
      [--burst N] [--target NAME] [--seed N] [--deadline-ms N]\n                \
@@ -383,8 +373,7 @@ fn client_cmd(args: &[String]) -> ExitCode {
         Some("status") => client_status(&addr, &rest),
         Some("metrics") => client_metrics(&addr, &rest),
         Some("run") => client_run(&addr, &rest),
-        Some("bench") => client_bench(&addr, &rest),
-        _ => fail("client needs an action: ping, status, metrics, shutdown, run, or bench"),
+        _ => fail("client needs an action: ping, status, metrics, shutdown, or run"),
     }
 }
 
@@ -711,255 +700,6 @@ fn client_run(addr: &str, args: &[String]) -> ExitCode {
     }
 }
 
-/// One machine-readable `sweep client bench` run: warm-cache service
-/// throughput, the trajectory number future PRs have to beat.
-/// `connections` and `recorded_at_unix_s` are optional so records
-/// written before they existed still parse out of committed history.
-#[derive(Serialize, Deserialize)]
-struct ServeBench {
-    schema: String,
-    grid: String,
-    scenarios: usize,
-    requests: usize,
-    protocol: u32,
-    warm: bool,
-    elapsed_ms: u64,
-    requests_per_s: f64,
-    cells_per_s: f64,
-    connections: Option<usize>,
-    recorded_at_unix_s: Option<u64>,
-}
-
-/// What `--out` maintains on disk: an append-only history of runs, so
-/// regressions are judged against the committed trajectory instead of
-/// one overwritten number.
-#[derive(Serialize, Deserialize)]
-struct BenchHistory {
-    schema: String,
-    runs: Vec<ServeBench>,
-}
-
-const BENCH_HISTORY_SCHEMA: &str = "yoco-serve-bench-history/v1";
-
-/// Reads an existing `--out` history (none yet is an empty one).
-fn read_bench_history(path: &str) -> Result<Vec<ServeBench>, String> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(format!("cannot read {path}: {e}")),
-    };
-    serde_json::from_str::<BenchHistory>(&text)
-        .map(|history| history.runs)
-        .map_err(|e| format!("{path} is not a bench history: {e}"))
-}
-
-/// The per-connection closed loop: `share` warm requests back to back,
-/// returning (cells, hits, misses) or the first failure.
-fn bench_loop(
-    client: &mut ServeClient,
-    label: usize,
-    share: usize,
-    scenarios: &[yoco_sweep::Scenario],
-) -> Result<(usize, usize, usize), String> {
-    // One request line, serialized once: the bench measures the
-    // server's warm path, and on a single core the client shares it —
-    // re-serializing an identical 9 KB request per repeat (and fully
-    // decoding 40 cell outcomes per response) measured the client,
-    // not the server. Repeated ids are fine: the server treats ids as
-    // opaque labels.
-    let request = EvalRequest::streaming(format!("bench-{label}"), scenarios.to_vec());
-    let line = serde_json::to_string(&Request::Eval(request))
-        .map_err(|e| format!("bench request does not serialize: {e}"))?;
-    let (mut cells, mut hits, mut misses) = (0usize, 0usize, 0usize);
-    for _ in 0..share {
-        client
-            .send_line(&line)
-            .map_err(|e| format!("bench exchange failed: {e}"))?;
-        loop {
-            let raw = client
-                .recv_line()
-                .map_err(|e| format!("bench exchange failed: {e}"))?;
-            // Frames are classified by tag prefix; only the small
-            // terminal frames are fully decoded.
-            if raw.starts_with("{\"Cell\":") {
-                cells += 1;
-            } else if raw.starts_with("{\"Accepted\":") {
-                continue;
-            } else {
-                match serde_json::from_str::<Response>(&raw) {
-                    Ok(Response::Done {
-                        hits: h, misses: m, ..
-                    }) => {
-                        hits += h;
-                        misses += m;
-                        break;
-                    }
-                    Ok(Response::Busy { retry_after_ms, .. }) => {
-                        return Err(format!(
-                            "server busy mid-bench (retry after {retry_after_ms} ms) — \
-                             raise --queue-depth past the bench --connections"
-                        ));
-                    }
-                    Ok(other) => return Err(format!("unexpected frame mid-bench: {other:?}")),
-                    Err(e) => return Err(format!("undecodable server line {raw:?}: {e}")),
-                }
-            }
-        }
-    }
-    Ok((cells, hits, misses))
-}
-
-fn client_bench(addr: &str, args: &[String]) -> ExitCode {
-    let mut grid_name: Option<&str> = None;
-    let mut requests = 32usize;
-    let mut connections = 1usize;
-    let mut out: Option<&str> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--requests" => {
-                i += 1;
-                match args.get(i).and_then(|v| v.parse::<usize>().ok()) {
-                    Some(n) if n > 0 => requests = n,
-                    _ => return fail("--requests needs a positive integer"),
-                }
-            }
-            "--connections" => {
-                i += 1;
-                match args.get(i).and_then(|v| v.parse::<usize>().ok()) {
-                    Some(n) if n > 0 => connections = n,
-                    _ => return fail("--connections needs a positive integer"),
-                }
-            }
-            "--out" => {
-                i += 1;
-                match args.get(i) {
-                    Some(path) => out = Some(path),
-                    None => return fail("--out needs a path"),
-                }
-            }
-            flag if flag.starts_with("--") => return fail(&format!("unknown flag `{flag}`")),
-            name => {
-                if grid_name.is_some() {
-                    return fail("only one grid per bench");
-                }
-                grid_name = Some(name);
-            }
-        }
-        i += 1;
-    }
-    let Some(grid) = grid_name else {
-        return fail("bench needs a grid name");
-    };
-    connections = connections.min(requests);
-    let scenarios = match load_scenarios(Some(grid), None) {
-        Ok(s) => s,
-        Err(e) => return fail(&e),
-    };
-    let mut conns = Vec::with_capacity(connections);
-    for _ in 0..connections {
-        match connect(addr) {
-            Ok(c) => conns.push(c),
-            Err(e) => return fail(&e),
-        }
-    }
-
-    // Prime the cache through the first connection so the timed loop
-    // measures warm service capacity, not first-compute cost.
-    let prime = EvalRequest::streaming("bench-prime", scenarios.clone());
-    match conns[0].eval_streaming(prime, |_, _| {}) {
-        Ok(StreamOutcome::Done { .. }) => {}
-        Ok(StreamOutcome::Busy { retry_after_ms }) => {
-            return fail(&format!(
-                "server busy during prime (retry after {retry_after_ms} ms) — bench needs an idle server"
-            ));
-        }
-        Err(e) => return fail(&format!("prime exchange failed: {e}")),
-    }
-
-    // Split the request budget across the connections; each runs its
-    // own closed loop on its own thread, all timed together.
-    let start = Instant::now();
-    let totals: Result<Vec<(usize, usize, usize)>, String> = if connections == 1 {
-        bench_loop(&mut conns[0], 0, requests, &scenarios).map(|t| vec![t])
-    } else {
-        let handles: Vec<_> = conns
-            .into_iter()
-            .enumerate()
-            .map(|(t, mut client)| {
-                let share = requests / connections + usize::from(t < requests % connections);
-                let scenarios = scenarios.clone();
-                std::thread::spawn(move || bench_loop(&mut client, t, share, &scenarios))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().map_err(|_| "bench thread panicked".to_owned())?)
-            .collect()
-    };
-    let totals = match totals {
-        Ok(t) => t,
-        Err(e) => return fail(&e),
-    };
-    let elapsed = start.elapsed();
-    let (cells, hits, misses) = totals
-        .iter()
-        .fold((0, 0, 0), |(c, h, m), t| (c + t.0, h + t.1, m + t.2));
-    let secs = elapsed.as_secs_f64().max(1e-9);
-    let record = ServeBench {
-        schema: "yoco-serve-bench/v1".to_owned(),
-        grid: grid.to_owned(),
-        scenarios: scenarios.len(),
-        requests,
-        protocol: yoco_sweep::api::API_V2,
-        warm: misses == 0,
-        elapsed_ms: elapsed.as_millis() as u64,
-        requests_per_s: requests as f64 / secs,
-        cells_per_s: cells as f64 / secs,
-        connections: Some(connections),
-        recorded_at_unix_s: Some(
-            SystemTime::now()
-                .duration_since(UNIX_EPOCH)
-                .map(|d| d.as_secs())
-                .unwrap_or(0),
-        ),
-    };
-    println!(
-        "bench {grid}: {requests} warm requests over {connections} connection(s) \
-         ({cells} cells, {hits} hits, {misses} misses) \
-         in {} ms -> {:.1} req/s, {:.0} cells/s",
-        record.elapsed_ms, record.requests_per_s, record.cells_per_s
-    );
-    if let Some(path) = out {
-        let mut runs = match read_bench_history(path) {
-            Ok(r) => r,
-            Err(e) => return fail(&e),
-        };
-        runs.push(record);
-        let history = BenchHistory {
-            schema: BENCH_HISTORY_SCHEMA.to_owned(),
-            runs,
-        };
-        let json = match serde_json::to_string_pretty(&history) {
-            Ok(j) => j,
-            Err(e) => return fail(&format!("cannot serialize bench history: {e}")),
-        };
-        if let Err(e) = std::fs::write(path, json + "\n") {
-            return fail(&format!("cannot write {path}: {e}"));
-        }
-        println!(
-            "bench history appended to {path} ({} runs)",
-            history.runs.len()
-        );
-    }
-    if misses == 0 {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("error: bench was not warm ({misses} misses) — is the cache enabled?");
-        ExitCode::FAILURE
-    }
-}
-
 /// Pulls every `--worker HOST:PORT` out of a flag list, returning the
 /// workers and the remainder.
 fn take_workers(args: &[String]) -> Result<(Vec<String>, Vec<String>), String> {
@@ -981,8 +721,9 @@ fn take_workers(args: &[String]) -> Result<(Vec<String>, Vec<String>), String> {
     Ok((workers, rest))
 }
 
-/// `sweep cluster …` — probe, drive, or front a set of worker hosts
-/// (each a stock `yoco-serve`) through the shard fan-out coordinator.
+/// `sweep cluster …` — probe or drive a set of worker hosts (each a
+/// stock `yoco-serve`) through the shard fan-out coordinator.
+/// `yoco-serve --coordinator` is the long-running front for them.
 fn cluster_cmd(args: &[String]) -> ExitCode {
     let action = args.first().map(String::as_str);
     let (workers, rest) = match take_workers(args.get(1..).unwrap_or(&[])) {
@@ -995,8 +736,7 @@ fn cluster_cmd(args: &[String]) -> ExitCode {
     match action {
         Some("workers") => cluster_workers(&workers, &rest),
         Some("run") => cluster_run(&workers, &rest),
-        Some("serve") => cluster_serve(&workers, &rest),
-        _ => fail("cluster needs an action: workers, run, or serve"),
+        _ => fail("cluster needs an action: workers or run"),
     }
 }
 
@@ -1159,53 +899,6 @@ fn cluster_run(workers: &[String], args: &[String]) -> ExitCode {
     } else {
         ExitCode::FAILURE
     }
-}
-
-/// Long-running coordinator over TCP: the same protocol endpoint as
-/// `yoco-serve --coordinator`, on the shared epoll reactor.
-fn cluster_serve(workers: &[String], args: &[String]) -> ExitCode {
-    let mut addr = "127.0.0.1:7178".to_owned();
-    let mut queue_depth = DEFAULT_QUEUE_DEPTH;
-    let mut quiet = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--addr" => {
-                i += 1;
-                match args.get(i) {
-                    Some(a) => addr = a.clone(),
-                    None => return fail("--addr needs HOST:PORT"),
-                }
-            }
-            "--queue-depth" => {
-                i += 1;
-                match args.get(i).and_then(|v| v.parse::<usize>().ok()) {
-                    Some(n) => queue_depth = n,
-                    None => return fail("--queue-depth needs a non-negative integer"),
-                }
-            }
-            "--threaded" => {
-                return fail(
-                    "--threaded was removed: the thread-per-connection accept loop is gone \
-                     and every connection is served by the epoll reactor (drop the flag)",
-                )
-            }
-            "--quiet" => quiet = true,
-            other => return fail(&format!("unknown flag `{other}`")),
-        }
-        i += 1;
-    }
-    let cluster = ClusterConfig {
-        workers: workers.to_vec(),
-        queue_depth,
-    };
-    if let Err(e) = serve_coordinator(&addr, cluster, "yoco-cluster", quiet) {
-        return fail(&format!("cannot bind {addr}: {e}"));
-    }
-    if !quiet {
-        println!("yoco-cluster shutting down");
-    }
-    ExitCode::SUCCESS
 }
 
 fn status_word(status: CellStatus) -> &'static str {

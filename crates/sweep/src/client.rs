@@ -160,8 +160,8 @@ impl ServeClient {
     }
 
     /// Sends one already-serialized request line (no trailing
-    /// newline). The bench reuses a single serialized line across
-    /// repeats — re-serializing an identical 9 KB request per repeat
+    /// newline). The load generator reuses one serialized line per mix
+    /// entry — re-serializing an identical 9 KB request per arrival
     /// would make the client the bottleneck of its own measurement.
     pub fn send_line(&mut self, line: &str) -> io::Result<()> {
         writeln!(self.stream, "{line}")?;

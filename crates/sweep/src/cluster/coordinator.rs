@@ -459,19 +459,13 @@ impl LineHandler for Coordinator {
     }
 }
 
-/// The whole coordinator bring-up shared by `yoco-serve --coordinator`
-/// and `sweep cluster serve`: bind, print the ready line
-/// (`<announce> listening on <local>`) and topology, then serve until
-/// `Shutdown` drains it — through the event-driven reactor
+/// The whole `yoco-serve --coordinator` bring-up: bind, print the
+/// ready line (`yoco-serve listening on <local>`) and topology, then
+/// serve until `Shutdown` drains it — through the event-driven reactor
 /// ([`crate::serve::serve_reactor`]). Returns the bind error, if any.
-pub fn serve_coordinator(
-    addr: &str,
-    config: ClusterConfig,
-    announce: &str,
-    quiet: bool,
-) -> io::Result<()> {
+pub fn serve_coordinator(addr: &str, config: ClusterConfig, quiet: bool) -> io::Result<()> {
     let (listener, local) = crate::serve::listen(addr)?;
-    println!("{announce} listening on {local}");
+    println!("yoco-serve listening on {local}");
     if !quiet {
         println!(
             "coordinator over {} workers: {}",

@@ -1,5 +1,5 @@
 //! Multi-host shard fan-out: the cluster coordinator behind
-//! `yoco-serve --coordinator` and `sweep cluster serve|workers|run`.
+//! `yoco-serve --coordinator` and `sweep cluster workers|run`.
 //!
 //! One box stopped being the ceiling in PR 4; this module fans a single
 //! [`EvalRequest`](crate::api::EvalRequest) out over a configured set of

@@ -18,23 +18,34 @@
 
 use super::mix::MixEntry;
 use super::report::{EntrySummary, LatencyHistogram, Outcome, Summary};
-use crate::api::{CellStatus, EvalRequest, Response};
-use crate::client::{ServeClient, StreamOutcome};
+use crate::api::{CellStatus, EvalRequest, Request, Response};
+use crate::client::ServeClient;
 use std::io;
 use std::time::{Duration, Instant};
 
 /// One blocking request issue: the driver's transport seam.
 pub trait Issuer: Send {
-    /// Issues the request described by `entry` under `id`, blocking
-    /// until the exchange ends, and classifies how it ended.
-    fn issue(&mut self, entry: &MixEntry, id: &str) -> Outcome;
+    /// Issues the request described by `entry`, blocking until the
+    /// exchange ends, and classifies how it ended.
+    fn issue(&mut self, entry: &MixEntry) -> Outcome;
 }
 
 /// The TCP transport: one [`ServeClient`] per driver connection.
+///
+/// A saturated run turns every connection into a closed loop, so the
+/// client's own per-request cost caps what it can measure. Two things
+/// keep that cost small: each mix entry's request line is serialized
+/// once per connection (the server treats ids as opaque labels, so one
+/// fixed id per entry is fine), and response frames are classified by
+/// tag prefix — only terminal frames and `Cell` frames that may carry a
+/// failure are decoded, so a failed cell is still exactly an
+/// [`Outcome::Error`].
 #[derive(Debug)]
 pub struct TcpIssuer {
     client: ServeClient,
     deadline_ms: Option<u64>,
+    /// Each entry issued so far, with its serialized request line.
+    lines: Vec<(MixEntry, String)>,
 }
 
 impl TcpIssuer {
@@ -50,45 +61,78 @@ impl TcpIssuer {
         Ok(Self {
             client,
             deadline_ms,
+            lines: Vec::new(),
         })
     }
-}
 
-impl Issuer for TcpIssuer {
-    fn issue(&mut self, entry: &MixEntry, id: &str) -> Outcome {
-        let mut request = if entry.v1 {
-            EvalRequest::new(id, entry.scenarios.clone())
-        } else {
-            EvalRequest::streaming(id, entry.scenarios.clone())
-        };
-        request.force = entry.cold;
-        request.deadline_ms = self.deadline_ms;
-        if entry.v1 {
-            match self.client.eval_buffered(request) {
-                Ok((_, response)) => match &response.error {
+    /// Where `entry`'s request line sits in `lines`, serializing it on
+    /// its first issue.
+    fn slot(&mut self, entry: &MixEntry) -> io::Result<usize> {
+        let known = self.lines.iter().position(|(seen, _)| {
+            seen.v1 == entry.v1 && seen.cold == entry.cold && seen.scenarios == entry.scenarios
+        });
+        Ok(match known {
+            Some(slot) => slot,
+            None => {
+                let id = format!("lg-{}", entry.label());
+                let mut request = if entry.v1 {
+                    EvalRequest::new(id, entry.scenarios.clone())
+                } else {
+                    EvalRequest::streaming(id, entry.scenarios.clone())
+                };
+                request.force = entry.cold;
+                request.deadline_ms = self.deadline_ms;
+                let line = serde_json::to_string(&Request::Eval(request))
+                    .map_err(|e| io::Error::other(e.to_string()))?;
+                self.lines.push((entry.clone(), line));
+                self.lines.len() - 1
+            }
+        })
+    }
+
+    /// One exchange, read through to its terminal frame so the
+    /// connection stays in step even after a failed cell.
+    fn exchange(&mut self, entry: &MixEntry) -> io::Result<Outcome> {
+        let slot = self.slot(entry)?;
+        self.client.send_line(&self.lines[slot].1)?;
+        let mut failed = false;
+        loop {
+            let raw = self.client.recv_line()?;
+            if raw.starts_with("{\"Accepted\":") {
+                continue;
+            }
+            // A cell's status serializes as `"status":"Failed"`, so a
+            // line without that token cannot be a failed cell.
+            let terminal = !raw.starts_with("{\"Cell\":");
+            if !terminal && !raw.contains("\"Failed\"") {
+                continue;
+            }
+            let frame = serde_json::from_str::<Response>(&raw)
+                .map_err(|e| io::Error::other(format!("undecodable server line {raw:?}: {e}")))?;
+            let outcome = match frame {
+                Response::Cell(cell) => {
+                    failed |= cell.status == CellStatus::Failed;
+                    continue;
+                }
+                Response::Done { .. } if failed => Outcome::Error,
+                Response::Done { .. } => Outcome::Ok,
+                Response::Busy { .. } => Outcome::Busy,
+                Response::Eval(response) => match &response.error {
                     Some(e) if e.category() == "busy" => Outcome::Busy,
                     Some(_) => Outcome::Error,
                     None if response.is_ok() => Outcome::Ok,
                     None => Outcome::Error,
                 },
-                Err(_) => Outcome::Error,
-            }
-        } else {
-            let mut failed = 0usize;
-            let outcome = self.client.eval_streaming(request, |_, frame| {
-                if let Response::Cell(cell) = frame {
-                    if cell.status == CellStatus::Failed {
-                        failed += 1;
-                    }
-                }
-            });
-            match outcome {
-                Ok(StreamOutcome::Done { .. }) if failed == 0 => Outcome::Ok,
-                Ok(StreamOutcome::Done { .. }) => Outcome::Error,
-                Ok(StreamOutcome::Busy { .. }) => Outcome::Busy,
-                Err(_) => Outcome::Error,
-            }
+                _ => Outcome::Error,
+            };
+            return Ok(outcome);
         }
+    }
+}
+
+impl Issuer for TcpIssuer {
+    fn issue(&mut self, entry: &MixEntry) -> Outcome {
+        self.exchange(entry).unwrap_or(Outcome::Error)
     }
 }
 
@@ -133,7 +177,7 @@ pub fn run(
                         if scheduled > now {
                             std::thread::sleep(scheduled - now);
                         }
-                        let outcome = issuer.issue(&entries[*entry_idx], &format!("lg-{i}"));
+                        let outcome = issuer.issue(&entries[*entry_idx]);
                         samples.push((*entry_idx, scheduled.elapsed(), outcome));
                     }
                     samples
@@ -198,10 +242,16 @@ pub fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::ResultCache;
+    use crate::engine::Engine;
     use crate::loadgen::arrivals::{schedule, ArrivalKind};
     use crate::loadgen::mix::Mix;
+    use crate::scenario::{AcceleratorKind, DesignPoint, Scenario, StudyId, WorkloadSpec};
+    use crate::serve::{listen, serve_reactor, LineHandler, ReactorConfig, Runtime, ServeConfig};
+    use std::path::PathBuf;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
+    use std::thread::JoinHandle;
 
     /// A server standing perfectly still: every issue blocks `stall`
     /// then answers `outcome`.
@@ -212,7 +262,7 @@ mod tests {
     }
 
     impl Issuer for Stalled {
-        fn issue(&mut self, _entry: &MixEntry, _id: &str) -> Outcome {
+        fn issue(&mut self, _entry: &MixEntry) -> Outcome {
             std::thread::sleep(self.stall);
             self.issued.fetch_add(1, Ordering::SeqCst);
             self.outcome
@@ -323,5 +373,148 @@ mod tests {
             summary.entries[0].sent,
             summary.entries[1].sent
         );
+    }
+
+    /// A runtime over a fresh cache, served by the reactor on an
+    /// ephemeral port from a background thread until [`Live::stop`].
+    struct Live {
+        addr: String,
+        reactor: JoinHandle<io::Result<()>>,
+        cache_dir: PathBuf,
+    }
+
+    impl Live {
+        fn start(tag: &str, queue_depth: usize) -> Self {
+            let cache_dir = std::env::temp_dir()
+                .join(format!("yoco-loadgen-driver-{tag}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&cache_dir);
+            let (listener, local) = listen("127.0.0.1:0").expect("binds");
+            let runtime = Runtime::new(
+                Engine::ephemeral().with_cache(ResultCache::at(&cache_dir)),
+                ServeConfig {
+                    queue_depth,
+                    jobs: 2,
+                },
+            );
+            let handler: Arc<dyn LineHandler> = Arc::new(runtime);
+            let config = ReactorConfig::for_queue_depth(queue_depth);
+            let reactor =
+                std::thread::spawn(move || serve_reactor(listener, handler, true, config));
+            Self {
+                addr: local.to_string(),
+                reactor,
+                cache_dir,
+            }
+        }
+
+        fn client(&self) -> ServeClient {
+            let mut client = ServeClient::connect(&self.addr).expect("connects");
+            client
+                .set_read_timeout(Some(Duration::from_secs(120)))
+                .expect("timeout set");
+            client
+        }
+
+        fn misses(&self) -> u64 {
+            self.client().status().expect("Status answers").misses
+        }
+
+        fn stop(self) {
+            self.client().shutdown().expect("Shutdown answers Bye");
+            self.reactor
+                .join()
+                .expect("reactor thread")
+                .expect("reactor drains cleanly");
+            let _ = std::fs::remove_dir_all(&self.cache_dir);
+        }
+    }
+
+    /// A mix entry over an explicit batch rather than a named grid.
+    fn entry(grid: &str, v1: bool, scenarios: Vec<Scenario>) -> MixEntry {
+        MixEntry {
+            grid: grid.into(),
+            v1,
+            cold: false,
+            weight: 1,
+            scenarios,
+        }
+    }
+
+    fn tiny_batch() -> Vec<Scenario> {
+        vec![
+            Scenario::study(StudyId::Fig9a),
+            Scenario::study(StudyId::Table2),
+        ]
+    }
+
+    /// The `api::wire` failed-cell fixture: a study that evaluates next
+    /// to a zoo cell naming no model.
+    fn failing_batch() -> Vec<Scenario> {
+        vec![
+            Scenario::study(StudyId::Fig9a),
+            Scenario::gemm(
+                AcceleratorKind::Yoco,
+                DesignPoint::paper(),
+                WorkloadSpec::Zoo {
+                    model: "no-such-model".into(),
+                },
+            ),
+        ]
+    }
+
+    #[test]
+    fn tcp_issuer_answers_ok_when_warm_and_error_on_a_failed_cell() {
+        let live = Live::start("outcomes", 4);
+        let mut issuer = TcpIssuer::connect(&live.addr, None).expect("connects");
+        let (warm_v2, warm_v1) = (
+            entry("tiny", false, tiny_batch()),
+            entry("tiny", true, tiny_batch()),
+        );
+        assert_eq!(issuer.issue(&warm_v2), Outcome::Ok, "the priming issue");
+        let primed = live.misses();
+        assert_eq!(issuer.issue(&warm_v2), Outcome::Ok, "warm v2");
+        assert_eq!(issuer.issue(&warm_v1), Outcome::Ok, "warm v1");
+        assert_eq!(live.misses(), primed, "both warm issues hit");
+        for v1 in [false, true] {
+            let failing = entry("failing", v1, failing_batch());
+            assert_eq!(issuer.issue(&failing), Outcome::Error, "v1 {v1}");
+            // Read through to the terminal frame: the connection is
+            // still in step for the next exchange.
+            assert_eq!(issuer.issue(&warm_v2), Outcome::Ok, "after v1 {v1}");
+        }
+        live.stop();
+    }
+
+    #[test]
+    fn tcp_issuer_answers_busy_from_a_runtime_admitting_nothing() {
+        let live = Live::start("busy", 0);
+        let mut issuer = TcpIssuer::connect(&live.addr, None).expect("connects");
+        for v1 in [false, true] {
+            let tiny = entry("tiny", v1, tiny_batch());
+            assert_eq!(issuer.issue(&tiny), Outcome::Busy, "v1 {v1}");
+        }
+        live.stop();
+    }
+
+    #[test]
+    fn saturated_run_over_tcp_completes_every_arrival() {
+        let live = Live::start("saturated", 4);
+        let duration = Duration::from_micros(10);
+        // 40 arrivals inside 10 µs: each connection's 20 loopback round
+        // trips take far longer, so it issues back to back.
+        let plan = schedule(ArrivalKind::Fixed, 4_000_000.0, duration, 0);
+        let mix = Mix::parse("fig9a=3,fig9a:v1=1").unwrap();
+        let assignment = mix.assign(plan.len(), 0);
+        let issuers: Vec<Box<dyn Issuer>> = (0..2)
+            .map(|_| {
+                Box::new(TcpIssuer::connect(&live.addr, None).expect("connects")) as Box<dyn Issuer>
+            })
+            .collect();
+        let summary = run(&plan, &assignment, mix.entries(), issuers, duration);
+        assert_eq!(summary.sent, 40);
+        assert_eq!(summary.completed, summary.sent);
+        assert_eq!(summary.busy + summary.errors, 0);
+        assert!(summary.achieved_rps < summary.offered_rps);
+        live.stop();
     }
 }

@@ -8,16 +8,22 @@
 //!
 //! ## Open loop vs closed loop
 //!
-//! `sweep client bench` is a **closed loop**: each connection sends the
-//! next request only after the previous one returns, so the measured
-//! rate is whatever the server sustains and latency under *overload* is
-//! invisible — when the server stalls, the bench politely stops
-//! offering load (coordinated omission). The loadgen is an **open
-//! loop**: the arrival schedule is fixed up front and requests fire at
-//! their scheduled instants regardless of completions, with latency
-//! measured from the scheduled instant. Overload therefore shows up
-//! where it belongs: in the p99/p999 tail and the `Busy` rate, not as a
-//! quietly reduced request count.
+//! The loadgen is an **open loop**: the arrival schedule is fixed up
+//! front and requests fire at their scheduled instants regardless of
+//! completions, with latency measured from the scheduled instant. A
+//! closed loop (each connection sends the next request only when the
+//! previous one returns) politely stops offering load when the server
+//! stalls, so overload never shows (coordinated omission). In the open
+//! loop it shows where it belongs: in the p99/p999 tail and the `Busy`
+//! rate, not as a quietly reduced request count.
+//!
+//! An offered rate above capacity turns each connection into a closed
+//! loop: every arrival is already due when the previous request
+//! returns, so the connection issues back to back. `achieved_rps` is
+//! then the server's capacity at that connection count, and the
+//! latency percentiles measure the backlog of overdue arrivals, not
+//! service time. That saturated run is how warm throughput is measured
+//! (`--arrivals fixed --rate` far above capacity).
 //!
 //! ```no_run
 //! use std::time::Duration;

@@ -147,7 +147,7 @@ pub struct LoadgenRecord {
     /// Unix timestamp of the run.
     pub recorded_at_unix_s: u64,
     /// Per-mix-entry breakdown, in mix order. `None` for rows recorded
-    /// before the breakdown existed (committed history still parses).
+    /// before the breakdown existed (older history files still parse).
     pub entries: Option<Vec<EntryRecord>>,
 }
 
@@ -266,9 +266,14 @@ pub fn read_history(path: &str) -> Result<Vec<LoadgenRecord>, String> {
     Ok(history.runs)
 }
 
-/// Appends one row and rewrites the history file.
+/// Appends one row and rewrites the history file, creating its
+/// directory if needed (`results/` is not part of a fresh checkout).
 pub fn append_history(path: &str, record: LoadgenRecord) -> Result<usize, String> {
     let mut runs = read_history(path)?;
+    if let Some(dir) = std::path::Path::new(path).parent() {
+        std::fs::create_dir_all(dir)
+            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+    }
     runs.push(record);
     let history = LoadgenHistory {
         schema: LOADGEN_HISTORY_SCHEMA.to_owned(),
@@ -443,8 +448,9 @@ mod tests {
     #[test]
     fn history_round_trips_and_renders() {
         let dir = std::env::temp_dir().join(format!("loadgen-hist-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("history.json");
+        let _ = std::fs::remove_dir_all(&dir);
+        // The first append creates the missing directory.
+        let path = dir.join("results").join("history.json");
         let path = path.to_str().unwrap();
         assert_eq!(read_history(path).unwrap().len(), 0);
         assert_eq!(append_history(path, row("serve", 2.0, 1)).unwrap(), 1);

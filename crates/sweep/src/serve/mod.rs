@@ -553,13 +553,17 @@ const MEMO_BATCH_CAP: usize = 256;
 /// as discriminants, floats by bit pattern — no text formatting. Every
 /// field that distinguishes two scenarios on the wire must be hashed
 /// here; an omission would let [`BatchMemo`] answer one batch with
-/// another's cells.
+/// another's cells. So every struct and struct variant is destructured
+/// in full, without `..`: a new field breaks the build here instead of
+/// silently aliasing batches.
 fn hash_scenario(s: &Scenario, h: &mut impl Hasher) {
     use crate::scenario::{ScenarioKind, WorkloadSpec};
     use std::mem::discriminant;
-    s.id.hash(h);
-    discriminant(&s.kind).hash(h);
-    match &s.kind {
+    use yoco::pipeline::AttentionDims;
+    let Scenario { id, kind } = s;
+    id.hash(h);
+    discriminant(kind).hash(h);
+    match kind {
         ScenarioKind::Gemm {
             accelerator,
             design,
@@ -585,11 +589,16 @@ fn hash_scenario(s: &Scenario, h: &mut impl Hasher) {
         }
         ScenarioKind::Attention {
             model,
-            dims,
+            dims:
+                AttentionDims {
+                    seq,
+                    d_model,
+                    heads,
+                },
             design,
         } => {
             model.hash(h);
-            (dims.seq, dims.d_model, dims.heads).hash(h);
+            (seq, d_model, heads).hash(h);
             hash_design(design, h);
         }
         ScenarioKind::Study { study } => discriminant(study).hash(h),
@@ -599,15 +608,16 @@ fn hash_scenario(s: &Scenario, h: &mut impl Hasher) {
 /// The [`hash_scenario`] leaf for design points: `Option` knobs hash
 /// directly, the float knob hashes by bit pattern.
 fn hash_design(d: &crate::scenario::DesignPoint, h: &mut impl Hasher) {
-    (
-        d.ima_stack,
-        d.ima_width,
-        d.dimas_per_tile,
-        d.simas_per_tile,
-        d.tiles,
-    )
-        .hash(h);
-    d.activity.map(f64::to_bits).hash(h);
+    let crate::scenario::DesignPoint {
+        ima_stack,
+        ima_width,
+        dimas_per_tile,
+        simas_per_tile,
+        tiles,
+        activity,
+    } = d;
+    (ima_stack, ima_width, dimas_per_tile, simas_per_tile, tiles).hash(h);
+    activity.map(f64::to_bits).hash(h);
 }
 
 /// The request lifecycle both endpoints share — the single-box
@@ -2170,7 +2180,7 @@ pub(crate) mod tests {
 
 /// Ignored-by-default timing probes for the warm fast path. Run with
 /// `cargo test -p yoco-sweep --release -- --ignored microbench` when
-/// chasing a serve-bench regression: the request parse dominates, and
+/// chasing a warm-throughput regression: the request parse dominates, and
 /// the batch fingerprint must stay orders of magnitude below it.
 #[cfg(test)]
 mod microbench {
