@@ -43,7 +43,7 @@
 use std::io::Write;
 use std::process::ExitCode;
 use std::sync::Arc;
-use yoco_sweep::cluster::{serve_coordinator, ClusterConfig};
+use yoco_sweep::cluster::{ClusterConfig, Coordinator};
 use yoco_sweep::serve::{listen, serve_reactor, LineHandler, ReactorConfig, Runtime, ServeConfig};
 use yoco_sweep::{Engine, ResultCache};
 
@@ -163,20 +163,25 @@ fn main() -> ExitCode {
         }
     }
 
-    if coordinator {
-        let cluster = ClusterConfig {
+    let (listener, local) = match listen(&addr) {
+        Ok(pair) => pair,
+        Err(e) => return fail(&format!("cannot bind {addr}: {e}")),
+    };
+    println!("yoco-serve listening on {local}");
+    let handler: Arc<dyn LineHandler> = if coordinator {
+        if !quiet {
+            println!(
+                "coordinator over {} workers: {}",
+                workers.len(),
+                workers.join(", ")
+            );
+            println!("queue depth {}", config.queue_depth);
+        }
+        Arc::new(Coordinator::new(ClusterConfig {
             workers,
             queue_depth: config.queue_depth,
-        };
-        if let Err(e) = serve_coordinator(&addr, cluster, quiet) {
-            return fail(&format!("cannot bind {addr}: {e}"));
-        }
+        }))
     } else {
-        let (listener, local) = match listen(&addr) {
-            Ok(pair) => pair,
-            Err(e) => return fail(&format!("cannot bind {addr}: {e}")),
-        };
-        println!("yoco-serve listening on {local}");
         if !quiet {
             if let Some(cache) = engine.cache() {
                 println!("cache: {}", cache.dir().display());
@@ -185,16 +190,18 @@ fn main() -> ExitCode {
                 "queue depth {}, jobs budget {}",
                 config.queue_depth, config.jobs
             );
-            if let Some(dir) = &trace_dir {
-                println!("tracing spans to {}", dir.display());
-            }
         }
-        let _ = std::io::stdout().flush();
-        let reactor_config = ReactorConfig::for_queue_depth(config.queue_depth);
-        let handler: Arc<dyn LineHandler> = Arc::new(Runtime::new(engine, config));
-        if let Err(e) = serve_reactor(listener, handler, quiet, reactor_config) {
-            return fail(&format!("reactor failed: {e}"));
+        Arc::new(Runtime::new(engine, config))
+    };
+    if !quiet {
+        if let Some(dir) = &trace_dir {
+            println!("tracing spans to {}", dir.display());
         }
+    }
+    let _ = std::io::stdout().flush();
+    let reactor_config = ReactorConfig::for_queue_depth(config.queue_depth);
+    if let Err(e) = serve_reactor(listener, handler, quiet, reactor_config) {
+        return fail(&format!("reactor failed: {e}"));
     }
     if !quiet {
         println!("yoco-serve shutting down");

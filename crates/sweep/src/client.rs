@@ -316,21 +316,14 @@ impl ServeClient {
         policy: &RetryPolicy,
         mut on_frame: impl FnMut(&str, &Response),
     ) -> io::Result<StreamOutcome> {
-        let mut rng = SplitMix64::new(policy.seed);
-        let attempts = policy.attempts.max(1);
-        for attempt in 0..attempts {
-            match self.eval_streaming(request.clone(), &mut on_frame)? {
-                StreamOutcome::Busy { retry_after_ms } if attempt + 1 < attempts => {
-                    std::thread::sleep(Duration::from_millis(policy.backoff_ms(
-                        attempt,
-                        retry_after_ms,
-                        &mut rng,
-                    )));
-                }
-                outcome => return Ok(outcome),
-            }
-        }
-        unreachable!("the loop returns on its last attempt")
+        self.retry_busy(
+            policy,
+            |client| client.eval_streaming(request.clone(), &mut on_frame),
+            |outcome| match outcome {
+                StreamOutcome::Busy { retry_after_ms } => Some(*retry_after_ms),
+                StreamOutcome::Done { .. } => None,
+            },
+        )
     }
 
     /// [`ServeClient::eval_buffered`] with in-request `Busy` retry —
@@ -344,24 +337,36 @@ impl ServeClient {
         request: EvalRequest,
         policy: &RetryPolicy,
     ) -> io::Result<(String, EvalResponse)> {
-        let mut rng = SplitMix64::new(policy.seed);
-        let attempts = policy.attempts.max(1);
-        for attempt in 0..attempts {
-            let (raw, response) = self.eval_buffered(request.clone())?;
-            let busy_hint = match &response.error {
-                Some(crate::api::SweepError::Busy { retry_after_ms }) => Some(*retry_after_ms),
+        self.retry_busy(
+            policy,
+            |client| client.eval_buffered(request.clone()),
+            |(_, response)| match response.error {
+                Some(crate::api::SweepError::Busy { retry_after_ms }) => Some(retry_after_ms),
                 _ => None,
+            },
+        )
+    }
+
+    /// The Busy-retry loop behind both `*_with_retry` calls: repeats
+    /// `exchange` while `busy_hint` reads a `Busy` hint off its answer,
+    /// sleeping the policy's backoff in between, and returns the first
+    /// other answer or the last attempt's.
+    fn retry_busy<T>(
+        &mut self,
+        policy: &RetryPolicy,
+        mut exchange: impl FnMut(&mut Self) -> io::Result<T>,
+        busy_hint: impl Fn(&T) -> Option<u64>,
+    ) -> io::Result<T> {
+        let mut rng = SplitMix64::new(policy.seed);
+        for attempt in 0..policy.attempts.saturating_sub(1) {
+            let answer = exchange(self)?;
+            let Some(hint) = busy_hint(&answer) else {
+                return Ok(answer);
             };
-            match busy_hint {
-                Some(hint) if attempt + 1 < attempts => {
-                    std::thread::sleep(Duration::from_millis(
-                        policy.backoff_ms(attempt, hint, &mut rng),
-                    ));
-                }
-                _ => return Ok((raw, response)),
-            }
+            let backoff = policy.backoff_ms(attempt, hint, &mut rng);
+            std::thread::sleep(Duration::from_millis(backoff));
         }
-        unreachable!("the loop returns on its last attempt")
+        exchange(self)
     }
 }
 
@@ -405,5 +410,66 @@ mod tests {
     #[test]
     fn none_policy_is_single_shot() {
         assert_eq!(RetryPolicy::none().attempts, 1);
+    }
+
+    #[test]
+    fn busy_is_retried_until_the_policy_runs_out_then_returned() {
+        use crate::api::SweepError;
+        use crate::engine::Engine;
+        use crate::scenario::{Scenario, StudyId};
+        use crate::serve::{
+            listen, serve_reactor, LineHandler, ReactorConfig, Runtime, ServeConfig,
+        };
+        use std::sync::Arc;
+
+        // A runtime admitting nothing, served on an ephemeral port.
+        let (listener, local) = listen("127.0.0.1:0").expect("binds");
+        let handler: Arc<dyn LineHandler> = Arc::new(Runtime::new(
+            Engine::ephemeral(),
+            ServeConfig {
+                queue_depth: 0,
+                jobs: 1,
+            },
+        ));
+        let config = ReactorConfig::for_queue_depth(0);
+        let reactor = std::thread::spawn(move || serve_reactor(listener, handler, true, config));
+        let mut client = ServeClient::connect(&local.to_string()).expect("connects");
+        client
+            .set_read_timeout(Some(Duration::from_secs(60)))
+            .expect("timeout set");
+
+        let policy = RetryPolicy {
+            attempts: 3,
+            base_ms: 1,
+            cap_ms: 1,
+            seed: 1,
+        };
+        let batch = vec![Scenario::study(StudyId::Fig9a)];
+        let mut busy_frames = 0;
+        let outcome = client
+            .eval_streaming_with_retry(
+                EvalRequest::streaming("retry-v2", batch.clone()),
+                &policy,
+                |_, frame| busy_frames += usize::from(matches!(frame, Response::Busy { .. })),
+            )
+            .expect("v2 exchange");
+        assert!(matches!(outcome, StreamOutcome::Busy { .. }), "{outcome:?}");
+        assert_eq!(busy_frames, 3, "every attempt's Busy frame is seen");
+        assert_eq!(client.status().expect("Status").rejected, 3);
+
+        let (_, response) = client
+            .eval_buffered_with_retry(EvalRequest::new("retry-v1", batch), &policy)
+            .expect("v1 exchange");
+        assert!(
+            matches!(response.error, Some(SweepError::Busy { .. })),
+            "{response:?}"
+        );
+        assert_eq!(client.status().expect("Status").rejected, 6);
+
+        client.shutdown().expect("Shutdown answers Bye");
+        reactor
+            .join()
+            .expect("reactor thread")
+            .expect("reactor drains cleanly");
     }
 }

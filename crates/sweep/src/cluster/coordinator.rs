@@ -459,27 +459,6 @@ impl LineHandler for Coordinator {
     }
 }
 
-/// The whole `yoco-serve --coordinator` bring-up: bind, print the
-/// ready line (`yoco-serve listening on <local>`) and topology, then
-/// serve until `Shutdown` drains it — through the event-driven reactor
-/// ([`crate::serve::serve_reactor`]). Returns the bind error, if any.
-pub fn serve_coordinator(addr: &str, config: ClusterConfig, quiet: bool) -> io::Result<()> {
-    let (listener, local) = crate::serve::listen(addr)?;
-    println!("yoco-serve listening on {local}");
-    if !quiet {
-        println!(
-            "coordinator over {} workers: {}",
-            config.workers.len(),
-            config.workers.join(", ")
-        );
-        println!("queue depth {}", config.queue_depth);
-    }
-    let _ = std::io::Write::flush(&mut std::io::stdout());
-    let reactor_config = crate::serve::ReactorConfig::for_queue_depth(config.queue_depth);
-    let handler: std::sync::Arc<dyn LineHandler> = std::sync::Arc::new(Coordinator::new(config));
-    crate::serve::serve_reactor(listener, handler, quiet, reactor_config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

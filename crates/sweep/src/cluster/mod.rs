@@ -45,7 +45,6 @@ mod coordinator;
 mod pool;
 
 pub use coordinator::{
-    fan_out, report_from_outcomes, serve_coordinator, ClusterConfig, Coordinator, FanoutOutcome,
-    FanoutResult,
+    fan_out, report_from_outcomes, ClusterConfig, Coordinator, FanoutOutcome, FanoutResult,
 };
 pub use pool::{select_workers, ShardOutcome, TcpPool, WorkerPool};

@@ -21,11 +21,12 @@
 //!   (`Accepted` at admission, one `Cell` frame per scenario in
 //!   completion order via [`Engine::run_with`], then `Done`), so large
 //!   grids report progress instead of going silent.
-//! * **Warm-path memoization** — a bounded in-memory memo keyed by the
-//!   request's scenario list holds the pre-serialized `Cell` frame bytes
-//!   (and the matching buffered cells) of completed batches, so a warm
-//!   repeat skips both the per-cell cache re-reads and the per-request
-//!   re-serialization that bounded throughput before.
+//! * **Warm-path memoization** — a bounded in-memory memo holds each
+//!   completed cell's pre-serialized wire forms, keyed by the scenario's
+//!   structural fingerprint and checked against the stored scenario on
+//!   every hit, so a warm repeat of any batch whose cells were all served
+//!   before skips both the per-cell cache re-reads and the re-serialization
+//!   that bounded throughput before.
 //! * **Observability** — a `"Status"` control line answers a
 //!   [`StatusReport`] (occupancy, queue depth, jobs, service counters)
 //!   without touching the gate, so load balancers — including the
@@ -367,38 +368,45 @@ impl Served {
     }
 }
 
-/// One memoized cell (status already rewritten to `Hit`), held as its
-/// two pre-serialized wire forms: the v2 `Cell` frame line and the
-/// standalone outcome object spliced into buffered v1 `cells` arrays.
+/// One memoized cell (status already rewritten to `Hit`): the scenario
+/// it answers, as requested, and its two pre-serialized wire forms — the
+/// v2 `Cell` frame line and the standalone outcome object spliced into
+/// buffered v1 `cells` arrays.
 #[derive(Debug)]
-struct MemoCell {
+pub(crate) struct MemoCell {
+    scenario: Scenario,
     line: String,
     outcome_json: String,
 }
 
 impl MemoCell {
-    fn new(outcome: CellOutcome) -> Self {
+    fn new(scenario: Scenario, outcome: CellOutcome) -> Self {
         let line = serde_json::to_string(&Response::Cell(outcome.clone()))
             .expect("frame serialization is infallible");
         let outcome_json =
             serde_json::to_string(&outcome).expect("frame serialization is infallible");
-        Self { line, outcome_json }
+        Self {
+            scenario,
+            line,
+            outcome_json,
+        }
     }
 }
 
-/// The per-cell warm memo: scenario content (plus display id, which
-/// appears verbatim in frames) → pre-serialized `Cell` frame. Keyed
-/// per cell rather than per batch so overlapping grids share entries —
-/// a batch warmed by *any* combination of earlier requests replays
-/// without touching the cache. Bounded FIFO: inserting past `cap`
-/// evicts the oldest keys.
+/// The warm memo: scenario fingerprint ([`hash_scenario`]) → memoized
+/// cell. Keyed per cell rather than per batch so overlapping grids share
+/// entries — a batch warmed by *any* combination of earlier requests
+/// replays without touching the cache. A hit also requires the stored
+/// scenario to equal the requested one, field for field, so a 64-bit
+/// collision is a miss, never another scenario's frame. Bounded FIFO:
+/// inserting past `cap` evicts the oldest keys.
 #[derive(Debug)]
 struct CellMemo {
-    entries: HashMap<String, Arc<MemoCell>>,
+    entries: HashMap<u64, Arc<MemoCell>>,
     /// Insertion order of `entries` keys (no duplicates: re-inserting
     /// an existing key replaces the value in place), the FIFO eviction
     /// queue.
-    order: VecDeque<String>,
+    order: VecDeque<u64>,
     cap: usize,
 }
 
@@ -411,13 +419,13 @@ impl CellMemo {
         }
     }
 
-    /// The memo key of one scenario. [`Scenario::cache_key`] hashes
-    /// normalized content only — the display id is deliberately not
-    /// part of it — but `Cell` frames embed the id, so two scenarios
-    /// with identical content and different labels must not share a
-    /// memoized frame.
-    fn key(scenario: &Scenario) -> String {
-        format!("{}\u{1f}{}", scenario.id, scenario.cache_key())
+    /// The memo key of one scenario. It covers the display id, which
+    /// `Cell` frames embed verbatim, so two scenarios with identical
+    /// content and different labels never share a memoized frame.
+    fn fingerprint(scenario: &Scenario) -> u64 {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        hash_scenario(scenario, &mut h);
+        h.finish()
     }
 
     /// All-or-nothing lookup: the memoized cells of `scenarios` in
@@ -426,11 +434,17 @@ impl CellMemo {
     fn lookup_all(&self, scenarios: &[Scenario]) -> Option<Vec<Arc<MemoCell>>> {
         scenarios
             .iter()
-            .map(|s| self.entries.get(&Self::key(s)).cloned())
+            .map(|s| {
+                self.entries
+                    .get(&Self::fingerprint(s))
+                    .filter(|cell| cell.scenario == *s)
+                    .cloned()
+            })
             .collect()
     }
 
-    fn insert(&mut self, key: String, cell: MemoCell) {
+    fn insert(&mut self, cell: MemoCell) {
+        let key = Self::fingerprint(&cell.scenario);
         if let Some(slot) = self.entries.get_mut(&key) {
             *slot = Arc::new(cell);
             return;
@@ -443,7 +457,7 @@ impl CellMemo {
                 None => break,
             }
         }
-        self.order.push_back(key.clone());
+        self.order.push_back(key);
         self.entries.insert(key, Arc::new(cell));
     }
 
@@ -453,109 +467,14 @@ impl CellMemo {
     }
 }
 
-/// One fully-memoized batch: the shared per-cell entries in request
-/// order plus the pre-assembled v1 `cells` array fragment, so a
-/// buffered warm response splices cached bytes instead of cloning and
-/// re-serializing every outcome.
-#[derive(Debug)]
-pub(crate) struct BatchEntry {
-    cells: Vec<Arc<MemoCell>>,
-    /// `[<outcome>,<outcome>,…]` — byte-identical to serde's
-    /// serialization of the response's `cells` vector.
-    cells_json: String,
-}
-
-impl BatchEntry {
-    fn assemble(cells: Vec<Arc<MemoCell>>) -> Self {
-        let mut cells_json = String::with_capacity(
-            2 + cells
-                .iter()
-                .map(|c| c.outcome_json.len() + 1)
-                .sum::<usize>(),
-        );
-        cells_json.push('[');
-        for (i, cell) in cells.iter().enumerate() {
-            if i > 0 {
-                cells_json.push(',');
-            }
-            cells_json.push_str(&cell.outcome_json);
-        }
-        cells_json.push(']');
-        Self { cells, cells_json }
-    }
-}
-
-/// The batch-level front of the warm memo: one fingerprint of the
-/// request's scenario list (a single serialize + hash) instead of a
-/// per-cell key computation per request — on a warm repeat the key
-/// derivation was most of the server's CPU. Entries are assembled from
-/// [`CellMemo`] hits, whose values are deterministic, so a batch entry
-/// can never go stale — only cold. Bounded FIFO like the cell memo.
-#[derive(Debug)]
-struct BatchMemo {
-    entries: HashMap<u64, Arc<BatchEntry>>,
-    order: VecDeque<u64>,
-    cap: usize,
-}
-
-impl BatchMemo {
-    fn new(cap: usize) -> Self {
-        Self {
-            entries: HashMap::new(),
-            order: VecDeque::new(),
-            cap: cap.max(1),
-        }
-    }
-
-    /// The batch fingerprint: every scenario hashed structurally, in
-    /// order ([`hash_scenario`]). Structural rather than serialized —
-    /// formatting 40 scenarios' floats back into JSON costs more than
-    /// the whole warm lookup it would key. Identical batches collide
-    /// (which is the point); normalized-equal but differently-spelled
-    /// batches get separate entries that share the underlying
-    /// [`MemoCell`]s.
-    fn key(scenarios: &[Scenario]) -> u64 {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        scenarios.len().hash(&mut h);
-        for scenario in scenarios {
-            hash_scenario(scenario, &mut h);
-        }
-        h.finish()
-    }
-
-    fn lookup(&self, key: u64) -> Option<Arc<BatchEntry>> {
-        self.entries.get(&key).cloned()
-    }
-
-    fn insert(&mut self, key: u64, entry: Arc<BatchEntry>) {
-        if let Some(slot) = self.entries.get_mut(&key) {
-            *slot = entry;
-            return;
-        }
-        while self.entries.len() >= self.cap {
-            match self.order.pop_front() {
-                Some(oldest) => {
-                    self.entries.remove(&oldest);
-                }
-                None => break,
-            }
-        }
-        self.order.push_back(key);
-        self.entries.insert(key, entry);
-    }
-}
-
-/// Bound on memoized batch entries ([`BatchMemo`]). Smaller than
-/// [`MEMO_CAP`]: entries are per distinct request shape, not per cell.
-const MEMO_BATCH_CAP: usize = 256;
-
 /// Feeds one scenario into `h` structurally: strings as bytes, enums
-/// as discriminants, floats by bit pattern — no text formatting. Every
-/// field that distinguishes two scenarios on the wire must be hashed
-/// here; an omission would let [`BatchMemo`] answer one batch with
-/// another's cells. So every struct and struct variant is destructured
+/// as discriminants, floats by bit pattern — no text formatting. This is
+/// the [`CellMemo`] fingerprint. Every memo hit is checked against the
+/// stored scenario, so a field omitted here would cost hit rate
+/// (scenarios differing only in it would evict each other), never a
+/// wrong frame. Still, every struct and struct variant is destructured
 /// in full, without `..`: a new field breaks the build here instead of
-/// silently aliasing batches.
+/// silently sharing keys.
 fn hash_scenario(s: &Scenario, h: &mut impl Hasher) {
     use crate::scenario::{ScenarioKind, WorkloadSpec};
     use std::mem::discriminant;
@@ -655,10 +574,10 @@ pub(crate) enum Ran {
     /// Every cell went through the emit callback; the batch's cache
     /// split.
     Cells { hits: usize, misses: usize },
-    /// Every cell is memoized: the lifecycle replays the batch's
+    /// Every cell is memoized: the lifecycle replays the cells'
     /// pre-serialized frames (raw v2 `Cell` lines, or the spliced v1
     /// line) and nothing is evaluated.
-    Memo(Arc<BatchEntry>),
+    Memo(Vec<Arc<MemoCell>>),
 }
 
 impl Lifecycle {
@@ -851,14 +770,14 @@ impl Lifecycle {
             // Memo replays finish in microseconds and never queue
             // anyone; folding them into the service-time EWMA would
             // collapse the busy hint while slow requests hold slots.
-            Ok(Ran::Memo(entry)) => {
+            Ok(Ran::Memo(cells)) => {
                 ticket.skip_service_record();
                 self.metrics.note_memo_served();
-                let n = entry.cells.len();
+                let n = cells.len();
                 if !streamed {
-                    (n, 0, warm_eval_line(&req.id, &entry))
+                    (n, 0, warm_eval_line(&req.id, &cells))
                 } else {
-                    for cell in &entry.cells {
+                    for cell in &cells {
                         sink.send_raw(&cell.line)?;
                     }
                     (n, 0, done(n, 0)?)
@@ -957,7 +876,6 @@ pub struct Runtime {
     lifecycle: Lifecycle,
     jobs_budget: usize,
     memo: Mutex<CellMemo>,
-    batch_memo: Mutex<BatchMemo>,
 }
 
 impl Runtime {
@@ -969,7 +887,6 @@ impl Runtime {
             lifecycle: Lifecycle::new(config.queue_depth, "server"),
             jobs_budget: config.jobs.max(1),
             memo: Mutex::new(CellMemo::new(MEMO_CAP)),
-            batch_memo: Mutex::new(BatchMemo::new(MEMO_BATCH_CAP)),
         }
     }
 
@@ -1001,8 +918,10 @@ impl Runtime {
     }
 
     /// Answers `line` on the calling thread iff it can be served
-    /// without compute: an eval request whose every cell is memoized
-    /// (or that the gate rejects outright). `None` defers to
+    /// without compute: an eval request whose every cell the memo holds
+    /// under that exact scenario (one fingerprint probe and one equality
+    /// check per cell). Admission still applies, so the answer may be
+    /// `Busy`. `None` defers to
     /// [`LineHandler::handle_line_at`] with no frames emitted. The reactor
     /// calls this from its event thread, sparing warm repeats the
     /// worker handoff — two context switches per request, which is
@@ -1023,11 +942,11 @@ impl Runtime {
         // on a miss the line is re-dispatched untouched (the worker
         // repeats the admission verdict, so rejection bytes are
         // identical either way).
-        let entry = self.memo_lookup(&req)?;
+        let cells = self.memo_lookup(&req)?;
         // This request is handled here for good — it never reaches
         // `Lifecycle::dispatch` — so it joins `requests_total` now.
         self.lifecycle.metrics.note_request();
-        Some(self.serve(req, received, sink, Some(entry)))
+        Some(self.serve(req, received, sink, Some(cells)))
     }
 
     /// The runtime's pass through the lifecycle. Its backend is the
@@ -1039,7 +958,7 @@ impl Runtime {
         req: EvalRequest,
         received: Instant,
         sink: &mut dyn FrameSink,
-        warm: Option<Arc<BatchEntry>>,
+        warm: Option<Vec<Arc<MemoCell>>>,
     ) -> io::Result<Served> {
         self.lifecycle.serve(
             req,
@@ -1048,7 +967,7 @@ impl Runtime {
             || Ok(()),
             |(), req, _, emit| {
                 Ok(match warm.or_else(|| self.memo_lookup(req)) {
-                    Some(entry) => Ran::Memo(entry),
+                    Some(cells) => Ran::Memo(cells),
                     None => self.evaluate(req, emit),
                 })
             },
@@ -1077,28 +996,14 @@ impl Runtime {
     /// under `force`, and only when *every* cell of the batch is
     /// memoized (cells memoized by any earlier batch count — the keys
     /// are per cell, so overlapping grids share).
-    fn memo_lookup(&self, req: &EvalRequest) -> Option<Arc<BatchEntry>> {
+    fn memo_lookup(&self, req: &EvalRequest) -> Option<Vec<Arc<MemoCell>>> {
         if req.force || self.engine.cache().is_none() {
             return None;
         }
-        // Batch fingerprint first: a repeat of a known request shape
-        // answers with one hash and one map probe, skipping the
-        // per-cell key derivation below entirely.
-        let key = BatchMemo::key(&req.scenarios);
-        if let Some(entry) = self.batch_memo.lock().expect("batch memo lock").lookup(key) {
-            return Some(entry);
-        }
-        let cells = self
-            .memo
+        self.memo
             .lock()
             .expect("memo lock")
-            .lookup_all(&req.scenarios)?;
-        let entry = Arc::new(BatchEntry::assemble(cells));
-        self.batch_memo
-            .lock()
-            .expect("batch memo lock")
-            .insert(key, Arc::clone(&entry));
-        Some(entry)
+            .lookup_all(&req.scenarios)
     }
 
     /// Memoizes a completed batch's cells for warm repeats. Failed
@@ -1113,7 +1018,7 @@ impl Runtime {
         for cell in report.cells.iter().filter(|c| c.error.is_none()) {
             let mut outcome = CellOutcome::from_cell(cell);
             outcome.status = CellStatus::Hit;
-            memo.insert(CellMemo::key(&cell.scenario), MemoCell::new(outcome));
+            memo.insert(MemoCell::new(cell.scenario.clone(), outcome));
         }
     }
 
@@ -1126,20 +1031,32 @@ impl Runtime {
     }
 }
 
-/// Assembles the buffered v1 warm response line around a batch's
-/// pre-serialized `cells` fragment — splicing cached bytes instead of
-/// cloning and re-serializing every outcome. Byte-identical to
+/// Assembles the buffered v1 warm response line around the memoized
+/// cells' pre-serialized outcome objects — splicing cached bytes instead
+/// of cloning and re-serializing every outcome. Byte-identical to
 /// serializing the equivalent [`Response::Eval`] (a unit test pins
 /// this): the fast path must not be distinguishable on the wire.
-fn warm_eval_line(id: &str, entry: &BatchEntry) -> String {
+fn warm_eval_line(id: &str, cells: &[Arc<MemoCell>]) -> String {
     use std::fmt::Write as _;
     let id_json = serde_json::to_string(id).expect("string serialization is infallible");
-    let n = entry.cells.len();
-    let mut line = String::with_capacity(entry.cells_json.len() + id_json.len() + 64);
+    let cells_len: usize = cells.iter().map(|c| c.outcome_json.len() + 1).sum();
+    // The envelope around the id and the cells is under 128 bytes, so
+    // the line is built without a reallocation.
+    let mut line = String::with_capacity(cells_len + id_json.len() + 128);
     let _ = write!(
         line,
-        "{{\"Eval\":{{\"version\":{API_V1},\"id\":{id_json},\"cells\":{cells},\"hits\":{n},\"misses\":0,\"error\":null}}}}",
-        cells = entry.cells_json,
+        "{{\"Eval\":{{\"version\":{API_V1},\"id\":{id_json},\"cells\":["
+    );
+    for (i, cell) in cells.iter().enumerate() {
+        if i > 0 {
+            line.push(',');
+        }
+        line.push_str(&cell.outcome_json);
+    }
+    let _ = write!(
+        line,
+        "],\"hits\":{},\"misses\":0,\"error\":null}}}}",
+        cells.len()
     );
     line
 }
@@ -1976,13 +1893,11 @@ pub(crate) mod tests {
             Scenario::study(StudyId::Fig7),
         ];
         for s in &scenarios {
-            memo.insert(
-                CellMemo::key(s),
-                MemoCell {
-                    line: format!("frame-{}", s.id),
-                    outcome_json: format!("outcome-{}", s.id),
-                },
-            );
+            memo.insert(MemoCell {
+                scenario: s.clone(),
+                line: format!("frame-{}", s.id),
+                outcome_json: format!("outcome-{}", s.id),
+            });
         }
         assert_eq!(memo.len(), 2, "cap bounds the entry count");
         assert!(
@@ -1996,13 +1911,11 @@ pub(crate) mod tests {
 
         // Re-inserting a live key replaces in place: nothing else is
         // evicted and the count stays at cap.
-        memo.insert(
-            CellMemo::key(&scenarios[1]),
-            MemoCell {
-                line: "frame-refreshed".into(),
-                outcome_json: "outcome-refreshed".into(),
-            },
-        );
+        memo.insert(MemoCell {
+            scenario: scenarios[1].clone(),
+            line: "frame-refreshed".into(),
+            outcome_json: "outcome-refreshed".into(),
+        });
         assert_eq!(memo.len(), 2);
         let cells = memo
             .lookup_all(&scenarios[1..2])
@@ -2012,6 +1925,91 @@ pub(crate) mod tests {
             memo.lookup_all(&scenarios[2..]).is_some(),
             "replacing a live key must not evict its neighbour"
         );
+    }
+
+    #[test]
+    fn a_fingerprint_collision_is_a_miss_not_another_scenarios_frame() {
+        let (fig9a, table2) = (
+            Scenario::study(StudyId::Fig9a),
+            Scenario::study(StudyId::Table2),
+        );
+        // Table2's cell filed under Fig9a's fingerprint: what a 64-bit
+        // collision between the two would leave in the memo.
+        let mut memo = CellMemo::new(4);
+        let key = CellMemo::fingerprint(&fig9a);
+        memo.entries.insert(
+            key,
+            Arc::new(MemoCell {
+                scenario: table2,
+                line: "frame-table2".into(),
+                outcome_json: "outcome-table2".into(),
+            }),
+        );
+        memo.order.push_back(key);
+        assert!(
+            memo.lookup_all(std::slice::from_ref(&fig9a)).is_none(),
+            "a hit must answer the scenario it was asked for"
+        );
+    }
+
+    #[test]
+    fn relabelled_cells_answer_with_the_requested_id() {
+        let cache = temp_cache("memo-relabel");
+        let rt = Runtime::new(
+            Engine::ephemeral().with_cache(cache.clone()),
+            ServeConfig {
+                queue_depth: 2,
+                jobs: 2,
+            },
+        );
+        let mut frames: Vec<Response> = Vec::new();
+        rt.handle_line(
+            &line(&Request::Eval(EvalRequest::streaming("l-1", tiny_batch()))),
+            &mut frames,
+        )
+        .unwrap();
+
+        // The warm batch again, Table2 under a new display id: same
+        // content, so the result cache answers it, but no cell may carry
+        // the old label.
+        let mut relabelled = tiny_batch();
+        relabelled[1].id = "relabelled/table2".into();
+        let want = ["relabelled/table2", "study/fig9a"];
+
+        let mut v1: Vec<Response> = Vec::new();
+        rt.handle_line(
+            &line(&Request::Eval(EvalRequest::new("l-2", relabelled.clone()))),
+            &mut v1,
+        )
+        .unwrap();
+        let [Response::Eval(response)] = &v1[..] else {
+            panic!("expected one buffered response, got {v1:?}");
+        };
+        assert_eq!((response.hits, response.misses), (2, 0));
+        let mut ids: Vec<&str> = response.cells.iter().map(|c| c.id.as_str()).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, want, "v1");
+
+        let mut v2: Vec<Response> = Vec::new();
+        rt.handle_line(
+            &line(&Request::Eval(EvalRequest::streaming("l-3", relabelled))),
+            &mut v2,
+        )
+        .unwrap();
+        let mut ids: Vec<&str> = v2
+            .iter()
+            .filter_map(|f| match f {
+                Response::Cell(c) => Some(c.id.as_str()),
+                _ => None,
+            })
+            .collect();
+        ids.sort_unstable();
+        assert_eq!(ids, want, "v2");
+        let Some(Response::Done { hits, misses, .. }) = v2.last() else {
+            panic!("expected v2 to end Done, got {v2:?}");
+        };
+        assert_eq!((*hits, *misses), (2, 0), "v2");
+        let _ = std::fs::remove_dir_all(cache.dir());
     }
 
     #[test]
@@ -2181,7 +2179,8 @@ pub(crate) mod tests {
 /// Ignored-by-default timing probes for the warm fast path. Run with
 /// `cargo test -p yoco-sweep --release -- --ignored microbench` when
 /// chasing a warm-throughput regression: the request parse dominates, and
-/// the batch fingerprint must stay orders of magnitude below it.
+/// the memo lookup (per-cell fingerprints plus equality checks) must stay
+/// far below it.
 #[cfg(test)]
 mod microbench {
     use super::*;
@@ -2204,14 +2203,25 @@ mod microbench {
         eprintln!("parse request: {:?}/iter", t.elapsed() / n);
         let t = Instant::now();
         for _ in 0..n {
-            let _ = BatchMemo::key(&scenarios);
+            let keys = scenarios
+                .iter()
+                .map(CellMemo::fingerprint)
+                .collect::<Vec<_>>();
+            std::hint::black_box(keys);
         }
-        eprintln!("batch key: {:?}/iter", t.elapsed() / n);
+        eprintln!("per-cell fingerprints: {:?}/iter", t.elapsed() / n);
+        let mut memo = CellMemo::new(MEMO_CAP);
+        for s in &scenarios {
+            memo.insert(MemoCell {
+                scenario: s.clone(),
+                line: String::new(),
+                outcome_json: String::new(),
+            });
+        }
         let t = Instant::now();
         for _ in 0..n {
-            let c = scenarios.iter().map(CellMemo::key).collect::<Vec<_>>();
-            std::hint::black_box(c);
+            std::hint::black_box(memo.lookup_all(&scenarios).expect("all memoized"));
         }
-        eprintln!("per-cell keys: {:?}/iter", t.elapsed() / n);
+        eprintln!("memo lookup: {:?}/iter", t.elapsed() / n);
     }
 }
