@@ -1,18 +1,12 @@
 //! # yoco-bench — the figure/table regeneration harness
 //!
-//! Shared plumbing for the `fig*`/`table*` bins and the Criterion benches.
-//! Since the `yoco-sweep` engine landed, every figure and table runs as a
-//! scenario grid through [`yoco_sweep::Engine`]: the bins get parallel
-//! execution and a content-addressed result cache for free, and this crate
-//! keeps its original API surface as re-exports.
+//! Shared plumbing for the `fig*`/`table*` bins. Every figure and table
+//! runs as a scenario grid through [`yoco_sweep::Engine`], so the bins
+//! get parallel execution and a content-addressed result cache for free;
+//! the computations themselves live in [`yoco_sweep::figures`] and
+//! [`yoco_sweep::studies`].
 
 #![warn(missing_docs)]
 
-pub mod ablations;
-pub mod fig10;
-pub mod fig8;
 pub mod output;
 pub mod sweep_io;
-
-pub use fig10::{fig10_table, Fig10Row, Fig10Table};
-pub use fig8::{fig8_table, Fig8Row, Fig8Table};

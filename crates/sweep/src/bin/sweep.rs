@@ -15,8 +15,6 @@
 //! sweep client run fig8               # evaluate on a server, streamed (v2)
 //! sweep client run fig8 --v1 --raw    # buffered v1 exchange, raw NDJSON out
 //! sweep client shutdown               # drain and stop the server
-//! sweep cluster workers --worker H:P ...      # probe every worker's Status
-//! sweep cluster run fig8 --worker H:P ...     # one-shot multi-host fan-out
 //! sweep loadgen --rate 200 --duration 10s \
 //!     --mix fig9a=9,fig10:v1=1                # open-loop latency trajectory
 //! sweep loadgen --mix fig8 --rate 128000 --duration 10ms \
@@ -31,8 +29,6 @@
 use std::process::ExitCode;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 use yoco_sweep::api::{CellStatus, EvalRequest, Request, Response, StatusReport};
-use yoco_sweep::cluster::{fan_out, report_from_outcomes, select_workers, FanoutResult, TcpPool};
-use yoco_sweep::telemetry::Registry;
 use yoco_sweep::{
     grids, loadgen, root, Engine, GcBudget, ResultCache, Scenario, ServeClient, Shard,
     StreamOutcome, StudyId,
@@ -53,9 +49,6 @@ fn usage() -> &'static str {
      sweep client status [--addr HOST:PORT] [--raw]\n  \
      sweep client run <grid>|--file <path> [--addr HOST:PORT] [--v1] [--force]\n               \
      [--id ID] [--raw] [--quiet]\n  \
-     sweep cluster workers --worker HOST:PORT [--worker HOST:PORT]...\n  \
-     sweep cluster run <grid>|--file <path> --worker HOST:PORT [--worker ...]\n                \
-     [--force] [--id ID] [--report <path>] [--quiet]\n  \
      sweep loadgen [run] [--addr HOST:PORT] [--rate R] [--duration D]\n                \
      [--connections N] [--mix SPEC] [--arrivals fixed|poisson|burstN]\n                \
      [--burst N] [--target NAME] [--seed N] [--deadline-ms N]\n                \
@@ -65,8 +58,8 @@ fn usage() -> &'static str {
      sweep client metrics [--addr HOST:PORT] [--raw]\n  \
      sweep client status --watch SECS [--raw]     # re-probe until q/EOF\n  \
      sweep trace report [--dir <path>]            # aggregate span files\n\n\
-     run `sweep list` for the available grids; `client` and `cluster run`\n  \
-     exit 3 when the server (or every worker) rejects the request with Busy"
+     run `sweep list` for the available grids; `client run` exits 3 when\n  \
+     the server rejects the request with Busy"
 }
 
 fn main() -> ExitCode {
@@ -79,7 +72,6 @@ fn main() -> ExitCode {
         Some("run") => run(&args[1..]),
         Some("cache") => cache_cmd(&args[1..]),
         Some("client") => client_cmd(&args[1..]),
-        Some("cluster") => cluster_cmd(&args[1..]),
         Some("loadgen") => loadgen_cmd(&args[1..]),
         Some("trace") => trace_cmd(&args[1..]),
         _ => {
@@ -377,8 +369,7 @@ fn client_cmd(args: &[String]) -> ExitCode {
     }
 }
 
-/// One human-readable line per [`StatusReport`], shared by
-/// `sweep client status` and `sweep cluster workers`.
+/// One human-readable line per [`StatusReport`] for `sweep client status`.
 fn status_line(report: &StatusReport) -> String {
     let workers = if report.workers > 0 {
         format!(", {} workers", report.workers)
@@ -697,207 +688,6 @@ fn client_run(addr: &str, args: &[String]) -> ExitCode {
             }
             Err(e) => fail(&format!("exchange failed: {e}")),
         }
-    }
-}
-
-/// Pulls every `--worker HOST:PORT` out of a flag list, returning the
-/// workers and the remainder.
-fn take_workers(args: &[String]) -> Result<(Vec<String>, Vec<String>), String> {
-    let mut workers = Vec::new();
-    let mut rest = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--worker" {
-            i += 1;
-            match args.get(i) {
-                Some(w) => workers.push(w.clone()),
-                None => return Err("--worker needs HOST:PORT".into()),
-            }
-        } else {
-            rest.push(args[i].clone());
-        }
-        i += 1;
-    }
-    Ok((workers, rest))
-}
-
-/// `sweep cluster …` — probe or drive a set of worker hosts (each a
-/// stock `yoco-serve`) through the shard fan-out coordinator.
-/// `yoco-serve --coordinator` is the long-running front for them.
-fn cluster_cmd(args: &[String]) -> ExitCode {
-    let action = args.first().map(String::as_str);
-    let (workers, rest) = match take_workers(args.get(1..).unwrap_or(&[])) {
-        Ok(pair) => pair,
-        Err(e) => return fail(&e),
-    };
-    if workers.is_empty() {
-        return fail("cluster commands need at least one --worker HOST:PORT");
-    }
-    match action {
-        Some("workers") => cluster_workers(&workers, &rest),
-        Some("run") => cluster_run(&workers, &rest),
-        _ => fail("cluster needs an action: workers or run"),
-    }
-}
-
-/// Probes every worker's `Status` and prints one line each; exits 0
-/// when at least one worker is reachable.
-fn cluster_workers(workers: &[String], rest: &[String]) -> ExitCode {
-    if let Some(flag) = rest.first() {
-        return fail(&format!("unknown workers flag `{flag}`"));
-    }
-    let pool = TcpPool::default();
-    // Probe concurrently (dead hosts cost one timeout, not their sum),
-    // print in configured order.
-    let results: Vec<Result<StatusReport, std::io::Error>> = std::thread::scope(|scope| {
-        let pool = &pool;
-        let handles: Vec<_> = workers
-            .iter()
-            .map(|addr| scope.spawn(move || yoco_sweep::cluster::WorkerPool::status(pool, addr)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("probe thread"))
-            .collect()
-    });
-    let mut live = 0;
-    for (addr, result) in workers.iter().zip(results) {
-        match result {
-            Ok(report) => {
-                live += 1;
-                println!("worker {addr}: {}", status_line(&report));
-            }
-            Err(e) => println!("worker {addr}: unreachable ({e})"),
-        }
-    }
-    println!("{live} of {} workers reachable", workers.len());
-    if live > 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
-/// One-shot multi-host run: partition the grid over the live workers,
-/// merge the streamed cells, and (optionally) write the canonical
-/// report — which byte-diffs clean against `sweep run <grid> --report`
-/// on a single box.
-fn cluster_run(workers: &[String], args: &[String]) -> ExitCode {
-    let mut grid_name: Option<&str> = None;
-    let mut file: Option<&str> = None;
-    let mut report_path: Option<&str> = None;
-    let mut force = false;
-    let mut quiet = false;
-    let mut id = "cluster".to_owned();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--file" => {
-                i += 1;
-                match args.get(i) {
-                    Some(path) => file = Some(path),
-                    None => return fail("--file needs a path"),
-                }
-            }
-            "--report" => {
-                i += 1;
-                match args.get(i) {
-                    Some(path) => report_path = Some(path),
-                    None => return fail("--report needs a path"),
-                }
-            }
-            "--id" => {
-                i += 1;
-                match args.get(i) {
-                    Some(v) => id = v.clone(),
-                    None => return fail("--id needs a value"),
-                }
-            }
-            "--force" => force = true,
-            "--quiet" => quiet = true,
-            flag if flag.starts_with("--") => return fail(&format!("unknown flag `{flag}`")),
-            name => {
-                if grid_name.is_some() {
-                    return fail("only one grid per run");
-                }
-                grid_name = Some(name);
-            }
-        }
-        i += 1;
-    }
-    let scenarios = match load_scenarios(grid_name, file) {
-        Ok(s) => s,
-        Err(e) => return fail(&e),
-    };
-    let pool = TcpPool::default();
-    let selected = select_workers(&pool, workers);
-    if selected.is_empty() {
-        return fail(&format!(
-            "none of the {} configured workers is reachable",
-            workers.len()
-        ));
-    }
-    if !quiet {
-        println!(
-            "fan-out over {} of {} workers: {}",
-            selected.len(),
-            workers.len(),
-            selected.join(", ")
-        );
-    }
-    let start = Instant::now();
-    // A one-shot run serves no scrapes; its registry is thrown away.
-    let metrics = Registry::default();
-    let result = fan_out(
-        &pool,
-        &selected,
-        &id,
-        &scenarios,
-        force,
-        &metrics,
-        &|_, cell, _| {
-            if !quiet {
-                println!("  cell {} {}", cell.id, status_word(cell.status));
-            }
-        },
-    );
-    let outcome = match result {
-        FanoutResult::AllBusy { retry_after_ms } => {
-            eprintln!("error: every worker is busy (retry after {retry_after_ms} ms)");
-            return ExitCode::from(EXIT_BUSY);
-        }
-        FanoutResult::Ran(outcome) => outcome,
-    };
-    let report = report_from_outcomes(
-        &scenarios,
-        &outcome.cells,
-        start.elapsed().as_millis() as u64,
-    );
-    if !outcome.dead.is_empty() {
-        eprintln!(
-            "warning: lost {} worker(s) mid-run ({}); unfinished shards were requeued \
-             over {} round(s)",
-            outcome.dead.len(),
-            outcome.dead.join(", "),
-            outcome.rounds
-        );
-    }
-    println!("{}", report.cache_summary());
-    for (cell_id, e) in report.errors() {
-        eprintln!("error: {cell_id}: {e}");
-    }
-    if let Some(path) = report_path {
-        if let Err(e) = std::fs::write(path, report.canonical_json()) {
-            return fail(&format!("cannot write report {path}: {e}"));
-        }
-        if !quiet {
-            println!("canonical report written to {path}");
-        }
-    }
-    if report.errors().is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
     }
 }
 

@@ -14,8 +14,7 @@ use crate::cluster::pool::{select_workers, ShardOutcome, TcpPool, WorkerPool};
 use crate::engine::{CellResult, SweepReport};
 use crate::scenario::Scenario;
 use crate::serve::{
-    Busy, Emit, FrameSink, Gate, Lifecycle, LineHandler, Ran, Served, DEFAULT_QUEUE_DEPTH,
-    RETRY_QUANTUM_MS,
+    Busy, Emit, FrameSink, Gate, Lifecycle, LineHandler, Ran, Served, RETRY_QUANTUM_MS,
 };
 use crate::telemetry::Registry;
 use std::io;
@@ -82,7 +81,7 @@ struct FanState {
 }
 
 /// Fans `scenarios` out over `workers` (already probed and ordered by
-/// [`select_workers`]) and merges the streamed cells back, calling
+/// `select_workers`) and merges the streamed cells back, calling
 /// `emit(index, cell, raw_line)` exactly once per scenario as its
 /// outcome arrives (`index` is the scenario's position; worker frames
 /// are forwarded with their original bytes). `emit` runs on the
@@ -313,16 +312,6 @@ pub struct ClusterConfig {
     pub queue_depth: usize,
 }
 
-impl ClusterConfig {
-    /// A config over `workers` with the default queue depth.
-    pub fn new(workers: Vec<String>) -> Self {
-        Self {
-            workers,
-            queue_depth: DEFAULT_QUEUE_DEPTH,
-        }
-    }
-}
-
 /// The cluster front: speaks the ordinary v1/v2 NDJSON protocol to
 /// clients and fans admitted requests out over the worker hosts,
 /// through the same request lifecycle as the single-box runtime. Plugs
@@ -345,7 +334,7 @@ impl std::fmt::Debug for Coordinator {
 impl Coordinator {
     /// A coordinator dispatching over TCP ([`TcpPool`]).
     pub fn new(config: ClusterConfig) -> Self {
-        Self::with_pool(Box::new(TcpPool::default()), config)
+        Self::with_pool(Box::new(TcpPool), config)
     }
 
     /// A coordinator over an explicit pool (tests inject fakes here).
@@ -360,11 +349,6 @@ impl Coordinator {
     /// The coordinator's admission gate (exposed for observability).
     pub fn gate(&self) -> &Gate {
         &self.lifecycle.gate
-    }
-
-    /// The configured worker addresses.
-    pub fn workers(&self) -> &[String] {
-        &self.workers
     }
 
     /// The coordinator's [`StatusReport`]: its own gate and counters

@@ -1,5 +1,5 @@
 //! Multi-host shard fan-out: the cluster coordinator behind
-//! `yoco-serve --coordinator` and `sweep cluster workers|run`.
+//! `yoco-serve --coordinator`.
 //!
 //! One box stopped being the ceiling in PR 4; this module fans a single
 //! [`EvalRequest`](crate::api::EvalRequest) out over a configured set of
@@ -25,7 +25,7 @@
 //!   multi-host sharded run would split it.
 //! * **Selection** is occupancy-aware: the coordinator probes every
 //!   configured worker with the `Status` control frame and dispatches to
-//!   live workers least-loaded first ([`pool::select_workers`]).
+//!   live workers least-loaded first (`select_workers`).
 //! * **Fault tolerance**: a worker lost mid-stream (connection drop) or
 //!   refusing admission (`Busy`) has its *unfinished* cells requeued
 //!   onto the surviving workers — excluding the failed host — round
@@ -47,4 +47,4 @@ mod pool;
 pub use coordinator::{
     fan_out, report_from_outcomes, ClusterConfig, Coordinator, FanoutOutcome, FanoutResult,
 };
-pub use pool::{select_workers, ShardOutcome, TcpPool, WorkerPool};
+pub use pool::{ShardOutcome, TcpPool, WorkerPool};

@@ -45,46 +45,36 @@ pub trait WorkerPool: Sync {
     ) -> io::Result<ShardOutcome>;
 }
 
+/// Bound on establishing any connection to a worker. Kept short: a
+/// host that blackholes SYNs (powered off, firewalled) must cost a
+/// bounded wait at selection, not the OS default of minutes —
+/// "unreachable workers are skipped" only holds if unreachability is
+/// detected quickly.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Bound on the `Status` probe's answer. Also short: probes run while
+/// the coordinator holds the client's admission slot, so a
+/// hung-but-accepting worker must not stall every request.
+const PROBE_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Bound on every read during a dispatched sub-request. Generous: a
+/// shard can hold multi-second Monte-Carlo studies, and a silent worker
+/// only stalls its own shard (then requeues).
+const READ_TIMEOUT: Duration = Duration::from_secs(600);
+
 /// The production pool: one TCP connection per probe/dispatch.
 #[derive(Debug, Clone, Copy)]
-pub struct TcpPool {
-    /// Bound on establishing any connection to a worker. Kept short: a
-    /// host that blackholes SYNs (powered off, firewalled) must cost a
-    /// bounded wait at selection, not the OS default of minutes —
-    /// "unreachable workers are skipped" only holds if unreachability
-    /// is detected quickly.
-    pub connect_timeout: Duration,
-    /// Bound on the `Status` probe's answer. Also short: probes run
-    /// while the coordinator holds the client's admission slot, so a
-    /// hung-but-accepting worker must not stall every request.
-    pub probe_timeout: Duration,
-    /// Bound on every read during a dispatched sub-request. Generous: a
-    /// shard can hold multi-second Monte-Carlo studies, and a silent
-    /// worker only stalls its own shard (then requeues).
-    pub read_timeout: Duration,
-}
+pub struct TcpPool;
 
-impl Default for TcpPool {
-    fn default() -> Self {
-        Self {
-            connect_timeout: Duration::from_secs(2),
-            probe_timeout: Duration::from_secs(2),
-            read_timeout: Duration::from_secs(600),
-        }
-    }
-}
-
-impl TcpPool {
-    fn connect(&self, addr: &str, read_timeout: Duration) -> io::Result<ServeClient> {
-        let mut client = ServeClient::connect_timeout(addr, self.connect_timeout)?;
-        client.set_read_timeout(Some(read_timeout))?;
-        Ok(client)
-    }
+fn connect(addr: &str, read_timeout: Duration) -> io::Result<ServeClient> {
+    let mut client = ServeClient::connect_timeout(addr, CONNECT_TIMEOUT)?;
+    client.set_read_timeout(Some(read_timeout))?;
+    Ok(client)
 }
 
 impl WorkerPool for TcpPool {
     fn status(&self, addr: &str) -> io::Result<StatusReport> {
-        self.connect(addr, self.probe_timeout)?.status()
+        connect(addr, PROBE_TIMEOUT)?.status()
     }
 
     fn dispatch(
@@ -93,7 +83,7 @@ impl WorkerPool for TcpPool {
         request: EvalRequest,
         on_cell: &mut dyn FnMut(CellOutcome, &str),
     ) -> io::Result<ShardOutcome> {
-        let mut client = self.connect(addr, self.read_timeout)?;
+        let mut client = connect(addr, READ_TIMEOUT)?;
         let outcome = client.eval_streaming(request, |raw, frame| {
             if let Response::Cell(cell) = frame {
                 on_cell(cell.clone(), raw);
@@ -114,7 +104,7 @@ impl WorkerPool for TcpPool {
 /// since selection runs per request. A worker that answers its probe
 /// but then refuses admission is handled later by the fan-out's
 /// requeue path, not here.
-pub fn select_workers(pool: &dyn WorkerPool, workers: &[String]) -> Vec<String> {
+pub(crate) fn select_workers(pool: &dyn WorkerPool, workers: &[String]) -> Vec<String> {
     let occupancies: Vec<Option<usize>> = std::thread::scope(|scope| {
         let handles: Vec<_> = workers
             .iter()

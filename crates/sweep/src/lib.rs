@@ -53,7 +53,7 @@
 //! ```
 //! use yoco_sweep::{figures, Engine};
 //!
-//! // Pure in-memory evaluation (what `yoco_bench::fig8_table()` wraps):
+//! // Pure in-memory evaluation over `Engine::ephemeral()`:
 //! let table = figures::fig8_table();
 //! assert_eq!(table.rows.len(), 10);
 //!

@@ -895,11 +895,6 @@ impl Runtime {
         &self.lifecycle.gate
     }
 
-    /// The engine policy requests run under.
-    pub fn engine(&self) -> &Engine {
-        &self.engine
-    }
-
     /// The current [`StatusReport`]: occupancy, sizing, and service
     /// counters. Control-plane — never touches the gate.
     pub fn status(&self) -> StatusReport {

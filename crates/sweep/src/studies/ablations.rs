@@ -1,7 +1,6 @@
 //! Ablation studies for the design choices DESIGN.md §5 calls out.
 //!
-//! Each function returns structured data; the `ablations` bin prints it and
-//! the `ablations` Criterion bench measures the computation.
+//! Each function returns structured data; the `ablations` bin prints it.
 
 use serde::{Deserialize, Serialize};
 use yoco::{AttentionDims, AttentionPipeline, YocoConfig};

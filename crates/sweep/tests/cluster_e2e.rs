@@ -1,4 +1,4 @@
-//! End-to-end smoke tests of the cluster coordinator: spawn two real
+//! End-to-end smoke tests of the cluster coordinator: spawn real
 //! `yoco-serve` worker processes plus a real coordinator process
 //! (`yoco-serve --coordinator`), drive the ordinary NDJSON protocol
 //! against the coordinator, and check that
@@ -9,15 +9,21 @@
 //! * `Status` probes expose the topology (role, workers, counters);
 //! * killing one worker mid-stream requeues its unfinished cells onto
 //!   the survivor and the merged stream still completes — with a
-//!   canonical report byte-identical to the single-box run.
+//!   canonical report byte-identical to the single-box run. The killed
+//!   worker is a scripted stub ([`StubWorker`]), so the kill lands
+//!   mid-stream by construction.
 //!
 //! Readiness is the server's announce line, never a sleep.
 
-use std::io::{BufRead, BufReader};
+use std::io::{self, BufRead, BufReader, Write};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, ExitStatus, Stdio};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
-use yoco_sweep::api::{CellOutcome, CellStatus, EvalRequest, Request, Response};
+use yoco_sweep::api::{CellOutcome, CellStatus, EvalRequest, Request, Response, StatusReport};
 use yoco_sweep::cluster::report_from_outcomes;
 use yoco_sweep::{grids, Engine, ResultCache, Scenario, ServeClient, StudyId};
 
@@ -35,12 +41,6 @@ struct Server(Child);
 impl Server {
     fn wait(mut self) -> ExitStatus {
         self.0.wait().expect("server exits")
-    }
-
-    /// The mid-stream worker kill: terminate and reap in place.
-    fn kill(&mut self) {
-        self.0.kill().expect("server killable");
-        self.0.wait().expect("server reaped");
     }
 }
 
@@ -98,6 +98,89 @@ fn spawn_coordinator(worker_ports: &[u16]) -> (Server, u16) {
         args.push(format!("127.0.0.1:{port}"));
     }
     spawn_serve(&args)
+}
+
+/// A scripted worker on a test-local listener. It answers `Status` as
+/// an idle `serve`, and a streamed `Eval` with `Accepted` plus real
+/// forced `Cell` frames — evaluated in process — for the first
+/// `cells_before_hold` scenarios of its shard. Then it holds the
+/// exchange silent until [`StubWorker::kill`].
+struct StubWorker {
+    port: u16,
+    dead: Arc<AtomicBool>,
+    thread: Option<JoinHandle<io::Result<()>>>,
+}
+
+impl StubWorker {
+    fn spawn(cells_before_hold: usize) -> Self {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("stub binds");
+        let port = listener.local_addr().expect("stub address").port();
+        let dead = Arc::new(AtomicBool::new(false));
+        let killed = Arc::clone(&dead);
+        let thread = std::thread::spawn(move || {
+            let mut held = Vec::new();
+            for stream in listener.incoming() {
+                let stream = stream?;
+                if killed.load(Ordering::SeqCst) {
+                    break;
+                }
+                held.extend(stub_exchange(stream, cells_before_hold)?);
+            }
+            // The coordinator sees each held exchange drop mid-stream,
+            // and the closed listener refuses every later connection.
+            for exchange in held {
+                exchange.shutdown(Shutdown::Both)?;
+            }
+            Ok(())
+        });
+        Self {
+            port,
+            dead,
+            thread: Some(thread),
+        }
+    }
+
+    /// Wakes the accept loop so it sees the kill, then waits until the
+    /// held exchanges are shut down and the listener is closed.
+    fn kill(&mut self) {
+        self.dead.store(true, Ordering::SeqCst);
+        // A stub that already failed refuses the wake; its join says why.
+        let _ = TcpStream::connect(("127.0.0.1", self.port));
+        let thread = self.thread.take().expect("the stub is killed once");
+        thread.join().expect("stub thread").expect("stub I/O");
+    }
+}
+
+/// One connection to a [`StubWorker`]: a request line in, the scripted
+/// frames out. Returns the connection to hold when it was an `Eval`.
+fn stub_exchange(stream: TcpStream, cells_before_hold: usize) -> io::Result<Option<TcpStream>> {
+    let mut line = String::new();
+    BufReader::new(&stream).read_line(&mut line)?;
+    let send = |frame: &Response| {
+        let text = serde_json::to_string(frame).expect("frames serialize") + "\n";
+        (&stream).write_all(text.as_bytes())
+    };
+    match serde_json::from_str::<Request>(&line).expect("stub gets a request line") {
+        Request::Status => {
+            send(&Response::Status(StatusReport {
+                role: "serve".into(),
+                ..StatusReport::default()
+            }))?;
+            Ok(None)
+        }
+        Request::Eval(request) => {
+            send(&Response::Accepted {
+                id: request.id.clone(),
+                position: 0,
+            })?;
+            let head = &request.scenarios[..cells_before_hold.min(request.scenarios.len())];
+            for cell in &Engine::ephemeral().run(head).cells {
+                send(&Response::Cell(CellOutcome::from_cell(cell)))?;
+            }
+            Ok(Some(stream))
+        }
+        other => panic!("stub worker got an unexpected request: {other:?}"),
+    }
 }
 
 fn client(port: u16) -> ServeClient {
@@ -220,27 +303,24 @@ fn coordinator_with_two_workers_matches_the_single_box_report_byte_for_byte() {
 
 #[test]
 fn killing_a_worker_mid_stream_requeues_its_cells_onto_the_survivor() {
-    let caches = [
-        temp_dir("kill-w1"),
-        temp_dir("kill-w2"),
-        temp_dir("kill-solo"),
-    ];
-    let (mut w1, p1) = spawn_worker(&caches[0]);
-    let (w2, p2) = spawn_worker(&caches[1]);
-    let (coord, cport) = spawn_coordinator(&[p1, p2]);
+    let caches = [temp_dir("kill-w2"), temp_dir("kill-solo")];
+    // Worker 1 is the stub: it delivers one cell of its shard, then
+    // holds the rest until it is killed.
+    const STUB_CELLS: usize = 1;
+    let mut stub = StubWorker::spawn(STUB_CELLS);
+    let (w2, p2) = spawn_worker(&caches[0]);
+    let (coord, cport) = spawn_coordinator(&[stub.port, p2]);
 
-    // Six unique cells; index 0 is the fig6d Monte-Carlo study (seconds
-    // of forced compute). Both workers idle at selection, so the
-    // round-robin split gives worker 1 (the first configured) positions
-    // 0, 2, 4 — fig6d anchors its shard, which is what the kill below
-    // interrupts.
+    // Six unique cheap cells. Both workers answer idle at selection, so
+    // the round-robin split gives worker 1 (the first configured)
+    // positions 0, 2, 4 and worker 2 positions 1, 3, 5.
     let batch: Vec<Scenario> = [
-        StudyId::Fig6d,
         StudyId::Fig9a,
         StudyId::Table2,
         StudyId::Fig7,
         StudyId::Table1,
         StudyId::Breakdown,
+        StudyId::Fig6a,
     ]
     .into_iter()
     .map(Scenario::study)
@@ -256,8 +336,8 @@ fn killing_a_worker_mid_stream_requeues_its_cells_onto_the_survivor() {
         "expected Accepted, got {first:?}"
     );
 
-    // Read cells; once two fast cells have arrived (and fig6d, held by
-    // worker 1, is still in flight), kill worker 1.
+    // Read cells; once the stub's cell and worker 2's three have
+    // arrived (the stub still holds the rest of its shard), kill it.
     let mut cells: Vec<CellOutcome> = Vec::new();
     let mut killed = false;
     let mut cells_at_kill = usize::MAX;
@@ -266,9 +346,8 @@ fn killing_a_worker_mid_stream_requeues_its_cells_onto_the_survivor() {
         match frame {
             Response::Cell(cell) => {
                 cells.push(cell);
-                let fig6d_pending = !cells.iter().any(|c| c.id == "study/fig6d");
-                if !killed && cells.len() >= 2 && fig6d_pending {
-                    w1.kill();
+                if !killed && cells.len() == STUB_CELLS + 3 {
+                    stub.kill();
                     killed = true;
                     cells_at_kill = cells.len();
                 }
@@ -285,8 +364,8 @@ fn killing_a_worker_mid_stream_requeues_its_cells_onto_the_survivor() {
     assert_eq!(cells.len(), batch.len(), "every cell still arrived");
     assert_eq!(done, (0, 6), "forced: all computed, none cached");
 
-    // Exactly one outcome per scenario, none failed, fig6d recomputed
-    // by the survivor.
+    // Exactly one outcome per scenario, none failed: the held cells
+    // were recomputed by the survivor.
     let ordered = in_scenario_order(&batch, &cells);
     assert_eq!(ordered.len(), 6);
     for cell in &ordered {
@@ -303,7 +382,7 @@ fn killing_a_worker_mid_stream_requeues_its_cells_onto_the_survivor() {
     // single-box run of the same batch.
     let cluster_report = report_from_outcomes(&batch, &ordered, 0);
     let solo_report = Engine::ephemeral()
-        .with_cache(ResultCache::at(&caches[2]))
+        .with_cache(ResultCache::at(&caches[1]))
         .run(&batch);
     assert_eq!(
         cluster_report.canonical_json(),
@@ -316,6 +395,12 @@ fn killing_a_worker_mid_stream_requeues_its_cells_onto_the_survivor() {
     let status = c.status().expect("status after the kill");
     assert_eq!(status.role, "coordinator");
     assert_eq!(status.served, 1);
+    // The stub's held cells reached the survivor through one requeue.
+    let (_, metrics) = c.metrics().expect("metrics after the kill");
+    assert_eq!(
+        metrics.counter("cluster_requeues_total"),
+        Some((3 - STUB_CELLS) as u64)
+    );
 
     c.shutdown().expect("coordinator shutdown");
     assert!(coord.wait().success());
