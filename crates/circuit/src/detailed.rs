@@ -498,6 +498,27 @@ mod tests {
     }
 
     #[test]
+    fn rewriting_weights_equals_building_afresh() {
+        // fig6bc reuses one instance across its sweep on this equality.
+        let geom = ArrayGeometry::yoco_default();
+        let build = |w: u32| {
+            DetailedArray::with_seeded_noise(
+                geom,
+                &vec![vec![w; 32]; 128],
+                MemoryKind::Sram,
+                NoiseModel::tt_corner(),
+                1234,
+            )
+            .unwrap()
+        };
+        let mut reused = build(255);
+        for w in [0, 170, 85, 1] {
+            reused.write_weights(&vec![vec![w; 32]; 128]).unwrap();
+            assert_eq!(reused, build(w), "weight {w}");
+        }
+    }
+
+    #[test]
     fn noisy_error_stays_inside_fig6_bound() {
         // Array-level MAC error < 0.68 % of full scale (Fig 6c).
         let geom = ArrayGeometry::yoco_default();

@@ -236,21 +236,30 @@ impl MonteCarlo {
         self.runs
     }
 
+    /// The seed instance `i` receives, derived deterministically from the
+    /// harness seed.
+    pub fn instance_seed(&self, i: usize) -> u64 {
+        self.seed
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add(i as u64)
+    }
+
+    /// Summarizes the offsets (volts) of instances `0..`, in index order.
+    /// A caller that evaluates the instances itself (in parallel, say)
+    /// gets the same report as [`MonteCarlo::run`] from the same offsets.
+    pub fn summarize(&self, offsets: &[f64]) -> MonteCarloReport {
+        summarize(offsets, self.bins)
+    }
+
     /// Runs `f(instance_seed) -> offset` for each instance and summarizes.
     ///
-    /// `f` receives a per-instance seed derived deterministically from the
-    /// harness seed, and returns the observed voltage offset (measured −
-    /// ideal).
+    /// `f` receives [`MonteCarlo::instance_seed`] of each instance in
+    /// turn, and returns the observed voltage offset (measured − ideal).
     pub fn run<F: FnMut(u64) -> Volt>(&self, mut f: F) -> MonteCarloReport {
-        let mut offsets: Vec<f64> = Vec::with_capacity(self.runs);
-        for i in 0..self.runs {
-            let instance_seed = self
-                .seed
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add(i as u64);
-            offsets.push(f(instance_seed).value());
-        }
-        summarize(&offsets, self.bins)
+        let offsets: Vec<f64> = (0..self.runs)
+            .map(|i| f(self.instance_seed(i)).value())
+            .collect();
+        self.summarize(&offsets)
     }
 }
 

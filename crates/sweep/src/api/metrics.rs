@@ -113,7 +113,7 @@ mod tests {
     #[test]
     fn cache_form_round_trips_through_the_kind() {
         let kind = gemm_kind();
-        let metrics = crate::eval::evaluate(&kind).unwrap();
+        let metrics = crate::eval::evaluate(&kind, 1).unwrap();
         let back = Metrics::from_cache_value(&kind, &metrics.cache_value()).unwrap();
         assert_eq!(metrics, back);
         assert!(back.as_gemm().is_some());
@@ -125,7 +125,7 @@ mod tests {
         let kind = ScenarioKind::Study {
             study: StudyId::Fig9a,
         };
-        let metrics = crate::eval::evaluate(&kind).unwrap();
+        let metrics = crate::eval::evaluate(&kind, 1).unwrap();
         let text = serde_json::to_string(&metrics).unwrap();
         assert!(text.starts_with("{\"Study\":{\"Fig9a\":"), "{text}");
         let back: Metrics = serde_json::from_str(&text).unwrap();
@@ -138,7 +138,7 @@ mod tests {
         let attention_kind = ScenarioKind::Study {
             study: StudyId::Fig9a,
         };
-        let metrics = crate::eval::evaluate(&kind).unwrap();
+        let metrics = crate::eval::evaluate(&kind, 1).unwrap();
         let err = Metrics::from_cache_value(&attention_kind, &metrics.cache_value()).unwrap_err();
         assert_eq!(err.category(), "schema-mismatch");
     }

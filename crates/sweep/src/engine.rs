@@ -128,7 +128,10 @@ impl Engine {
         self
     }
 
-    /// Sets the worker count (`1` = serial).
+    /// Sets the worker count (`1` = serial). The calling thread is one of
+    /// the workers. The same count also bounds the threads inside one
+    /// cell: fig6d spreads its Monte-Carlo instances over up to `jobs`
+    /// threads, the engine worker that runs it included.
     pub fn jobs(mut self, jobs: usize) -> Self {
         self.jobs = jobs.max(1);
         self
@@ -200,7 +203,7 @@ impl Engine {
                 }
             }
         }
-        match eval::evaluate(&kind) {
+        match eval::evaluate(&kind, self.jobs) {
             Ok(metrics) => {
                 if let Some(cache) = &self.cache {
                     if let Err(e) = cache.store(&key, &kind, &metrics.cache_value()) {

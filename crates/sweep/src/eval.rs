@@ -51,13 +51,15 @@ pub struct AttentionMetrics {
     pub speedup: f64,
 }
 
-/// Evaluates one scenario to its typed payload.
+/// Evaluates one scenario to its typed payload, on at most `jobs`
+/// threads (the calling one included; only fig6d's Monte-Carlo uses more
+/// than one).
 ///
 /// Resolution *is* validation here — workload and design resolve exactly
 /// once, and the cheap guards ([`crate::scenario`]'s baseline/dims
 /// checks, shared with [`ScenarioKind::validate`]) run inline, so a cell
 /// that went through [`crate::api::ScenarioBuilder`] pays nothing twice.
-pub fn evaluate(kind: &ScenarioKind) -> Result<Metrics, SweepError> {
+pub fn evaluate(kind: &ScenarioKind, jobs: usize) -> Result<Metrics, SweepError> {
     match kind {
         ScenarioKind::Gemm {
             accelerator,
@@ -105,7 +107,7 @@ pub fn evaluate(kind: &ScenarioKind) -> Result<Metrics, SweepError> {
                 speedup: r.speedup(),
             }))
         }
-        ScenarioKind::Study { study } => crate::studies::run(*study).map(Metrics::Study),
+        ScenarioKind::Study { study } => crate::studies::run_with(*study, jobs).map(Metrics::Study),
     }
 }
 
@@ -128,7 +130,7 @@ mod tests {
                 kind: LayerKind::Linear,
             },
         );
-        let metrics = evaluate(&s.kind).unwrap();
+        let metrics = evaluate(&s.kind, 1).unwrap();
         let gemm = metrics.as_gemm().expect("a GEMM cell");
         let direct = isaac().evaluate_model(
             "fc",
@@ -154,7 +156,7 @@ mod tests {
                 kind: LayerKind::Linear,
             },
         };
-        let err = evaluate(&kind).unwrap_err();
+        let err = evaluate(&kind, 1).unwrap_err();
         assert!(err.to_string().contains("only apply to yoco"), "{err}");
         assert_eq!(err.category(), "invalid-scenario");
     }
@@ -167,7 +169,7 @@ mod tests {
             heads: 4,
         };
         let s = Scenario::attention("mobilebert", dims, DesignPoint::paper());
-        let metrics = evaluate(&s.kind).unwrap();
+        let metrics = evaluate(&s.kind, 1).unwrap();
         let m = metrics.as_attention().expect("an attention cell");
         let direct = AttentionPipeline::new(yoco::YocoConfig::paper_default()).simulate(&dims);
         assert_eq!(m.layerwise_ns, direct.layerwise_ns);

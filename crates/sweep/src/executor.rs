@@ -3,16 +3,19 @@
 //! Workers self-schedule off a shared atomic cursor (dynamic load
 //! balancing — a long-running cell never blocks short ones behind it), and
 //! results are reassembled by cell index, so the output order is
-//! deterministic and independent of scheduling. `cargo`'s offline sandbox
-//! has no rayon; scoped threads provide the same fan-out with zero
-//! dependencies.
+//! deterministic and independent of scheduling. The calling thread runs
+//! one of the workers, so a run nested inside a worker (fig6d's
+//! Monte-Carlo inside an engine cell) adds `jobs - 1` threads, not `jobs`.
+//! `cargo`'s offline sandbox has no rayon; scoped threads provide the
+//! same fan-out with zero dependencies.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Runs `f(0..n)` with up to `jobs` workers and returns results in index
-/// order. `jobs <= 1` degrades to a plain serial loop (no threads, no
-/// locks) — the reference path for determinism tests.
+/// order. The calling thread is one of the workers, so at most `jobs - 1`
+/// threads are spawned. `jobs <= 1` degrades to a plain serial loop (no
+/// threads, no locks) — the reference path for determinism tests.
 pub fn run_indexed<T, F>(n: usize, jobs: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -44,22 +47,25 @@ where
     let workers = jobs.min(n);
     let cursor = AtomicUsize::new(0);
     let collected: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(n));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut local: Vec<(usize, T)> = Vec::new();
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let value = f(i);
-                    observe(i, &value);
-                    local.push((i, value));
-                }
-                collected.lock().expect("no poisoned workers").extend(local);
-            });
+    let work = || {
+        let mut local: Vec<(usize, T)> = Vec::new();
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
+            }
+            let value = f(i);
+            observe(i, &value);
+            local.push((i, value));
         }
+        collected.lock().expect("no poisoned workers").extend(local);
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..workers {
+            scope.spawn(work);
+        }
+        // The calling thread is the last worker.
+        work();
     });
     let mut pairs = collected.into_inner().expect("all workers joined");
     debug_assert_eq!(pairs.len(), n);

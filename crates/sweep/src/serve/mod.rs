@@ -16,7 +16,8 @@
 //!   evenly across requests in flight at admission time
 //!   ([`split_jobs`]), so a request arriving behind a huge batch still
 //!   gets its fair share of workers (see `split_jobs` for the
-//!   transient-oversubscription caveat).
+//!   transient-oversubscription caveat). The share is the request's
+//!   engine `jobs`, so it also bounds fig6d's Monte-Carlo threads.
 //! * **Streaming** — protocol-v2 requests are answered incrementally
 //!   (`Accepted` at admission, one `Cell` frame per scenario in
 //!   completion order via [`Engine::run_with`], then `Done`), so large

@@ -1,9 +1,10 @@
 //! Fig 6 computations: circuit accuracy characterization, lifted out of
 //! the `fig6` bin so they run (and cache) through the engine.
 //!
-//! The numeric logic is byte-for-byte the seed's; only the location moved.
+//! The numbers are byte-for-byte the seed's.
 
 use crate::api::SweepError;
+use crate::executor;
 use serde::{Deserialize, Serialize};
 use yoco_circuit::dac::DacTransfer;
 use yoco_circuit::variation::{MismatchField, MonteCarloReport};
@@ -59,9 +60,23 @@ pub struct Fig6bcRecord {
 }
 
 /// Computes Fig 6(b)/(c).
+///
+/// Every sweep point uses the same seed-1234 instance, so the mismatch
+/// field is sampled once and each point rewrites the weights of that one
+/// array: [`DetailedArray::write_weights`] overwrites every weight and
+/// bit, which leaves the same state as building a fresh instance.
 pub fn fig6bc() -> Result<Fig6bcRecord, SweepError> {
     let geom = ArrayGeometry::yoco_default();
     let fs = geom.full_scale_voltage().value();
+    let fail = |e| SweepError::evaluation("study/fig6bc", e);
+    let mut array = DetailedArray::with_seeded_noise(
+        geom,
+        &vec![vec![0; 32]; 128],
+        MemoryKind::Sram,
+        NoiseModel::tt_corner(),
+        1234,
+    )
+    .map_err(fail)?;
     let mut codes = Vec::new();
     let mut wv = Vec::new();
     let mut iv = Vec::new();
@@ -74,18 +89,10 @@ pub fn fig6bc() -> Result<Fig6bcRecord, SweepError> {
         // Red curve: inputs swept, weight fixed at 255.
         for (sweep_w, volts, errs) in [(true, &mut wv, &mut we), (false, &mut iv, &mut ie)] {
             let (w, x) = if sweep_w { (code, 255) } else { (255, code) };
-            let weights = vec![vec![w; 32]; 128];
-            let array = DetailedArray::with_seeded_noise(
-                geom,
-                &weights,
-                MemoryKind::Sram,
-                NoiseModel::tt_corner(),
-                1234,
-            )
-            .map_err(|e| SweepError::evaluation("study/fig6bc", e))?;
+            array.write_weights(&vec![vec![w; 32]; 128]).map_err(fail)?;
             let out = array
                 .compute_vmm_seeded(&vec![x; 128], code as u64)
-                .map_err(|e| SweepError::evaluation("study/fig6bc", e))?;
+                .map_err(fail)?;
             let v = out.cb_voltages[0].value();
             let ideal = geom.dot_to_voltage(128.0 * (w * x) as f64).value();
             let err = (v - ideal) / fs * 100.0;
@@ -105,8 +112,11 @@ pub fn fig6bc() -> Result<Fig6bcRecord, SweepError> {
 }
 
 /// Computes Fig 6(d): the 2000-run Monte-Carlo voltage-offset
-/// distribution at TT, 25 °C.
-pub fn fig6d() -> Result<MonteCarloReport, SweepError> {
+/// distribution at TT, 25 °C, with the instances spread over up to
+/// `jobs` threads. Each instance depends only on its seed and the
+/// offsets are summarized in index order, so the report is the same for
+/// every `jobs`.
+pub fn fig6d(jobs: usize) -> Result<MonteCarloReport, SweepError> {
     let geom = ArrayGeometry::yoco_default();
     let weights: Vec<Vec<u32>> = (0..128)
         .map(|r| {
@@ -133,7 +143,8 @@ pub fn fig6d() -> Result<MonteCarloReport, SweepError> {
         .map_err(|e| SweepError::evaluation("study/fig6d", e))?
         .cb_voltages[0];
     let mc = MonteCarlo::new(2000, 99);
-    Ok(mc.run(|seed| {
+    let offsets = executor::run_indexed(mc.runs(), jobs, |i| {
+        let seed = mc.instance_seed(i);
         let inst = DetailedArray::with_seeded_noise(
             geom,
             &weights,
@@ -142,11 +153,14 @@ pub fn fig6d() -> Result<MonteCarloReport, SweepError> {
             seed,
         )
         .expect("valid weights");
-        inst.compute_vmm_seeded(&inputs, seed ^ 0xABCD)
+        (inst
+            .compute_vmm_seeded(&inputs, seed ^ 0xABCD)
             .expect("valid inputs")
             .cb_voltages[0]
-            - v_nom
-    }))
+            - v_nom)
+            .value()
+    });
+    Ok(mc.summarize(&offsets))
 }
 
 /// Fig 6(f): one stand-in benchmark's accuracy comparison.
@@ -203,8 +217,9 @@ mod tests {
 
     #[test]
     fn fig6d_offsets_stay_under_one_lsb() {
-        let r = fig6d().unwrap();
+        let r = fig6d(1).unwrap();
         assert_eq!(r.runs, 2000);
         assert!(r.within_one_lsb(), "3σ = {} mV", r.three_sigma_mv());
+        assert_eq!(fig6d(3).unwrap(), r, "the schedule must not change a byte");
     }
 }

@@ -209,13 +209,19 @@ impl StudyMetrics {
     }
 }
 
-/// Evaluates one study to its typed payload.
+/// Evaluates one study to its typed payload, with one thread per core
+/// for the studies that fan out (fig6d).
 pub fn run(study: StudyId) -> Result<StudyMetrics, SweepError> {
+    run_with(study, crate::executor::default_jobs())
+}
+
+/// [`run`] with at most `jobs` threads per study (the engine's setting).
+pub(crate) fn run_with(study: StudyId, jobs: usize) -> Result<StudyMetrics, SweepError> {
     Ok(match study {
         StudyId::Fig1c => StudyMetrics::Fig1c(overview::fig1c()),
         StudyId::Fig6a => StudyMetrics::Fig6a(fig6::fig6a()?),
         StudyId::Fig6bc => StudyMetrics::Fig6bc(fig6::fig6bc()?),
-        StudyId::Fig6d => StudyMetrics::Fig6d(fig6::fig6d()?),
+        StudyId::Fig6d => StudyMetrics::Fig6d(fig6::fig6d(jobs)?),
         StudyId::Fig6e => StudyMetrics::Fig6e(yoco_baselines::prior::fig6e_error_ladder()),
         StudyId::Fig6f => StudyMetrics::Fig6f(fig6::fig6f()?),
         StudyId::Fig7 => StudyMetrics::Fig7(yoco_baselines::prior::fig7_rows()),
@@ -241,11 +247,10 @@ mod tests {
 
     #[test]
     fn every_study_evaluates_to_its_own_typed_payload() {
-        // The two slow studies (fig6bc: 512 detailed sims, fig6f: training)
-        // are covered by the bins and the integration tests; keep the unit
-        // sweep quick with the rest.
+        // fig6f (stand-in training) is covered by the bins and the
+        // integration tests; keep the unit sweep quick with the rest.
         for study in StudyId::ALL {
-            if matches!(study, StudyId::Fig6bc | StudyId::Fig6f) {
+            if study == StudyId::Fig6f {
                 continue;
             }
             let m = run(study).unwrap_or_else(|e| panic!("{}: {e}", study.name()));
