@@ -2,23 +2,22 @@
 //!
 //! Speaks the versioned NDJSON protocol of [`yoco_sweep::api`] over TCP.
 //! Connections are served by the event-driven epoll reactor
-//! ([`yoco_sweep::serve::serve_reactor`]); the legacy
-//! thread-per-connection accept loop has been removed, and passing the
-//! old `--threaded` flag is a hard error. Two modes share the reactor:
+//! ([`yoco_sweep::serve::serve_reactor`]) in front of one
+//! [`yoco_sweep::serve::Runtime`], which admits, answers, and counts
+//! every request the same way in both modes:
 //!
-//! * **single box** (default) — the shared [`yoco_sweep::serve::Runtime`]:
-//!   one engine + cache for every connection, a bounded admission queue
-//!   (`--queue-depth`, adaptive `retry_after_ms` hints), a worker budget
-//!   split across in-flight requests (`--jobs`), streamed protocol-v2
-//!   responses, and warm-response memoization. Cache hits are served
-//!   instantly; a warm re-submission of any batch is 100 % hits and
-//!   byte-identical bytes.
+//! * **single box** (default) — [`Runtime::new`]: one engine + cache for
+//!   every connection, a bounded admission queue (`--queue-depth`,
+//!   adaptive `retry_after_ms` hints), a worker budget split across
+//!   in-flight requests (`--jobs`), streamed protocol-v2 responses, and
+//!   warm-response memoization. Cache hits are served instantly; a warm
+//!   re-submission of any batch is 100 % hits and byte-identical bytes.
 //! * **coordinator** (`--coordinator`, with one `--worker HOST:PORT` per
-//!   worker host) — the [`yoco_sweep::cluster::Coordinator`]: client
-//!   requests are partitioned round-robin over the (occupancy-probed)
-//!   workers, streamed `Cell` frames merge back into one exchange, and
-//!   a worker lost mid-stream has its unfinished cells requeued onto
-//!   the survivors.
+//!   worker host) — [`Runtime::coordinator`]: client requests are
+//!   partitioned round-robin over the (occupancy-probed) workers,
+//!   streamed `Cell` frames merge back into one exchange, and a worker
+//!   lost mid-stream has its unfinished cells requeued onto the
+//!   survivors.
 //!
 //! ```text
 //! yoco-serve [--addr HOST:PORT] [--queue-depth N] [--jobs N]
@@ -43,8 +42,7 @@
 use std::io::Write;
 use std::process::ExitCode;
 use std::sync::Arc;
-use yoco_sweep::cluster::{ClusterConfig, Coordinator};
-use yoco_sweep::serve::{listen, serve_reactor, LineHandler, ReactorConfig, Runtime, ServeConfig};
+use yoco_sweep::serve::{listen, serve_reactor, ReactorConfig, Runtime, ServeConfig};
 use yoco_sweep::{Engine, ResultCache};
 
 fn usage() -> &'static str {
@@ -62,7 +60,8 @@ fn usage() -> &'static str {
      (or Busy when --queue-depth is exceeded)\n  \
      \"Ping\" | \"Status\" | \"Shutdown\"\n\n\
      with --coordinator, evaluations fan out over the --worker hosts\n  \
-     (each a stock yoco-serve) and merge back into one exchange"
+     (each a stock yoco-serve) and merge back into one exchange; when no\n  \
+     worker answers its probe or every worker is busy, the answer is Busy"
 }
 
 fn main() -> ExitCode {
@@ -129,12 +128,6 @@ fn main() -> ExitCode {
                     None => return fail("--worker needs HOST:PORT"),
                 }
             }
-            "--threaded" => {
-                return fail(
-                    "--threaded was removed: the thread-per-connection accept loop is gone \
-                     and every connection is served by the epoll reactor (drop the flag)",
-                )
-            }
             "--quiet" => quiet = true,
             other => return fail(&format!("unknown flag `{other}`")),
         }
@@ -168,7 +161,7 @@ fn main() -> ExitCode {
         Err(e) => return fail(&format!("cannot bind {addr}: {e}")),
     };
     println!("yoco-serve listening on {local}");
-    let handler: Arc<dyn LineHandler> = if coordinator {
+    let runtime = if coordinator {
         if !quiet {
             println!(
                 "coordinator over {} workers: {}",
@@ -177,10 +170,7 @@ fn main() -> ExitCode {
             );
             println!("queue depth {}", config.queue_depth);
         }
-        Arc::new(Coordinator::new(ClusterConfig {
-            workers,
-            queue_depth: config.queue_depth,
-        }))
+        Runtime::coordinator(workers, config.queue_depth)
     } else {
         if !quiet {
             if let Some(cache) = engine.cache() {
@@ -191,7 +181,7 @@ fn main() -> ExitCode {
                 config.queue_depth, config.jobs
             );
         }
-        Arc::new(Runtime::new(engine, config))
+        Runtime::new(engine, config)
     };
     if !quiet {
         if let Some(dir) = &trace_dir {
@@ -200,7 +190,7 @@ fn main() -> ExitCode {
     }
     let _ = std::io::stdout().flush();
     let reactor_config = ReactorConfig::for_queue_depth(config.queue_depth);
-    if let Err(e) = serve_reactor(listener, handler, quiet, reactor_config) {
+    if let Err(e) = serve_reactor(listener, Arc::new(runtime), quiet, reactor_config) {
         return fail(&format!("reactor failed: {e}"));
     }
     if !quiet {

@@ -48,10 +48,10 @@ fn usage() -> &'static str {
      sweep client ping|shutdown [--addr HOST:PORT]\n  \
      sweep client status [--addr HOST:PORT] [--raw]\n  \
      sweep client run <grid>|--file <path> [--addr HOST:PORT] [--v1] [--force]\n               \
-     [--id ID] [--raw] [--quiet]\n  \
+     [--id ID] [--raw] [--quiet] [--no-retry]\n  \
      sweep loadgen [run] [--addr HOST:PORT] [--rate R] [--duration D]\n                \
      [--connections N] [--mix SPEC] [--arrivals fixed|poisson|burstN]\n                \
-     [--burst N] [--target NAME] [--seed N] [--deadline-ms N]\n                \
+     [--target NAME] [--seed N] [--deadline-ms N]\n                \
      [--out <path>] [--no-out]\n  \
      sweep loadgen report [--out <path>]\n  \
      sweep loadgen gate [--out <path>] [--factor F] [--max-p99-ms MS]\n  \
@@ -801,13 +801,6 @@ fn loadgen_run(args: &[String]) -> ExitCode {
                     Some(Ok(kind)) => arrivals = kind,
                     Some(Err(e)) => return fail(&e),
                     None => return fail("--arrivals needs fixed, poisson, or burstN"),
-                }
-            }
-            "--burst" => {
-                i += 1;
-                match args.get(i).and_then(|v| v.parse::<usize>().ok()) {
-                    Some(n) if n > 0 => arrivals = loadgen::ArrivalKind::Bursty { burst: n },
-                    _ => return fail("--burst needs a positive integer"),
                 }
             }
             "--seed" => {

@@ -417,14 +417,12 @@ mod tests {
         use crate::api::SweepError;
         use crate::engine::Engine;
         use crate::scenario::{Scenario, StudyId};
-        use crate::serve::{
-            listen, serve_reactor, LineHandler, ReactorConfig, Runtime, ServeConfig,
-        };
+        use crate::serve::{listen, serve_reactor, ReactorConfig, Runtime, ServeConfig};
         use std::sync::Arc;
 
         // A runtime admitting nothing, served on an ephemeral port.
         let (listener, local) = listen("127.0.0.1:0").expect("binds");
-        let handler: Arc<dyn LineHandler> = Arc::new(Runtime::new(
+        let runtime = Arc::new(Runtime::new(
             Engine::ephemeral(),
             ServeConfig {
                 queue_depth: 0,
@@ -432,7 +430,7 @@ mod tests {
             },
         ));
         let config = ReactorConfig::for_queue_depth(0);
-        let reactor = std::thread::spawn(move || serve_reactor(listener, handler, true, config));
+        let reactor = std::thread::spawn(move || serve_reactor(listener, runtime, true, config));
         let mut client = ServeClient::connect(&local.to_string()).expect("connects");
         client
             .set_read_timeout(Some(Duration::from_secs(60)))

@@ -1,21 +1,18 @@
-//! The fan-out core and the protocol-speaking [`Coordinator`].
+//! The fan-out core and a coordinator's backend call.
 //!
 //! [`fan_out`] is a pure orchestration function over a [`WorkerPool`]:
 //! partition → dispatch → merge → requeue, no sockets, no protocol —
-//! which is what makes the requeue semantics unit-testable. The
-//! [`Coordinator`] makes it the backend of the request lifecycle the
-//! single-box [`Runtime`](crate::serve::Runtime) also runs — one
-//! admission gate, metrics registry, and NDJSON dispatch shape — so
-//! both plug into the shared epoll reactor
-//! ([`serve_reactor`](crate::serve::serve_reactor)) unchanged.
+//! which is what makes the requeue semantics unit-testable.
+//! [`fan_out_request`] puts worker selection in front of it and is the
+//! whole backend of a coordinator
+//! [`Runtime`](crate::serve::Runtime::coordinator): admission, metrics,
+//! the NDJSON dispatch and the epoll reactor are the single box's own.
 
-use crate::api::{CellOutcome, CellStatus, EvalRequest, Response, Shard, StatusReport, SweepError};
-use crate::cluster::pool::{select_workers, ShardOutcome, TcpPool, WorkerPool};
+use crate::api::{CellOutcome, CellStatus, EvalRequest, Response, Shard, SweepError};
+use crate::cluster::pool::{select_workers, ShardOutcome, WorkerPool};
 use crate::engine::{CellResult, SweepReport};
 use crate::scenario::Scenario;
-use crate::serve::{
-    Busy, Emit, FrameSink, Gate, Lifecycle, LineHandler, Ran, Served, RETRY_QUANTUM_MS,
-};
+use crate::serve::{Busy, Emit, Ran, RETRY_QUANTUM_MS};
 use crate::telemetry::Registry;
 use std::io;
 use std::sync::Mutex;
@@ -302,155 +299,60 @@ pub fn report_from_outcomes(
     }
 }
 
-/// Sizing and topology of a coordinator.
-#[derive(Debug, Clone)]
-pub struct ClusterConfig {
-    /// Worker host addresses (`HOST:PORT`), each a stock `yoco-serve`.
-    pub workers: Vec<String>,
-    /// Maximum client evaluation requests in flight at once (the
-    /// coordinator's own admission bound; workers keep their own).
-    pub queue_depth: usize,
-}
-
-/// The cluster front: speaks the ordinary v1/v2 NDJSON protocol to
-/// clients and fans admitted requests out over the worker hosts,
-/// through the same request lifecycle as the single-box runtime. Plugs
-/// into [`crate::serve::serve_reactor`] exactly like the runtime.
-pub struct Coordinator {
-    pool: Box<dyn WorkerPool + Send + Sync>,
-    workers: Vec<String>,
-    lifecycle: Lifecycle,
-}
-
-impl std::fmt::Debug for Coordinator {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Coordinator")
-            .field("workers", &self.workers)
-            .field("queue_depth", &self.gate().depth())
-            .finish()
+/// The cluster backend's call for one admitted request: probe the
+/// configured `workers` and fan the batch out over the live ones,
+/// forwarding worker `Cell` frames with their original bytes. When no
+/// worker answers its probe — most likely transient (restart, network
+/// blip) — or every worker refuses the dispatch, the client gets a
+/// retryable `Busy` rather than a hard failure.
+pub(crate) fn fan_out_request(
+    pool: &dyn WorkerPool,
+    workers: &[String],
+    req: &EvalRequest,
+    span: Option<&str>,
+    metrics: &Registry,
+    emit: &Emit,
+) -> Result<Ran, Busy> {
+    let selected = select_workers(pool, workers);
+    if selected.is_empty() {
+        return Err(Busy {
+            retry_after_ms: RETRY_QUANTUM_MS,
+        });
     }
-}
-
-impl Coordinator {
-    /// A coordinator dispatching over TCP ([`TcpPool`]).
-    pub fn new(config: ClusterConfig) -> Self {
-        Self::with_pool(Box::new(TcpPool), config)
-    }
-
-    /// A coordinator over an explicit pool (tests inject fakes here).
-    pub fn with_pool(pool: Box<dyn WorkerPool + Send + Sync>, config: ClusterConfig) -> Self {
-        Self {
-            pool,
-            workers: config.workers,
-            lifecycle: Lifecycle::new(config.queue_depth, "this coordinator"),
-        }
-    }
-
-    /// The coordinator's admission gate (exposed for observability).
-    pub fn gate(&self) -> &Gate {
-        &self.lifecycle.gate
-    }
-
-    /// The coordinator's [`StatusReport`]: its own gate and counters
-    /// (`role: "coordinator"`), not an aggregate over workers — probe
-    /// each worker for theirs.
-    pub fn status(&self) -> StatusReport {
-        StatusReport {
-            role: "coordinator".into(),
-            workers: self.workers.len(),
-            ..self.lifecycle.status()
-        }
-    }
-
-    /// Probes and selects workers for one admitted request. When none
-    /// answers — most likely transient (restart, network blip) — the
-    /// request gets a retryable `Busy` with the cold-start quantum
-    /// rather than a hard failure.
-    fn selection(&self) -> Result<Vec<String>, Busy> {
-        let selected = select_workers(&*self.pool, &self.workers);
-        if selected.is_empty() {
-            return Err(Busy {
-                retry_after_ms: RETRY_QUANTUM_MS,
-            });
-        }
-        Ok(selected)
-    }
-
-    /// The coordinator's backend call: the fan-out, with worker `Cell`
-    /// frames emitted with their original bytes. A fan-out every worker
-    /// refused becomes a `Busy` for the client.
-    fn fan_out_batch(
-        &self,
-        selected: &[String],
-        req: &EvalRequest,
-        span: Option<&str>,
-        emit: &Emit,
-    ) -> Result<Ran, Busy> {
-        // Embedding the span after a `#t` marker in the sub-request ids
-        // stitches a fan-out trace across hosts: each worker adopts it
-        // for its own stage records instead of minting a fresh one.
-        let fan_id = match span {
-            Some(span) => format!("{}#t{span}", req.id),
-            None => req.id.clone(),
-        };
-        let result = fan_out(
-            &*self.pool,
-            selected,
-            &fan_id,
-            &req.scenarios,
-            req.force,
-            &self.lifecycle.metrics,
-            &|i, cell, raw| emit(i, cell, Some(raw)),
-        );
-        match result {
-            FanoutResult::Ran(out) => Ok(Ran::Cells {
-                hits: out.hits,
-                misses: out.misses,
-            }),
-            FanoutResult::AllBusy { retry_after_ms } => Err(Busy { retry_after_ms }),
-        }
-    }
-}
-
-/// The coordinator-side mirror of the runtime's dispatch, on the same
-/// lifecycle: deadlines measure queueing from when the transport parsed
-/// the line, which under the reactor includes worker-pool wait.
-impl LineHandler for Coordinator {
-    fn handle_line_at(
-        &self,
-        line: &str,
-        received: Instant,
-        sink: &mut dyn FrameSink,
-    ) -> io::Result<Served> {
-        self.lifecycle.dispatch(
-            line,
-            sink,
-            || self.status(),
-            |req, sink| {
-                self.lifecycle.serve(
-                    req,
-                    received,
-                    sink,
-                    || self.selection(),
-                    |selected, req, span, emit| self.fan_out_batch(&selected, req, span, emit),
-                )
-            },
-        )
-    }
-
-    fn metrics(&self) -> &Registry {
-        &self.lifecycle.metrics
+    // Embedding the span after a `#t` marker in the sub-request ids
+    // stitches a fan-out trace across hosts: each worker adopts it for
+    // its own stage records instead of minting a fresh one.
+    let fan_id = match span {
+        Some(span) => format!("{}#t{span}", req.id),
+        None => req.id.clone(),
+    };
+    let result = fan_out(
+        pool,
+        &selected,
+        &fan_id,
+        &req.scenarios,
+        req.force,
+        metrics,
+        &|i, cell, raw| emit(i, cell, Some(raw)),
+    );
+    match result {
+        FanoutResult::Ran(out) => Ok(Ran::Cells {
+            hits: out.hits,
+            misses: out.misses,
+        }),
+        FanoutResult::AllBusy { retry_after_ms } => Err(Busy { retry_after_ms }),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{Request, API_V1};
+    use crate::api::{Request, StatusReport, API_V1};
     use crate::scenario::StudyId;
     use crate::serve::tests::TerminalProbe;
+    use crate::serve::{Runtime, Served};
     use std::collections::HashMap;
-    use std::sync::Mutex as StdMutex;
+    use std::sync::{Arc, Mutex as StdMutex};
 
     /// How a fake worker behaves for the whole test.
     #[derive(Debug, Clone, Copy)]
@@ -468,17 +370,18 @@ mod tests {
     }
 
     /// An in-process worker pool with scripted per-host behavior and a
-    /// dispatch log (who was asked, in order).
+    /// dispatch log (who was asked, in order), shareable so a test can
+    /// read it after handing the pool to a coordinator.
     struct FakePool {
         behaviors: HashMap<String, Behavior>,
-        dispatched: StdMutex<Vec<String>>,
+        dispatched: Arc<StdMutex<Vec<String>>>,
     }
 
     impl FakePool {
         fn new(hosts: &[(&str, Behavior)]) -> Self {
             Self {
                 behaviors: hosts.iter().map(|(h, b)| ((*h).to_owned(), *b)).collect(),
-                dispatched: StdMutex::new(Vec::new()),
+                dispatched: Arc::new(StdMutex::new(Vec::new())),
             }
         }
 
@@ -862,13 +765,11 @@ mod tests {
         assert_eq!(report.elapsed_ms, 7);
     }
 
-    fn coordinator(pool: FakePool, workers: &[&str], depth: usize) -> Coordinator {
-        Coordinator::with_pool(
+    fn coordinator(pool: FakePool, workers: &[&str], depth: usize) -> Runtime {
+        Runtime::with_pool(
             Box::new(pool),
-            ClusterConfig {
-                workers: workers.iter().map(|s| (*s).to_owned()).collect(),
-                queue_depth: depth,
-            },
+            workers.iter().map(|s| (*s).to_owned()).collect(),
+            depth,
         )
     }
 
@@ -953,7 +854,9 @@ mod tests {
         let pool = FakePool::new(&[("gone", Behavior::Unreachable)]);
         let c = coordinator(pool, &["gone"], 1);
         // v2: an unreachable cluster is (probably) transient — answer
-        // retryable Busy, not a hard failure.
+        // retryable Busy, not a hard failure. The probe is the backend
+        // call, so the stream opens with Accepted, as when every worker
+        // answers Busy.
         let mut frames: Vec<Response> = Vec::new();
         let served = c
             .handle_line(
@@ -968,7 +871,19 @@ mod tests {
                 retry_after_ms: RETRY_QUANTUM_MS
             }
         );
-        assert!(matches!(frames.first(), Some(Response::Busy { .. })));
+        assert_eq!(
+            frames,
+            [
+                Response::Accepted {
+                    id: "cl-3".into(),
+                    position: 0
+                },
+                Response::Busy {
+                    id: "cl-3".into(),
+                    retry_after_ms: 250
+                }
+            ]
+        );
         assert_eq!(c.gate().occupancy(), 0, "rejection releases the slot");
 
         // v1 gets the typed Busy refusal in the envelope.
@@ -995,6 +910,37 @@ mod tests {
         assert!(matches!(served, Served::Rejected { .. }));
         assert!(matches!(frames.first(), Some(Response::Busy { .. })));
         assert_eq!(c.status().rejected, 3, "all three rejections counted");
+    }
+
+    #[test]
+    fn coordinator_never_answers_from_a_memo() {
+        let pool = FakePool::new(&[
+            ("a", Behavior::Healthy { occupancy: 0 }),
+            ("b", Behavior::Healthy { occupancy: 0 }),
+        ]);
+        let log = Arc::clone(&pool.dispatched);
+        let c = coordinator(pool, &["a", "b"], 2);
+        let warm = line(&Request::Eval(EvalRequest::new("cl-warm", grid(4))));
+        for round in 1..=2 {
+            let mut frames: Vec<Response> = Vec::new();
+            let served = c.handle_line(&warm, &mut frames).unwrap();
+            assert!(
+                matches!(served, Served::Eval { cells: 4, .. }),
+                "{served:?}"
+            );
+            assert_eq!(
+                log.lock().unwrap().len(),
+                2 * round,
+                "repeat {round} reached both workers"
+            );
+        }
+        let mut frames: Vec<Response> = Vec::new();
+        assert!(c
+            .try_handle_warm(&warm, Instant::now(), &mut frames)
+            .is_none());
+        assert!(frames.is_empty(), "nothing answered inline: {frames:?}");
+        assert_eq!(log.lock().unwrap().len(), 4);
+        assert_eq!(c.status().served, 2);
     }
 
     #[test]

@@ -11,13 +11,20 @@
 //!
 //! ```text
 //!                       ┌──────────────┐   Status / EvalRequest (v2)
-//!   client ──(v1/v2)──▶ │ Coordinator  │ ─────────────┬──────────────┐
-//!                       │ gate+metrics │              ▼              ▼
+//!   client ──(v1/v2)──▶ │ coordinator  │ ─────────────┬──────────────┐
+//!                       │   Runtime    │              ▼              ▼
 //!                       └──────┬───────┘        ┌──────────┐   ┌──────────┐
 //!                              │  merged Cell   │ worker A │   │ worker B │
-//!                              ◀── frames ──────│ (serve)  │   │ (serve)  │
+//!                              ◀── frames ──────│ Runtime  │   │ Runtime  │
 //!                                               └──────────┘   └──────────┘
 //! ```
+//!
+//! The coordinator is an ordinary [`Runtime`](crate::serve::Runtime)
+//! built by [`Runtime::coordinator`](crate::serve::Runtime::coordinator):
+//! its admission gate, metrics registry, NDJSON dispatch, and reactor
+//! are the single box's, and only its backend differs — this module's
+//! fan-out instead of the engine. It keeps no warm memo, so every
+//! request reaches the workers.
 //!
 //! * **Partitioning** reuses the `--shard i/n` round-robin rule
 //!   ([`Shard::select_indices`](crate::api::Shard::select_indices)): the
@@ -44,7 +51,6 @@
 mod coordinator;
 mod pool;
 
-pub use coordinator::{
-    fan_out, report_from_outcomes, ClusterConfig, Coordinator, FanoutOutcome, FanoutResult,
-};
+pub(crate) use coordinator::fan_out_request;
+pub use coordinator::{fan_out, report_from_outcomes, FanoutOutcome, FanoutResult};
 pub use pool::{ShardOutcome, TcpPool, WorkerPool};

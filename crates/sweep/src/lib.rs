@@ -15,16 +15,18 @@
 //!   scoped threads with deterministic, order-independent assembly, and
 //!   per-cell completion callbacks ([`Engine::run_with`]) for streaming
 //!   frontends;
-//! * [`serve`] — the server runtime behind `yoco-serve`: one shared
-//!   engine + cache behind an admission [`serve::Gate`]
-//!   (`--queue-depth`, adaptive `retry_after_ms` hints), a worker budget
-//!   split across in-flight requests, streamed protocol-v2 responses,
-//!   warm-response memoization, and the `Status` observability frame;
-//! * [`cluster`] — the multi-host shard fan-out coordinator
-//!   ([`Coordinator`]): one client request partitioned round-robin over
-//!   worker hosts (each a stock `yoco-serve`), streamed `Cell` frames
-//!   merged back into one v1/v2 exchange, unfinished shards requeued on
-//!   worker loss;
+//! * [`serve`] — the server [`Runtime`] behind both `yoco-serve` modes:
+//!   an admission [`serve::Gate`] (`--queue-depth`, adaptive
+//!   `retry_after_ms` hints), streamed protocol-v2 responses, and the
+//!   `Status` observability frame in front of one backend — a single
+//!   box's shared engine + cache, with a worker budget split across
+//!   in-flight requests and warm-response memoization, or a
+//!   coordinator's fan-out;
+//! * [`cluster`] — the multi-host shard fan-out behind a coordinator
+//!   [`Runtime`] ([`Runtime::coordinator`]): one client request
+//!   partitioned round-robin over worker hosts (each a stock
+//!   `yoco-serve`), streamed `Cell` frames merged back into one v1/v2
+//!   exchange, unfinished shards requeued on worker loss;
 //! * [`client`] — the matching blocking client ([`ServeClient`]), used
 //!   by `sweep client`, the cluster coordinator's dispatch path, and the
 //!   service-level tests;
@@ -36,8 +38,8 @@
 //!   `results/loadgen_history.json`;
 //! * [`telemetry`] — server-side observability: each server's own
 //!   metrics [`telemetry::Registry`] (counters, gauges, and the shared
-//!   log-linear [`LatencyHistogram`]), owned by its request lifecycle
-//!   and exposed through the gate-bypassing `Metrics` control frame and
+//!   log-linear [`LatencyHistogram`]), owned by its [`Runtime`] and
+//!   exposed through the gate-bypassing `Metrics` control frame and
 //!   Prometheus-style text, plus request-scoped stage tracing
 //!   (`--trace-dir`) aggregated by `sweep trace report`;
 //! * [`cache`] — a content-addressed result cache under `results/cache/`,
@@ -92,7 +94,6 @@ pub use api::{
 };
 pub use cache::{CacheStats, GcBudget, GcOutcome, ResultCache};
 pub use client::{RetryPolicy, ServeClient, StreamOutcome};
-pub use cluster::{ClusterConfig, Coordinator};
 pub use engine::{CellResult, Engine, SweepReport};
 pub use eval::{AttentionMetrics, GemmMetrics};
 pub use grids::{DseGrid, GridSpec, DSE_AXES, DSE_GRIDS, DSE_WORKLOADS};

@@ -247,7 +247,7 @@ mod tests {
     use crate::loadgen::arrivals::{schedule, ArrivalKind};
     use crate::loadgen::mix::Mix;
     use crate::scenario::{AcceleratorKind, DesignPoint, Scenario, StudyId, WorkloadSpec};
-    use crate::serve::{listen, serve_reactor, LineHandler, ReactorConfig, Runtime, ServeConfig};
+    use crate::serve::{listen, serve_reactor, ReactorConfig, Runtime, ServeConfig};
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
@@ -396,10 +396,10 @@ mod tests {
                     jobs: 2,
                 },
             );
-            let handler: Arc<dyn LineHandler> = Arc::new(runtime);
             let config = ReactorConfig::for_queue_depth(queue_depth);
-            let reactor =
-                std::thread::spawn(move || serve_reactor(listener, handler, true, config));
+            let reactor = std::thread::spawn(move || {
+                serve_reactor(listener, Arc::new(runtime), true, config)
+            });
             Self {
                 addr: local.to_string(),
                 reactor,

@@ -32,24 +32,26 @@
 //!   [`StatusReport`] (occupancy, queue depth, jobs, service counters)
 //!   without touching the gate, so load balancers — including the
 //!   [`crate::cluster`] coordinator — can probe a fully busy server.
-//! * **One lifecycle** — the runtime and the cluster coordinator answer
-//!   every evaluation request through the same sequence: admit,
-//!   `Accepted` (v2), one backend call, commit, terminal frame. The
-//!   commit — counters, stage samples, and span records in this
-//!   server's own metrics registry — lands before the terminal frame
-//!   leaves.
+//! * **One server type** — a single-box server and a cluster
+//!   coordinator are both a [`Runtime`], differing only in the backend
+//!   that answers admitted requests: the engine and warm memo, or the
+//!   fan-out over worker hosts ([`Runtime::coordinator`]). Every
+//!   evaluation request runs the same sequence: admit, `Accepted` (v2),
+//!   one backend call, commit, terminal frame. The commit — counters,
+//!   stage samples, and span records in this server's own metrics
+//!   registry — lands before the terminal frame leaves.
 //!
 //! Frames leave through the [`FrameSink`] trait, so the whole dispatch
 //! ([`Runtime::handle_line`]) is testable in process — `Vec<Response>`
 //! is a sink — while the binaries serve TCP through the event-driven
-//! epoll reactor ([`reactor::serve_reactor`], generic over
-//! [`LineHandler`] so the cluster coordinator reuses it unchanged).
+//! epoll reactor ([`reactor::serve_reactor`]).
 
 use crate::api::{
     CellOutcome, CellStatus, EvalRequest, EvalResponse, Request, Response, StatusReport,
     SweepError, API_V1, API_V2,
 };
-use crate::engine::{Engine, SweepReport};
+use crate::cluster::{fan_out_request, TcpPool, WorkerPool};
+use crate::engine::Engine;
 use crate::executor;
 use crate::scenario::Scenario;
 use crate::telemetry::{trace, Registry};
@@ -87,7 +89,7 @@ pub const SERVICE_EWMA_ALPHA: f64 = 0.25;
 /// results, so eviction can never be wrong, only cold.
 const MEMO_CAP: usize = 4096;
 
-/// Sizing of the runtime: admission bound and worker budget.
+/// Sizing of a single-box runtime: admission bound and worker budget.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
     /// Maximum evaluation requests in flight at once. `0` rejects every
@@ -540,31 +542,6 @@ fn hash_design(d: &crate::scenario::DesignPoint, h: &mut impl Hasher) {
     activity.map(f64::to_bits).hash(h);
 }
 
-/// The request lifecycle both endpoints share — the single-box
-/// [`Runtime`] and the cluster
-/// [`Coordinator`](crate::cluster::Coordinator) — together with the
-/// admission gate and the metrics registry it commits to. One
-/// evaluation request runs these steps, in order ([`Lifecycle::serve`]):
-///
-/// 1. admit it and open its span (the `queued` stage);
-/// 2. send `Accepted` (v2 only);
-/// 3. make one backend call — the engine plus the warm memo, or the
-///    cluster fan-out — which hands each finished cell to an emit
-///    callback (v2 streams it, v1 buffers it) and returns the totals;
-/// 4. commit: counters, the `eval` and `flush` samples, span records;
-/// 5. send the terminal frame (`Eval` for v1, `Done` for v2).
-///
-/// Committing before the terminal frame is what lets a client reacting
-/// to it instantly — a `Status` or `Metrics` probe, a span-file reader —
-/// see its exchange already counted.
-#[derive(Debug)]
-pub(crate) struct Lifecycle {
-    pub(crate) gate: Gate,
-    pub(crate) metrics: Registry,
-    /// Names the endpoint in version refusals.
-    speaker: &'static str,
-}
-
 /// Where a backend hands each finished cell: its position in the batch,
 /// its outcome, and its frame line when the backend already holds one
 /// (a worker's forwarded bytes). Called from several threads at once.
@@ -575,27 +552,125 @@ pub(crate) enum Ran {
     /// Every cell went through the emit callback; the batch's cache
     /// split.
     Cells { hits: usize, misses: usize },
-    /// Every cell is memoized: the lifecycle replays the cells'
+    /// Every cell is memoized: the runtime replays the cells'
     /// pre-serialized frames (raw v2 `Cell` lines, or the spliced v1
     /// line) and nothing is evaluated.
     Memo(Vec<Arc<MemoCell>>),
 }
 
-impl Lifecycle {
-    pub(crate) fn new(queue_depth: usize, speaker: &'static str) -> Self {
+/// The server behind both `yoco-serve` modes: an admission gate, this
+/// server's own metrics registry, and one backend answering admitted
+/// requests — a single box's shared engine and warm memo
+/// ([`Runtime::new`]), or a coordinator's fan-out over worker hosts
+/// ([`Runtime::coordinator`]). The transport (the reactor, a test
+/// harness) feeds request lines to [`Runtime::handle_line`] with a sink
+/// for the reply frames.
+///
+/// One evaluation request runs these steps, in order:
+///
+/// 1. admit it and open its span (the `queued` stage);
+/// 2. send `Accepted` (v2 only);
+/// 3. make one backend call, which hands each finished cell to an emit
+///    callback (v2 streams it, v1 buffers it) and returns the totals, or
+///    a retryable `Busy`;
+/// 4. commit: counters, the `eval` and `flush` samples, span records;
+/// 5. send the terminal frame (`Eval` for v1, `Done` for v2, or `Busy`).
+///
+/// Committing before the terminal frame is what lets a client reacting
+/// to it instantly — a `Status` or `Metrics` probe, a span-file reader —
+/// see its exchange already counted.
+#[derive(Debug)]
+pub struct Runtime {
+    gate: Gate,
+    metrics: Registry,
+    backend: Backend,
+}
+
+/// What answers a runtime's admitted requests.
+#[derive(Debug)]
+enum Backend {
+    /// A single box.
+    Local(Local),
+    /// A coordinator: each request probes the worker hosts and fans out
+    /// over the live ones ([`fan_out_request`]). It keeps no memo, so
+    /// every repeat reaches the workers.
+    Cluster {
+        pool: Box<dyn WorkerPool + Send + Sync>,
+        workers: Vec<String>,
+    },
+}
+
+impl std::fmt::Debug for dyn WorkerPool + Send + Sync {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("WorkerPool")
+    }
+}
+
+impl Runtime {
+    /// A single-box runtime over `engine` (whose own `jobs` setting is
+    /// overridden per request by the split budget).
+    pub fn new(engine: Engine, config: ServeConfig) -> Self {
         Self {
-            gate: Gate::new(queue_depth),
+            gate: Gate::new(config.queue_depth),
             metrics: Registry::default(),
-            speaker,
+            backend: Backend::Local(Local {
+                engine,
+                jobs_budget: config.jobs.max(1),
+                memo: Mutex::new(CellMemo::new(MEMO_CAP)),
+            }),
         }
     }
 
-    /// The gate and registry view of a [`StatusReport`]; the endpoint
-    /// adds its role and sizing.
-    pub(crate) fn status(&self) -> StatusReport {
+    /// A coordinator fanning requests out over `workers` (`HOST:PORT`,
+    /// each a stock `yoco-serve`) through TCP ([`TcpPool`]). It admits
+    /// at most `queue_depth` client requests at once; workers keep
+    /// their own bounds.
+    pub fn coordinator(workers: Vec<String>, queue_depth: usize) -> Self {
+        Self::with_pool(Box::new(TcpPool), workers, queue_depth)
+    }
+
+    /// A coordinator over an explicit worker pool (tests inject fakes
+    /// here).
+    pub fn with_pool(
+        pool: Box<dyn WorkerPool + Send + Sync>,
+        workers: Vec<String>,
+        queue_depth: usize,
+    ) -> Self {
+        Self {
+            gate: Gate::new(queue_depth),
+            metrics: Registry::default(),
+            backend: Backend::Cluster { pool, workers },
+        }
+    }
+
+    /// The admission gate (exposed for observability).
+    pub fn gate(&self) -> &Gate {
+        &self.gate
+    }
+
+    /// This server's metrics registry. The reactor records its own
+    /// transport metrics here (loop passes, reads, out-buffer depth,
+    /// fd sheds, slow readers), beside the request counts.
+    pub fn metrics(&self) -> &Registry {
+        &self.metrics
+    }
+
+    /// The current [`StatusReport`]: role, sizing, occupancy, and
+    /// service counters. A coordinator reports its own gate and
+    /// counters (`role: "coordinator"`), not an aggregate over workers —
+    /// probe each worker for theirs. Control-plane — never touches the
+    /// gate.
+    pub fn status(&self) -> StatusReport {
+        let (role, jobs, workers) = match &self.backend {
+            Backend::Local(local) => ("serve", local.jobs_budget, 0),
+            Backend::Cluster { workers, .. } => ("coordinator", 0, workers.len()),
+        };
         let mut report = StatusReport {
+            role: role.into(),
+            workers,
             occupancy: self.gate.occupancy(),
             queue_depth: self.gate.depth(),
+            jobs,
             service_estimate_ms: self.gate.service_estimate_ms().round() as u64,
             busy_ms: self.gate.slot_held_ms(),
             ..StatusReport::default()
@@ -604,16 +679,23 @@ impl Lifecycle {
         report
     }
 
-    /// Decodes one request line and answers what is the same at both
-    /// endpoints: control frames (`Ping`/`Status`/`Metrics`/`Shutdown`),
-    /// malformed lines, and unsupported versions. A v1/v2 evaluation
-    /// request is counted and handed to `eval`.
-    pub(crate) fn dispatch(
+    /// Handles one request line end to end, emitting every reply frame
+    /// through `sink`. An `Err` means the sink failed (client gone) —
+    /// the protocol itself never errors out of this function.
+    pub fn handle_line(&self, line: &str, sink: &mut dyn FrameSink) -> io::Result<Served> {
+        self.handle_line_at(line, Instant::now(), sink)
+    }
+
+    /// [`Runtime::handle_line`] for a line the transport parsed at
+    /// `received`. The reactor stamps each line as it is parsed off the
+    /// socket, so a request's `deadline_ms` measures real queueing time
+    /// (parse → worker pickup → admission), not just the final dispatch
+    /// hop.
+    pub fn handle_line_at(
         &self,
         line: &str,
+        received: Instant,
         sink: &mut dyn FrameSink,
-        status: impl FnOnce() -> StatusReport,
-        eval: impl FnOnce(EvalRequest, &mut dyn FrameSink) -> io::Result<Served>,
     ) -> io::Result<Served> {
         let request = match serde_json::from_str::<Request>(line) {
             Ok(request) => request,
@@ -628,7 +710,7 @@ impl Lifecycle {
                 Ok(Served::Ping)
             }
             Request::Status => {
-                sink.send(&Response::Status(status()))?;
+                sink.send(&Response::Status(self.status()))?;
                 Ok(Served::Status)
             }
             // Control-plane like `Status`: never touches the gate, so a
@@ -648,22 +730,62 @@ impl Lifecycle {
                 // this dispatch and count in `Runtime::try_handle_warm`.
                 self.metrics.note_request();
                 if req.version == API_V1 || req.version == API_V2 {
-                    return eval(req, sink);
+                    return self.serve(req, received, sink, None);
                 }
+                let speaker = match self.backend {
+                    Backend::Local(_) => "server",
+                    Backend::Cluster { .. } => "this coordinator",
+                };
                 sink.send(&Response::Eval(EvalResponse::refusal(
                     req.id.clone(),
                     SweepError::schema(
                         "request envelope",
                         format!(
-                            "client speaks version {}, {} speaks {API_V1} (buffered) and \
+                            "client speaks version {}, {speaker} speaks {API_V1} (buffered) and \
                              {API_V2} (streamed)",
-                            req.version, self.speaker
+                            req.version
                         ),
                     ),
                 )))?;
                 Ok(Served::Refused { id: req.id })
             }
         }
+    }
+
+    /// Answers `line` on the calling thread iff it can be served
+    /// without compute: an eval request whose every cell the memo holds
+    /// under that exact scenario (one fingerprint probe and one equality
+    /// check per cell). Admission still applies, so the answer may be
+    /// `Busy`. `None` defers to [`Runtime::handle_line_at`] with no
+    /// frames emitted; a coordinator keeps no memo, so it defers every
+    /// line without parsing it. The reactor calls this from its event
+    /// thread, sparing warm repeats the worker handoff — two context
+    /// switches per request, which is most of a warm request's latency
+    /// on a loaded box.
+    pub fn try_handle_warm(
+        &self,
+        line: &str,
+        received: Instant,
+        sink: &mut dyn FrameSink,
+    ) -> Option<io::Result<Served>> {
+        let Backend::Local(local) = &self.backend else {
+            return None;
+        };
+        let Ok(Request::Eval(req)) = serde_json::from_str::<Request>(line) else {
+            return None;
+        };
+        if req.version != API_V1 && req.version != API_V2 {
+            return None;
+        }
+        // The memo probe comes before admission: it holds no slot, and
+        // on a miss the line is re-dispatched untouched (the worker
+        // repeats the admission verdict, so rejection bytes are
+        // identical either way).
+        let cells = local.lookup(&req)?;
+        // This request is handled here for good — it never reaches
+        // `Runtime::handle_line_at` — so it joins `requests_total` now.
+        self.metrics.note_request();
+        Some(self.serve(req, received, sink, Some(cells)))
     }
 
     /// Deadline-aware admission: a request whose `deadline_ms` budget
@@ -686,18 +808,15 @@ impl Lifecycle {
         self.gate.try_enter()
     }
 
-    /// Runs steps 1–5 (see [`Lifecycle`]) for one counted v1/v2
-    /// request. `prepare` runs after admission, before `Accepted`; its
-    /// `Err` refuses the request (the coordinator: no worker answered
-    /// its probe). `run` is the backend call; its `Err` refuses the
-    /// request after `Accepted` (the coordinator: every worker busy).
-    pub(crate) fn serve<T>(
+    /// Runs steps 1–5 (see [`Runtime`]) for one counted v1/v2 request.
+    /// `warm` holds the batch's memoized cells when the reactor already
+    /// found them all ([`Runtime::try_handle_warm`]).
+    fn serve(
         &self,
         req: EvalRequest,
         received: Instant,
         sink: &mut dyn FrameSink,
-        prepare: impl FnOnce() -> Result<T, Busy>,
-        run: impl FnOnce(T, &EvalRequest, Option<&str>, &Emit<'_>) -> Result<Ran, Busy>,
+        warm: Option<Vec<Arc<MemoCell>>>,
     ) -> io::Result<Served> {
         let streamed = req.version == API_V2;
         let mut ticket = match self.admit(&req, received) {
@@ -708,15 +827,6 @@ impl Lifecycle {
         self.metrics.observe_queue_wait(queued);
         let span = trace::span_for_request(&req.id);
         record_stage(span.as_deref(), &req, "queued", queued);
-        let prepared = match prepare() {
-            Ok(prepared) => prepared,
-            Err(busy) => {
-                // A refusal's duration (probe timeouts) is not service
-                // time; keep it out of the retry-hint EWMA.
-                ticket.skip_service_record();
-                return self.reject(sink, req.id, streamed, busy);
-            }
-        };
         if streamed {
             sink.send(&Response::Accepted {
                 id: req.id.clone(),
@@ -732,7 +842,7 @@ impl Lifecycle {
         let eval_started = Instant::now();
         let latch = LatchSink::new(sink);
         let buffered = Mutex::new(Vec::new());
-        let ran = run(prepared, &req, span.as_deref(), &|i, cell, line| {
+        let ran = self.call_backend(&req, warm, span.as_deref(), &|i, cell, line| {
             if !streamed {
                 buffered.lock().expect("buffer lock").push((i, cell));
             } else if let Some(line) = line {
@@ -759,6 +869,9 @@ impl Lifecycle {
             })
         };
         let (hits, misses, terminal) = match ran {
+            // A refusal's duration (probe timeouts, workers answering
+            // Busy) is not service time; keep it out of the retry-hint
+            // EWMA.
             Err(busy) => {
                 ticket.skip_service_record();
                 return self.reject(sink, req.id, streamed, busy);
@@ -806,6 +919,27 @@ impl Lifecycle {
         })
     }
 
+    /// Step 3, the backend call. A single box replays `warm`, or the
+    /// memo when a lookup after admission finds every cell, and
+    /// otherwise runs the engine. A coordinator fans the batch out.
+    fn call_backend(
+        &self,
+        req: &EvalRequest,
+        warm: Option<Vec<Arc<MemoCell>>>,
+        span: Option<&str>,
+        emit: &Emit,
+    ) -> Result<Ran, Busy> {
+        match &self.backend {
+            Backend::Local(local) => Ok(match warm.or_else(|| local.lookup(req)) {
+                Some(cells) => Ran::Memo(cells),
+                None => local.evaluate(req, self.gate.occupancy(), emit),
+            }),
+            Backend::Cluster { pool, workers } => {
+                fan_out_request(&**pool, workers, req, span, &self.metrics, emit)
+            }
+        }
+    }
+
     /// Refuses an evaluation request with a retryable `Busy`: a `Busy`
     /// frame for v2, a typed refusal inside the buffered envelope for
     /// v1 — counted before the frame leaves.
@@ -830,6 +964,64 @@ impl Lifecycle {
             ))
         })?;
         Ok(Served::Rejected { id, retry_after_ms })
+    }
+}
+
+/// A single box's backend: the shared engine and cache, the worker
+/// budget split across requests in flight, and the warm memo.
+#[derive(Debug)]
+struct Local {
+    engine: Engine,
+    jobs_budget: usize,
+    memo: Mutex<CellMemo>,
+}
+
+impl Local {
+    /// The memoized cells answering a request, if the warm path
+    /// applies: the memo mirrors the result cache, so it is only
+    /// consulted when a cache is attached (without one, a repeat
+    /// request genuinely recomputes and must report misses), never
+    /// under `force`, and only when *every* cell of the batch is
+    /// memoized (cells memoized by any earlier batch count — the keys
+    /// are per cell, so overlapping grids share).
+    fn lookup(&self, req: &EvalRequest) -> Option<Vec<Arc<MemoCell>>> {
+        if req.force || self.engine.cache().is_none() {
+            return None;
+        }
+        self.memo
+            .lock()
+            .expect("memo lock")
+            .lookup_all(&req.scenarios)
+    }
+
+    /// A memo miss: the engine runs the batch (cache hits still count
+    /// as hits) under the request's `force` flag, on its share of the
+    /// worker budget split across the `in_flight` admitted requests.
+    /// The finished cells then refresh the memo. Failed cells are never
+    /// memoized (a retry should re-attempt them, and a replay must not
+    /// resurrect stale failures), and without a cache the memo stays
+    /// off entirely.
+    fn evaluate(&self, req: &EvalRequest, in_flight: usize, emit: &Emit) -> Ran {
+        let report = self
+            .engine
+            .clone()
+            .jobs(split_jobs(self.jobs_budget, in_flight))
+            .force(req.force)
+            .run_with(&req.scenarios, |i, cell| {
+                emit(i, CellOutcome::from_cell(cell), None);
+            });
+        if self.engine.cache().is_some() {
+            let mut memo = self.memo.lock().expect("memo lock");
+            for cell in report.cells.iter().filter(|c| c.error.is_none()) {
+                let mut outcome = CellOutcome::from_cell(cell);
+                outcome.status = CellStatus::Hit;
+                memo.insert(MemoCell::new(cell.scenario.clone(), outcome));
+            }
+        }
+        Ran::Cells {
+            hits: report.hits,
+            misses: report.misses,
+        }
     }
 }
 
@@ -864,167 +1056,6 @@ fn buffered_line(
 /// One frame's wire line.
 fn frame_line(frame: &Response) -> io::Result<String> {
     serde_json::to_string(frame).map_err(|e| io::Error::other(e.to_string()))
-}
-
-/// The shared server runtime: one engine + cache + admission gate,
-/// shared by every connection, answering through the request lifecycle
-/// it shares with the cluster coordinator. The transport (TCP, a test
-/// harness) feeds request lines to [`Runtime::handle_line`] with a sink
-/// for the reply frames.
-#[derive(Debug)]
-pub struct Runtime {
-    engine: Engine,
-    lifecycle: Lifecycle,
-    jobs_budget: usize,
-    memo: Mutex<CellMemo>,
-}
-
-impl Runtime {
-    /// A runtime over `engine` (whose own `jobs` setting is overridden
-    /// per request by the split budget).
-    pub fn new(engine: Engine, config: ServeConfig) -> Self {
-        Self {
-            engine,
-            lifecycle: Lifecycle::new(config.queue_depth, "server"),
-            jobs_budget: config.jobs.max(1),
-            memo: Mutex::new(CellMemo::new(MEMO_CAP)),
-        }
-    }
-
-    /// The admission gate (exposed for observability).
-    pub fn gate(&self) -> &Gate {
-        &self.lifecycle.gate
-    }
-
-    /// The current [`StatusReport`]: occupancy, sizing, and service
-    /// counters. Control-plane — never touches the gate.
-    pub fn status(&self) -> StatusReport {
-        StatusReport {
-            role: "serve".into(),
-            jobs: self.jobs_budget,
-            ..self.lifecycle.status()
-        }
-    }
-
-    /// Handles one request line end to end, emitting every reply frame
-    /// through `sink`. An `Err` means the sink failed (client gone) —
-    /// the protocol itself never errors out of this function.
-    pub fn handle_line(&self, line: &str, sink: &mut dyn FrameSink) -> io::Result<Served> {
-        self.handle_line_at(line, Instant::now(), sink)
-    }
-
-    /// Answers `line` on the calling thread iff it can be served
-    /// without compute: an eval request whose every cell the memo holds
-    /// under that exact scenario (one fingerprint probe and one equality
-    /// check per cell). Admission still applies, so the answer may be
-    /// `Busy`. `None` defers to
-    /// [`LineHandler::handle_line_at`] with no frames emitted. The reactor
-    /// calls this from its event thread, sparing warm repeats the
-    /// worker handoff — two context switches per request, which is
-    /// most of a warm request's latency on a loaded box.
-    pub fn try_handle_warm(
-        &self,
-        line: &str,
-        received: Instant,
-        sink: &mut dyn FrameSink,
-    ) -> Option<io::Result<Served>> {
-        let Ok(Request::Eval(req)) = serde_json::from_str::<Request>(line) else {
-            return None;
-        };
-        if req.version != API_V1 && req.version != API_V2 {
-            return None;
-        }
-        // The memo probe comes before admission: it holds no slot, and
-        // on a miss the line is re-dispatched untouched (the worker
-        // repeats the admission verdict, so rejection bytes are
-        // identical either way).
-        let cells = self.memo_lookup(&req)?;
-        // This request is handled here for good — it never reaches
-        // `Lifecycle::dispatch` — so it joins `requests_total` now.
-        self.lifecycle.metrics.note_request();
-        Some(self.serve(req, received, sink, Some(cells)))
-    }
-
-    /// The runtime's pass through the lifecycle. Its backend is the
-    /// warm memo — `warm` when the reactor already found the batch
-    /// memoized, else a lookup after admission — or, on a miss, the
-    /// engine, whose finished cells then refresh the memo.
-    fn serve(
-        &self,
-        req: EvalRequest,
-        received: Instant,
-        sink: &mut dyn FrameSink,
-        warm: Option<Vec<Arc<MemoCell>>>,
-    ) -> io::Result<Served> {
-        self.lifecycle.serve(
-            req,
-            received,
-            sink,
-            || Ok(()),
-            |(), req, _, emit| {
-                Ok(match warm.or_else(|| self.memo_lookup(req)) {
-                    Some(cells) => Ran::Memo(cells),
-                    None => self.evaluate(req, emit),
-                })
-            },
-        )
-    }
-
-    /// A memo miss: the engine runs the batch (cache hits still count
-    /// as hits) and its finished cells refresh the memo.
-    fn evaluate(&self, req: &EvalRequest, emit: &Emit) -> Ran {
-        let report = self
-            .request_engine(req.force)
-            .run_with(&req.scenarios, |i, cell| {
-                emit(i, CellOutcome::from_cell(cell), None);
-            });
-        self.memo_store(&report);
-        Ran::Cells {
-            hits: report.hits,
-            misses: report.misses,
-        }
-    }
-
-    /// The memoized cells answering a request, if the warm path
-    /// applies: the memo mirrors the result cache, so it is only
-    /// consulted when a cache is attached (without one, a repeat
-    /// request genuinely recomputes and must report misses), never
-    /// under `force`, and only when *every* cell of the batch is
-    /// memoized (cells memoized by any earlier batch count — the keys
-    /// are per cell, so overlapping grids share).
-    fn memo_lookup(&self, req: &EvalRequest) -> Option<Vec<Arc<MemoCell>>> {
-        if req.force || self.engine.cache().is_none() {
-            return None;
-        }
-        self.memo
-            .lock()
-            .expect("memo lock")
-            .lookup_all(&req.scenarios)
-    }
-
-    /// Memoizes a completed batch's cells for warm repeats. Failed
-    /// cells are never memoized (a retry should re-attempt them, and a
-    /// replay must not resurrect stale failures), and without a cache
-    /// the memo stays off entirely.
-    fn memo_store(&self, report: &SweepReport) {
-        if self.engine.cache().is_none() {
-            return;
-        }
-        let mut memo = self.memo.lock().expect("memo lock");
-        for cell in report.cells.iter().filter(|c| c.error.is_none()) {
-            let mut outcome = CellOutcome::from_cell(cell);
-            outcome.status = CellStatus::Hit;
-            memo.insert(MemoCell::new(cell.scenario.clone(), outcome));
-        }
-    }
-
-    /// The engine policy for one admitted request: the shared engine
-    /// with its share of the worker budget (split across everything in
-    /// flight at admission time) and the request's `force` flag.
-    fn request_engine(&self, force: bool) -> Engine {
-        let share = split_jobs(self.jobs_budget, self.gate().occupancy());
-        self.engine.clone().jobs(share).force(force)
-    }
 }
 
 /// Assembles the buffered v1 warm response line around the memoized
@@ -1099,81 +1130,6 @@ impl<'a> LatchSink<'a> {
     /// Hands the sink back along with the first error, if any.
     fn finish(self) -> (&'a mut dyn FrameSink, Option<io::Error>) {
         self.inner.into_inner().expect("sink lock")
-    }
-}
-
-/// One NDJSON dispatch endpoint: request line in, frames out. Both the
-/// single-box [`Runtime`] and the cluster
-/// [`Coordinator`](crate::cluster::Coordinator) implement this, so the
-/// epoll reactor ([`reactor::serve_reactor`]) serves either without
-/// change.
-pub trait LineHandler: Send + Sync {
-    /// Handles one request line end to end (see
-    /// [`Runtime::handle_line`]). `received` is when the transport
-    /// parsed the line off the wire: the reactor stamps each line as it
-    /// is parsed off the socket, so a request's `deadline_ms` measures
-    /// real queueing time (parse → worker pickup → admission), not just
-    /// the final dispatch hop.
-    fn handle_line_at(
-        &self,
-        line: &str,
-        received: Instant,
-        sink: &mut dyn FrameSink,
-    ) -> io::Result<Served>;
-
-    /// [`LineHandler::handle_line_at`] with receipt = now, for callers
-    /// that dispatch synchronously with the read (in-process tests and
-    /// one-shot drivers).
-    fn handle_line(&self, line: &str, sink: &mut dyn FrameSink) -> io::Result<Served> {
-        self.handle_line_at(line, Instant::now(), sink)
-    }
-
-    /// Answers `line` on the calling thread when that cannot involve
-    /// compute, or returns `None` (emitting nothing) to defer it to
-    /// [`LineHandler::handle_line_at`]. The reactor probes this from
-    /// its event thread before paying the worker handoff; the default
-    /// defers everything.
-    fn try_handle_warm(
-        &self,
-        _line: &str,
-        _received: Instant,
-        _sink: &mut dyn FrameSink,
-    ) -> Option<io::Result<Served>> {
-        None
-    }
-
-    /// This server's metrics registry. The reactor records its own
-    /// transport metrics here (loop passes, reads, out-buffer depth,
-    /// fd sheds, slow readers), beside the endpoint's request counts.
-    fn metrics(&self) -> &Registry;
-}
-
-impl LineHandler for Runtime {
-    fn handle_line_at(
-        &self,
-        line: &str,
-        received: Instant,
-        sink: &mut dyn FrameSink,
-    ) -> io::Result<Served> {
-        self.lifecycle.dispatch(
-            line,
-            sink,
-            || self.status(),
-            |req, sink| self.serve(req, received, sink, None),
-        )
-    }
-
-    fn try_handle_warm(
-        &self,
-        line: &str,
-        received: Instant,
-        sink: &mut dyn FrameSink,
-    ) -> Option<io::Result<Served>> {
-        Runtime::try_handle_warm(self, line, received, sink)
-    }
-
-    fn metrics(&self) -> &Registry {
-        &self.lifecycle.metrics
     }
 }
 

@@ -1,7 +1,7 @@
 //! The event-driven serve core: one reactor thread multiplexing the
 //! listener and every client connection over the vendored epoll shim
 //! ([`mio`]), with a small worker pool executing request lines against
-//! the socket-free [`LineHandler`].
+//! the socket-free [`Runtime`] — a single box's or a coordinator's.
 //!
 //! A thread-per-connection accept loop caps concurrent connections at
 //! "how many stacks can you afford" long before the shared engine is
@@ -17,7 +17,7 @@
 //!                    │                ▼                           │
 //!                    │        job queue (mpsc)                    │
 //!                    │                │                           │
-//!                    │   workers: handler.handle_line_at(...)     │
+//!                    │   workers: runtime.handle_line_at(...)     │
 //!                    │                │ frames                    │
 //!                    │                ▼                           │
 //!                    │  OutBuf (bounded) ─ dirty queue ─ waker    │
@@ -47,7 +47,7 @@
 //!   before the loop exits, bounded by a grace period mirroring the
 //!   60 s per-connection write timeout.
 
-use super::{FrameSink, LineHandler, Served};
+use super::{FrameSink, Runtime, Served};
 use crate::api::Response;
 use crate::telemetry::Registry;
 use mio::unix::SourceFd;
@@ -293,7 +293,7 @@ struct DoneMsg {
 /// (overflow, closed connection) propagate into the handler so streams
 /// abort instead of buffering blindly. A worker's sink wakes the
 /// reactor to flush (`wake`); the sink for lines answered on the
-/// reactor thread itself ([`LineHandler::try_handle_warm`]) has none —
+/// reactor thread itself ([`Runtime::try_handle_warm`]) has none —
 /// the event loop flushes every touched connection in the same pass,
 /// so a warm request costs no waker round trip.
 struct ConnSink<'a> {
@@ -353,11 +353,11 @@ impl Conn {
 }
 
 /// Runs the event-driven accept loop until a `Shutdown` request
-/// drains it: serve every connection through `handler`, log one line
+/// drains it: serve every connection through `runtime`, log one line
 /// per served request unless `quiet`.
 pub fn serve_reactor(
     listener: TcpListener,
-    handler: Arc<dyn LineHandler>,
+    runtime: Arc<Runtime>,
     quiet: bool,
     config: ReactorConfig,
 ) -> io::Result<()> {
@@ -377,11 +377,11 @@ pub fn serve_reactor(
     let worker_handles: Vec<_> = (0..config.workers.max(1))
         .map(|n| {
             let rx = Arc::clone(&job_rx);
-            let handler = Arc::clone(&handler);
+            let runtime = Arc::clone(&runtime);
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name(format!("reactor-worker-{n}"))
-                .spawn(move || worker_loop(rx, handler, shared))
+                .spawn(move || worker_loop(rx, runtime, shared))
                 .expect("spawn reactor worker")
         })
         .collect();
@@ -392,7 +392,7 @@ pub fn serve_reactor(
         conns: HashMap::new(),
         next_token: FIRST_CONN,
         shared,
-        handler,
+        runtime,
         job_tx: Some(job_tx),
         outbuf_cap: config.outbuf_cap,
         quiet,
@@ -410,11 +410,7 @@ pub fn serve_reactor(
     result
 }
 
-fn worker_loop(
-    rx: Arc<Mutex<mpsc::Receiver<Job>>>,
-    handler: Arc<dyn LineHandler>,
-    shared: Arc<Shared>,
-) {
+fn worker_loop(rx: Arc<Mutex<mpsc::Receiver<Job>>>, runtime: Arc<Runtime>, shared: Arc<Shared>) {
     loop {
         // Holding the lock across `recv` just parks the other workers
         // on the mutex instead of the channel; handoff order is
@@ -426,10 +422,10 @@ fn worker_loop(
         let mut sink = ConnSink {
             conn: job.conn,
             out: &job.out,
-            metrics: handler.metrics(),
+            metrics: runtime.metrics(),
             wake: Some(&shared),
         };
-        let result = handler.handle_line_at(&job.line, job.received, &mut sink);
+        let result = runtime.handle_line_at(&job.line, job.received, &mut sink);
         shared.push_done(DoneMsg {
             conn: job.conn,
             result,
@@ -443,7 +439,7 @@ struct Reactor {
     conns: HashMap<usize, Conn>,
     next_token: usize,
     shared: Arc<Shared>,
-    handler: Arc<dyn LineHandler>,
+    runtime: Arc<Runtime>,
     job_tx: Option<mpsc::Sender<Job>>,
     outbuf_cap: usize,
     quiet: bool,
@@ -515,7 +511,7 @@ impl Reactor {
             for id in touched {
                 self.refresh(id);
             }
-            self.handler
+            self.runtime
                 .metrics()
                 .observe_loop_iter(pass_started.elapsed());
             if let Some(since) = self.shutdown {
@@ -558,7 +554,7 @@ impl Reactor {
                 // the client sees an immediate close and can back off —
                 // then re-arm and let epoll re-fire for any backlog.
                 Err(e) if matches!(e.raw_os_error(), Some(23) | Some(24)) => {
-                    self.handler.metrics().note_fd_shed();
+                    self.runtime.metrics().note_fd_shed();
                     self.fd_reserve.take();
                     if let Some(listener) = self.listener.as_ref() {
                         match listener.accept() {
@@ -652,14 +648,14 @@ impl Reactor {
             }
             conn.queued.push_back((line, received));
         }
-        self.handler
+        self.runtime
             .metrics()
             .observe_read_parse(read_started.elapsed());
         self.advance(id);
     }
 
     /// Serves the connection's queued lines in request order: warm
-    /// lines ([`LineHandler::try_handle_warm`]) are answered right on
+    /// lines ([`Runtime::try_handle_warm`]) are answered right on
     /// this thread — no worker handoff, no waker round trip; the
     /// response bytes flush in this same event-loop pass — and the
     /// first line needing compute is dispatched to the worker pool.
@@ -669,7 +665,7 @@ impl Reactor {
     /// can't interleave their frames). Called again on each job
     /// completion to keep the queue moving.
     fn advance(&mut self, id: usize) {
-        let handler = Arc::clone(&self.handler);
+        let runtime = Arc::clone(&self.runtime);
         loop {
             let Some(conn) = self.conns.get_mut(&id) else {
                 return;
@@ -685,10 +681,10 @@ impl Reactor {
             let mut sink = ConnSink {
                 conn: id,
                 out: &out,
-                metrics: handler.metrics(),
+                metrics: runtime.metrics(),
                 wake: None,
             };
-            match handler.try_handle_warm(&line, received, &mut sink) {
+            match runtime.try_handle_warm(&line, received, &mut sink) {
                 Some(Ok(served)) => {
                     if !self.quiet {
                         println!("[{peer}] {}", served.label());
@@ -728,7 +724,7 @@ impl Reactor {
             let mut out = conn.out.buf.lock().expect("outbuf lock");
             if out.overflowed() {
                 drop(out);
-                self.handler.metrics().note_slow_reader_disconnect();
+                self.runtime.metrics().note_slow_reader_disconnect();
                 eprintln!(
                     "warning: [{}] output buffer full (slow reader) — disconnecting",
                     conn.peer

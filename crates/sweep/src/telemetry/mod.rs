@@ -6,17 +6,16 @@
 //!
 //! ## One registry per server
 //!
-//! Each endpoint — a [`Runtime`](crate::serve::Runtime) or a
-//! [`Coordinator`](crate::cluster::Coordinator) — owns its registry
-//! inside the request lifecycle it shares with the other endpoint. The
-//! layers that share no state with that lifecycle reach the same
-//! registry through the endpoint: the reactor records its loop passes,
-//! reads, fd sheds and slow-reader disconnects via
-//! [`LineHandler::metrics`](crate::serve::LineHandler::metrics), and
-//! the cluster fan-out is handed it per request. Two servers in one
-//! process therefore never mix their counts, `Status` is a view over
-//! the registry plus the admission gate, and tests assert absolute
-//! values on a fresh instance.
+//! Each server — a [`Runtime`](crate::serve::Runtime), single box or
+//! coordinator — owns its registry and commits every request to it.
+//! The layers that share no other state with the runtime reach the same
+//! registry through it: the reactor records its loop passes, reads, fd
+//! sheds and slow-reader disconnects via
+//! [`Runtime::metrics`](crate::serve::Runtime::metrics), and the
+//! cluster fan-out is handed it per request. Two servers in one process
+//! therefore never mix their counts, `Status` is a view over the
+//! registry plus the admission gate, and tests assert absolute values
+//! on a fresh instance.
 //!
 //! ## Exposition
 //!
@@ -56,7 +55,7 @@ use std::time::Duration;
 /// Schema tag of the [`MetricsReport`] answered to a `Metrics` frame.
 pub const METRICS_SCHEMA: &str = "yoco-metrics/v1";
 
-/// One server's metrics registry, owned by its request lifecycle.
+/// One server's metrics registry, owned by its [`Runtime`](crate::serve::Runtime).
 #[derive(Debug, Default)]
 pub struct Registry {
     // Counters (monotone).

@@ -15,7 +15,7 @@ use std::process::{Child, Command, ExitStatus, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use yoco_sweep::api::{EvalRequest, Request, Response};
-use yoco_sweep::serve::{listen, serve_reactor, LineHandler, ReactorConfig, ServeConfig};
+use yoco_sweep::serve::{listen, serve_reactor, ReactorConfig, ServeConfig};
 use yoco_sweep::{Engine, ResultCache, Runtime, Scenario, ServeClient, StreamOutcome, StudyId};
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -284,11 +284,10 @@ fn slow_reader_overflowing_the_outbuf_is_disconnected() {
             jobs: 2,
         },
     );
-    let handler: Arc<dyn LineHandler> = Arc::new(runtime);
     let reactor = std::thread::spawn(move || {
         serve_reactor(
             listener,
-            handler,
+            Arc::new(runtime),
             true,
             ReactorConfig {
                 workers: 2,
