@@ -79,14 +79,6 @@ impl Metrics {
             _ => None,
         }
     }
-
-    /// The study record, if this is a study cell.
-    pub fn as_study(&self) -> Option<&StudyMetrics> {
-        match self {
-            Metrics::Study(s) => Some(s),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]

@@ -219,8 +219,9 @@ pub enum Request {
 /// A point-in-time snapshot of a server's load and service counters,
 /// answered to [`Request::Status`]. Control-plane only: it bypasses
 /// admission control, so a fully busy server still answers, which is
-/// what makes it usable as a load-balancing probe — the cluster
-/// coordinator ranks workers by `occupancy` before dispatching shards.
+/// what makes it usable as a load probe (`sweep client status`). The
+/// cluster coordinator does not probe its workers: it deals shards by
+/// its own count of sub-requests in flight on each.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StatusReport {
     /// What is answering: `"serve"` (a worker runtime) or

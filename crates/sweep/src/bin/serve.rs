@@ -14,10 +14,11 @@
 //!   re-submission of any batch is 100 % hits and byte-identical bytes.
 //! * **coordinator** (`--coordinator`, with one `--worker HOST:PORT` per
 //!   worker host) — [`Runtime::coordinator`]: client requests are
-//!   partitioned round-robin over the (occupancy-probed) workers,
-//!   streamed `Cell` frames merge back into one exchange, and a worker
-//!   lost mid-stream has its unfinished cells requeued onto the
-//!   survivors.
+//!   partitioned round-robin over the workers, least-loaded first by
+//!   the coordinator's own count of sub-requests in flight, streamed
+//!   `Cell` frames merge back into one exchange, and a worker that
+//!   refuses the connection or is lost mid-stream has its unfinished
+//!   cells requeued onto the survivors.
 //!
 //! ```text
 //! yoco-serve [--addr HOST:PORT] [--queue-depth N] [--jobs N]
@@ -61,7 +62,7 @@ fn usage() -> &'static str {
      \"Ping\" | \"Status\" | \"Shutdown\"\n\n\
      with --coordinator, evaluations fan out over the --worker hosts\n  \
      (each a stock yoco-serve) and merge back into one exchange; when no\n  \
-     worker answers its probe or every worker is busy, the answer is Busy"
+     worker delivers a cell (unreachable, lost, or busy), the answer is Busy"
 }
 
 fn main() -> ExitCode {

@@ -117,8 +117,8 @@ impl ServeClient {
     /// address after `timeout` (like `TcpStream::connect`, every
     /// address is tried — a dual-stack hostname whose first record is
     /// unreachable still connects via the next; worst case is one
-    /// timeout per address). This is what the cluster coordinator's
-    /// worker probes use: a host that blackholes SYNs must cost a
+    /// timeout per address). The cluster coordinator dispatches to its
+    /// workers through this: a host that blackholes SYNs must cost a
     /// bounded wait, not the OS default of minutes.
     pub fn connect_timeout(addr: &str, timeout: Duration) -> io::Result<Self> {
         let mut last_err = None;
@@ -208,8 +208,7 @@ impl ServeClient {
 
     /// Load probe: `Status` → the server's [`StatusReport`]. Control
     /// plane — answers even when the admission queue is full, which is
-    /// what makes it usable for load balancing (the cluster coordinator
-    /// ranks workers with exactly this call).
+    /// what makes it usable for load balancing.
     pub fn status(&mut self) -> io::Result<StatusReport> {
         self.send(&Request::Status)?;
         match self.recv()? {

@@ -1,15 +1,18 @@
-//! The fan-out core and a coordinator's backend call.
+//! The fan-out: a coordinator's whole backend call.
 //!
-//! [`fan_out`] is a pure orchestration function over a [`WorkerPool`]:
-//! partition → dispatch → merge → requeue, no sockets, no protocol —
-//! which is what makes the requeue semantics unit-testable.
-//! [`fan_out_request`] puts worker selection in front of it and is the
-//! whole backend of a coordinator
+//! [`fan_out`] is an orchestration function over a [`WorkerPool`]:
+//! deal → dispatch → merge → requeue, no sockets, no protocol — which is
+//! what makes the requeue semantics unit-testable. It is the whole
+//! backend of a coordinator
 //! [`Runtime`](crate::serve::Runtime::coordinator): admission, metrics,
 //! the NDJSON dispatch and the epoll reactor are the single box's own.
+//! Dispatch is its only contact with workers: liveness is what a
+//! dispatch sees, and load is the coordinator's own count of
+//! sub-requests in flight on each worker.
 
-use crate::api::{CellOutcome, CellStatus, EvalRequest, Response, Shard, SweepError};
-use crate::cluster::pool::{select_workers, ShardOutcome, WorkerPool};
+use crate::api::{CellOutcome, CellStatus, EvalRequest, Shard, SweepError};
+use crate::client::StreamOutcome;
+use crate::cluster::pool::WorkerPool;
 use crate::engine::{CellResult, SweepReport};
 use crate::scenario::Scenario;
 use crate::serve::{Busy, Emit, Ran, RETRY_QUANTUM_MS};
@@ -17,36 +20,6 @@ use crate::telemetry::Registry;
 use std::io;
 use std::sync::Mutex;
 use std::time::Instant;
-
-/// How a fan-out ended.
-#[derive(Debug)]
-pub enum FanoutResult {
-    /// The batch ran (possibly with synthesized `Failed` cells if no
-    /// live worker could complete some scenarios).
-    Ran(FanoutOutcome),
-    /// Every live worker refused admission before any cell was
-    /// produced; the whole request should be answered `Busy`.
-    AllBusy {
-        /// The largest backoff hint any worker suggested.
-        retry_after_ms: u64,
-    },
-}
-
-/// The merged result of one fan-out.
-#[derive(Debug)]
-pub struct FanoutOutcome {
-    /// One outcome per input scenario, in scenario order.
-    pub cells: Vec<CellOutcome>,
-    /// Cells the workers served from their caches.
-    pub hits: usize,
-    /// Cells computed (or failed) fresh.
-    pub misses: usize,
-    /// Dispatch rounds taken (1 = no requeue was needed).
-    pub rounds: usize,
-    /// Workers lost along the way (connection drop, refused admission,
-    /// or an incomplete `Done`), in loss order.
-    pub dead: Vec<String>,
-}
 
 /// Matches an arriving cell frame to this shard's first unclaimed
 /// scenario with the same display id *and* content key, claiming it.
@@ -68,70 +41,92 @@ fn claim(
     Some(pending.remove(pos))
 }
 
-/// Shared merge state: per-scenario outcomes plus the current round's
-/// per-shard unclaimed indices. One mutex makes claims atomic (each
-/// scenario is claimed — and therefore emitted — exactly once); emits
-/// themselves happen outside this lock.
+/// Shared merge state: which scenarios have been delivered, how many of
+/// them were cache hits, and the current round's per-shard unclaimed
+/// indices. One mutex makes claims atomic (each scenario is claimed —
+/// and therefore emitted — exactly once); emits themselves happen
+/// outside this lock.
 struct FanState {
-    outcomes: Vec<Option<CellOutcome>>,
+    delivered: Vec<bool>,
+    hits: usize,
     pending: Vec<Vec<usize>>,
 }
 
-/// Fans `scenarios` out over `workers` (already probed and ordered by
-/// `select_workers`) and merges the streamed cells back, calling
-/// `emit(index, cell, raw_line)` exactly once per scenario as its
-/// outcome arrives (`index` is the scenario's position; worker frames
-/// are forwarded with their original bytes). `emit` runs on the
-/// dispatch threads *outside* the merge lock and may be called
+/// Fans `req`'s batch out over `workers` and merges the streamed cells
+/// back, calling `emit(index, cell, raw_line)` exactly once per
+/// scenario as its outcome arrives (`index` is the scenario's position;
+/// worker frames are forwarded with their original bytes). `emit` runs
+/// on the dispatch threads *outside* the merge lock and may be called
 /// concurrently — callers serialize their own sink. Requeued cells and
-/// per-worker dispatch latency are recorded in `metrics`.
+/// per-worker dispatch latency are recorded in `metrics`, and `span`
+/// travels to the workers inside the sub-request ids.
 ///
 /// Partitioning reuses the `--shard i/n` round-robin rule
-/// ([`Shard::select_indices`]). A worker lost mid-shard — connection
-/// error, `Busy` refusal, or a `Done` that left cells unaccounted —
-/// is excluded, and its *unfinished* cells are re-partitioned over the
-/// surviving workers in the next round; cells it already delivered are
-/// never recomputed or re-emitted. When scenarios remain after the last
-/// worker is gone, they are synthesized as `Failed` cells (and emitted)
-/// so the batch always completes positionally.
-pub fn fan_out(
+/// ([`Shard::select_indices`]). Shards are dealt to the live workers
+/// with the fewest sub-requests in flight — `in_flight`, indexed like
+/// `workers` and shared by every request this coordinator runs —
+/// configured order breaking ties. A worker that refuses the
+/// connection, drops mid-shard, answers `Busy`, or sends a `Done` that
+/// leaves cells unaccounted is lost for this request, and its
+/// *unfinished* cells are re-partitioned over the surviving workers in
+/// the next round; cells it already delivered are never recomputed or
+/// re-emitted.
+///
+/// A request no worker delivered a single cell of answers a retryable
+/// [`Busy`] — the largest hint a worker sent, else [`RETRY_QUANTUM_MS`]
+/// — since a cluster nobody answers is most likely restarting or
+/// overloaded. Otherwise the cells still unfinished once every worker
+/// is lost are emitted as `Failed`, so the batch always completes
+/// positionally.
+pub(crate) fn fan_out(
     pool: &dyn WorkerPool,
     workers: &[String],
-    id: &str,
-    scenarios: &[Scenario],
-    force: bool,
+    in_flight: &Mutex<Vec<usize>>,
+    req: &EvalRequest,
+    span: Option<&str>,
     metrics: &Registry,
-    emit: &(dyn Fn(usize, CellOutcome, &str) + Sync),
-) -> FanoutResult {
+    emit: &Emit,
+) -> Result<Ran, Busy> {
+    let scenarios = &req.scenarios;
+    // Embedding the span after a `#t` marker in the sub-request ids
+    // stitches a fan-out trace across hosts: each worker adopts it for
+    // its own stage records instead of minting a fresh one.
+    let id = match span {
+        Some(span) => format!("{}#t{span}", req.id),
+        None => req.id.clone(),
+    };
     let state = Mutex::new(FanState {
-        outcomes: vec![None; scenarios.len()],
+        delivered: vec![false; scenarios.len()],
+        hits: 0,
         pending: Vec::new(),
     });
     let keys: Vec<String> = scenarios.iter().map(Scenario::cache_key).collect();
-    let mut live: Vec<String> = workers.to_vec();
-    let mut dead: Vec<String> = Vec::new();
-    let mut rounds = 0usize;
-    // Tracks whether *every* dispatch across every round was refused
-    // with Busy — only then is the whole request retryable overload
-    // rather than a failure.
-    let mut all_busy = true;
-    let mut busy_hint = 0u64;
-    loop {
+    let mut live: Vec<usize> = (0..workers.len()).collect();
+    let mut busy_hint: Option<u64> = None;
+    for round in 0.. {
         let remaining: Vec<usize> = {
             let st = state.lock().expect("fan-out state");
-            (0..scenarios.len())
-                .filter(|&i| st.outcomes[i].is_none())
-                .collect()
+            (0..scenarios.len()).filter(|&i| !st.delivered[i]).collect()
         };
         if remaining.is_empty() || live.is_empty() {
             break;
         }
         // Rounds past the first re-dispatch cells a lost worker left
         // unfinished — the requeue volume the metrics surface.
-        if rounds > 0 {
+        if round > 0 {
             metrics.note_requeued_cells(remaining.len() as u64);
         }
         let shards = live.len().min(remaining.len());
+        // Deal the shards to the least-loaded live workers under one
+        // lock, so concurrent requests see each other's deals.
+        let dealt: Vec<usize> = {
+            let mut load = in_flight.lock().expect("worker load");
+            live.sort_by_key(|&w| (load[w], w));
+            for &w in &live[..shards] {
+                load[w] += 1;
+            }
+            live[..shards].to_vec()
+        };
         let parts: Vec<Vec<usize>> = (1..=shards)
             .map(|k| {
                 Shard {
@@ -145,22 +140,23 @@ pub fn fan_out(
             })
             .collect();
         state.lock().expect("fan-out state").pending = parts.clone();
-        let results: Vec<io::Result<ShardOutcome>> = std::thread::scope(|scope| {
+        let results: Vec<io::Result<StreamOutcome>> = std::thread::scope(|scope| {
             let handles: Vec<_> = parts
                 .iter()
+                .zip(&dealt)
                 .enumerate()
-                .map(|(k, part)| {
-                    let addr = live[k].clone();
+                .map(|(k, (part, &w))| {
+                    let addr = &workers[w];
                     let sub_scenarios: Vec<Scenario> =
                         part.iter().map(|&i| scenarios[i].clone()).collect();
                     let mut sub =
-                        EvalRequest::streaming(format!("{id}#r{rounds}w{k}"), sub_scenarios);
-                    sub.force = force;
+                        EvalRequest::streaming(format!("{id}#r{round}w{k}"), sub_scenarios);
+                    sub.force = req.force;
                     let state = &state;
                     let keys = &keys;
                     scope.spawn(move || {
                         let dispatch_started = Instant::now();
-                        let result = pool.dispatch(&addr, sub, &mut |cell, raw| {
+                        let result = pool.dispatch(addr, sub, &mut |cell, raw| {
                             // Claim under the merge lock, emit outside
                             // it: a slow consumer must not block other
                             // workers' arrivals on the merge state
@@ -169,15 +165,17 @@ pub fn fan_out(
                                 let mut st = state.lock().expect("fan-out state");
                                 let idx = claim(&mut st.pending[k], scenarios, keys, &cell);
                                 if let Some(idx) = idx {
-                                    st.outcomes[idx] = Some(cell.clone());
+                                    st.delivered[idx] = true;
+                                    st.hits += usize::from(cell.status == CellStatus::Hit);
                                 }
                                 idx
                             };
                             if let Some(idx) = claimed {
-                                emit(idx, cell, raw);
+                                emit(idx, cell, Some(raw));
                             }
                         });
-                        metrics.observe_dispatch(&addr, dispatch_started.elapsed());
+                        in_flight.lock().expect("worker load")[w] -= 1;
+                        metrics.observe_dispatch(addr, dispatch_started.elapsed());
                         result
                     })
                 })
@@ -187,80 +185,53 @@ pub fn fan_out(
                 .map(|h| h.join().expect("dispatch thread"))
                 .collect()
         });
-        rounds += 1;
 
-        let mut lost = vec![false; shards];
-        for (k, result) in results.iter().enumerate() {
-            match result {
-                Ok(ShardOutcome::Done { .. }) => {
-                    all_busy = false;
-                    // A Done that left cells unclaimed means the worker
-                    // skipped work; trust it no further (this also
-                    // guarantees the round loop terminates: a round with
-                    // no progress always shrinks `live`).
-                    if !state.lock().expect("fan-out state").pending[k].is_empty() {
-                        lost[k] = true;
-                    }
+        let st = state.lock().expect("fan-out state");
+        for (k, (result, w)) in results.into_iter().zip(dealt).enumerate() {
+            let lost = match result {
+                // A Done that left cells unclaimed means the worker
+                // skipped work; trust it no further (this also
+                // guarantees the round loop terminates: a round with no
+                // progress always shrinks `live`).
+                Ok(StreamOutcome::Done { .. }) => !st.pending[k].is_empty(),
+                Ok(StreamOutcome::Busy { retry_after_ms }) => {
+                    busy_hint = busy_hint.max(Some(retry_after_ms));
+                    true
                 }
-                Ok(ShardOutcome::Busy { retry_after_ms }) => {
-                    lost[k] = true;
-                    busy_hint = busy_hint.max(*retry_after_ms);
-                }
-                Err(_) => {
-                    all_busy = false;
-                    lost[k] = true;
-                }
-            }
-        }
-        for k in (0..shards).rev() {
-            if lost[k] {
-                dead.push(live.remove(k));
+                Err(_) => true,
+            };
+            if lost {
+                live.retain(|&l| l != w);
             }
         }
     }
 
     let st = state.into_inner().expect("fan-out state");
-    // Retryable overload: dispatches happened, every single one was a
-    // Busy refusal, and no cell ever arrived. (A batch smaller than the
-    // worker set reaches untried workers in later rounds, so this is
-    // checked after the loop, not per round.)
-    if rounds > 0 && all_busy && st.outcomes.iter().all(Option::is_none) {
-        return FanoutResult::AllBusy {
-            retry_after_ms: busy_hint.max(1),
-        };
+    // Checked after the loop, not per round: a batch smaller than the
+    // worker set reaches untried workers in later rounds.
+    if !scenarios.is_empty() && !st.delivered.contains(&true) {
+        return Err(Busy {
+            retry_after_ms: busy_hint.unwrap_or(RETRY_QUANTUM_MS),
+        });
     }
-    let cells: Vec<CellOutcome> = st
-        .outcomes
-        .into_iter()
-        .zip(scenarios)
-        .enumerate()
-        .map(|(idx, (outcome, scenario))| {
-            outcome.unwrap_or_else(|| {
-                let cell = CellOutcome {
-                    id: scenario.id.clone(),
-                    key: scenario.cache_key(),
-                    status: CellStatus::Failed,
-                    metrics: None,
-                    error: Some(SweepError::evaluation(
-                        scenario.id.clone(),
-                        "cluster: no live worker completed this cell",
-                    )),
-                };
-                let raw = serde_json::to_string(&Response::Cell(cell.clone()))
-                    .expect("frame serialization is infallible");
-                emit(idx, cell.clone(), &raw);
-                cell
-            })
-        })
-        .collect();
-    let hits = cells.iter().filter(|c| c.status == CellStatus::Hit).count();
-    let misses = cells.len() - hits;
-    FanoutResult::Ran(FanoutOutcome {
-        cells,
-        hits,
-        misses,
-        rounds,
-        dead,
+    for (idx, scenario) in scenarios.iter().enumerate() {
+        if !st.delivered[idx] {
+            let cell = CellOutcome {
+                id: scenario.id.clone(),
+                key: keys[idx].clone(),
+                status: CellStatus::Failed,
+                metrics: None,
+                error: Some(SweepError::evaluation(
+                    scenario.id.clone(),
+                    "cluster: no live worker completed this cell",
+                )),
+            };
+            emit(idx, cell, None);
+        }
+    }
+    Ok(Ran::Cells {
+        hits: st.hits,
+        misses: scenarios.len() - st.hits,
     })
 }
 
@@ -299,73 +270,30 @@ pub fn report_from_outcomes(
     }
 }
 
-/// The cluster backend's call for one admitted request: probe the
-/// configured `workers` and fan the batch out over the live ones,
-/// forwarding worker `Cell` frames with their original bytes. When no
-/// worker answers its probe — most likely transient (restart, network
-/// blip) — or every worker refuses the dispatch, the client gets a
-/// retryable `Busy` rather than a hard failure.
-pub(crate) fn fan_out_request(
-    pool: &dyn WorkerPool,
-    workers: &[String],
-    req: &EvalRequest,
-    span: Option<&str>,
-    metrics: &Registry,
-    emit: &Emit,
-) -> Result<Ran, Busy> {
-    let selected = select_workers(pool, workers);
-    if selected.is_empty() {
-        return Err(Busy {
-            retry_after_ms: RETRY_QUANTUM_MS,
-        });
-    }
-    // Embedding the span after a `#t` marker in the sub-request ids
-    // stitches a fan-out trace across hosts: each worker adopts it for
-    // its own stage records instead of minting a fresh one.
-    let fan_id = match span {
-        Some(span) => format!("{}#t{span}", req.id),
-        None => req.id.clone(),
-    };
-    let result = fan_out(
-        pool,
-        &selected,
-        &fan_id,
-        &req.scenarios,
-        req.force,
-        metrics,
-        &|i, cell, raw| emit(i, cell, Some(raw)),
-    );
-    match result {
-        FanoutResult::Ran(out) => Ok(Ran::Cells {
-            hits: out.hits,
-            misses: out.misses,
-        }),
-        FanoutResult::AllBusy { retry_after_ms } => Err(Busy { retry_after_ms }),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{Request, StatusReport, API_V1};
+    use crate::api::{Request, Response, API_V1};
     use crate::scenario::StudyId;
     use crate::serve::tests::TerminalProbe;
     use crate::serve::{Runtime, Served};
     use std::collections::HashMap;
-    use std::sync::{Arc, Mutex as StdMutex};
+    use std::sync::{Arc, Condvar};
 
     /// How a fake worker behaves for the whole test.
     #[derive(Debug, Clone, Copy)]
     enum Behavior {
-        /// Probes with the given occupancy; completes every dispatched
-        /// cell (status `Computed`).
-        Healthy { occupancy: usize },
-        /// Probes fine, then streams this many cells and drops the
-        /// connection.
+        /// Completes every dispatched cell (status `Computed`).
+        Healthy,
+        /// Like `Healthy`, but only once the test calls
+        /// [`FakePool::release`]: until then the sub-request is held in
+        /// flight.
+        Held,
+        /// Streams this many cells, then drops the connection.
         DiesAfter(usize),
-        /// Probes fine, refuses every dispatch with `Busy`.
+        /// Refuses every dispatch with `Busy`.
         AlwaysBusy { hint: u64 },
-        /// Fails the probe (connection refused).
+        /// Refuses the connection.
         Unreachable,
     }
 
@@ -374,14 +302,16 @@ mod tests {
     /// read it after handing the pool to a coordinator.
     struct FakePool {
         behaviors: HashMap<String, Behavior>,
-        dispatched: Arc<StdMutex<Vec<String>>>,
+        dispatched: Arc<Mutex<Vec<String>>>,
+        released: (Mutex<bool>, Condvar),
     }
 
     impl FakePool {
         fn new(hosts: &[(&str, Behavior)]) -> Self {
             Self {
                 behaviors: hosts.iter().map(|(h, b)| ((*h).to_owned(), *b)).collect(),
-                dispatched: Arc::new(StdMutex::new(Vec::new())),
+                dispatched: Arc::new(Mutex::new(Vec::new())),
+                released: (Mutex::new(false), Condvar::new()),
             }
         }
 
@@ -389,70 +319,67 @@ mod tests {
             self.dispatched.lock().unwrap().clone()
         }
 
-        fn outcome(scenario: &Scenario) -> CellOutcome {
-            CellOutcome {
-                id: scenario.id.clone(),
-                key: scenario.cache_key(),
-                status: CellStatus::Computed,
-                metrics: None,
-                error: None,
+        /// Lets every `Held` dispatch, current and future, complete.
+        fn release(&self) {
+            *self.released.0.lock().unwrap() = true;
+            self.released.1.notify_all();
+        }
+
+        fn complete(
+            request: &EvalRequest,
+            cells: usize,
+            on_cell: &mut dyn FnMut(CellOutcome, &str),
+        ) {
+            for s in request.scenarios.iter().take(cells) {
+                let cell = CellOutcome {
+                    id: s.id.clone(),
+                    key: s.cache_key(),
+                    status: CellStatus::Computed,
+                    metrics: None,
+                    error: None,
+                };
+                let raw = serde_json::to_string(&Response::Cell(cell.clone())).unwrap();
+                on_cell(cell, &raw);
             }
         }
     }
 
     impl WorkerPool for FakePool {
-        fn status(&self, addr: &str) -> io::Result<StatusReport> {
-            let behavior = self.behaviors.get(addr).copied();
-            let occupancy = match behavior {
-                Some(Behavior::Healthy { occupancy }) => occupancy,
-                Some(Behavior::Unreachable) | None => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::ConnectionRefused,
-                        "unreachable",
-                    ));
-                }
-                _ => 0,
-            };
-            Ok(StatusReport {
-                role: "serve".into(),
-                occupancy,
-                queue_depth: 4,
-                jobs: 2,
-                ..StatusReport::default()
-            })
-        }
-
         fn dispatch(
             &self,
             addr: &str,
             request: EvalRequest,
             on_cell: &mut dyn FnMut(CellOutcome, &str),
-        ) -> io::Result<ShardOutcome> {
+        ) -> io::Result<StreamOutcome> {
             self.dispatched.lock().unwrap().push(addr.to_owned());
+            let n = request.scenarios.len();
+            let done = StreamOutcome::Done {
+                position: 0,
+                cells: n,
+                hits: 0,
+                misses: n,
+            };
             match self.behaviors.get(addr).copied() {
-                Some(Behavior::Healthy { .. }) => {
-                    for s in &request.scenarios {
-                        let cell = Self::outcome(s);
-                        let raw = serde_json::to_string(&Response::Cell(cell.clone())).unwrap();
-                        on_cell(cell, &raw);
-                    }
-                    Ok(ShardOutcome::Done {
-                        hits: 0,
-                        misses: request.scenarios.len(),
-                    })
+                Some(Behavior::Healthy) => {
+                    Self::complete(&request, n, on_cell);
+                    Ok(done)
                 }
-                Some(Behavior::DiesAfter(n)) => {
-                    for s in request.scenarios.iter().take(n) {
-                        let cell = Self::outcome(s);
-                        let raw = serde_json::to_string(&Response::Cell(cell.clone())).unwrap();
-                        on_cell(cell, &raw);
-                    }
+                Some(Behavior::Held) => {
+                    let (released, wake) = &self.released;
+                    let _open = wake
+                        .wait_while(released.lock().unwrap(), |open| !*open)
+                        .unwrap();
+                    Self::complete(&request, n, on_cell);
+                    Ok(done)
+                }
+                Some(Behavior::DiesAfter(cells)) => {
+                    Self::complete(&request, cells, on_cell);
                     Err(io::Error::new(
                         io::ErrorKind::ConnectionReset,
                         "worker died mid-stream",
                     ))
                 }
-                Some(Behavior::AlwaysBusy { hint }) => Ok(ShardOutcome::Busy {
+                Some(Behavior::AlwaysBusy { hint }) => Ok(StreamOutcome::Busy {
                     retry_after_ms: hint,
                 }),
                 Some(Behavior::Unreachable) | None => Err(io::Error::new(
@@ -475,63 +402,153 @@ mod tests {
             .collect()
     }
 
-    fn collect_emit() -> (StdMutex<Vec<CellOutcome>>, StdMutex<Vec<String>>) {
-        (StdMutex::new(Vec::new()), StdMutex::new(Vec::new()))
+    /// A fan-out fixture: the pool, the configured workers, and their
+    /// in-flight load, shared by every request a test runs through it.
+    struct Fan<'p> {
+        pool: &'p FakePool,
+        workers: Vec<String>,
+        in_flight: Mutex<Vec<usize>>,
+    }
+
+    /// What one fan-out answered: the backend's verdict and every emit
+    /// as `(index, cell, raw line)`, sorted by index.
+    type Fanned = (Result<Ran, Busy>, Vec<(usize, CellOutcome, Option<String>)>);
+
+    impl<'p> Fan<'p> {
+        fn new(pool: &'p FakePool, workers: &[&str]) -> Self {
+            Self {
+                pool,
+                workers: workers.iter().map(|s| (*s).to_owned()).collect(),
+                in_flight: Mutex::new(vec![0; workers.len()]),
+            }
+        }
+
+        fn run(&self, id: &str, scenarios: Vec<Scenario>) -> Fanned {
+            let emitted = Mutex::new(Vec::new());
+            let ran = fan_out(
+                self.pool,
+                &self.workers,
+                &self.in_flight,
+                &EvalRequest::streaming(id, scenarios),
+                None,
+                &Registry::default(),
+                &|i, cell, raw| {
+                    let raw = raw.map(str::to_owned);
+                    emitted.lock().unwrap().push((i, cell, raw));
+                },
+            );
+            let mut emitted = emitted.into_inner().unwrap();
+            emitted.sort_by_key(|(i, _, _)| *i);
+            (ran, emitted)
+        }
+    }
+
+    /// The `(hits, misses)` of a fan-out that ran.
+    fn split(ran: &Result<Ran, Busy>) -> (usize, usize) {
+        match ran {
+            Ok(Ran::Cells { hits, misses }) => (*hits, *misses),
+            other => panic!("expected cells, got {other:?}"),
+        }
+    }
+
+    /// The hint of a fan-out that answered `Busy` without emitting.
+    fn busy(fanned: Fanned) -> u64 {
+        match fanned {
+            (Err(Busy { retry_after_ms }), emitted) if emitted.is_empty() => retry_after_ms,
+            other => panic!("expected a Busy with nothing emitted, got {other:?}"),
+        }
     }
 
     #[test]
-    fn selection_probes_orders_by_occupancy_and_drops_unreachable_hosts() {
+    fn shards_go_to_the_worker_with_fewer_sub_requests_in_flight() {
+        let pool = FakePool::new(&[("a", Behavior::Held), ("b", Behavior::Healthy)]);
+        let fan = Fan::new(&pool, &["a", "b"]);
+        std::thread::scope(|scope| {
+            // Both idle: the configured order breaks the tie, so the
+            // first 1-cell request goes to `a`, which holds it.
+            let held = scope.spawn(|| fan.run("t-held", grid(1)));
+            while pool.dispatch_log().is_empty() {
+                std::thread::yield_now();
+            }
+            // `a` has one sub-request in flight, `b` none.
+            let (ran, emitted) = fan.run("t-next", grid(1));
+            assert_eq!(split(&ran), (0, 1));
+            assert_eq!(emitted.len(), 1);
+            assert_eq!(pool.dispatch_log(), ["a", "b"]);
+            pool.release();
+            let (ran, _) = held.join().unwrap();
+            assert_eq!(split(&ran), (0, 1));
+        });
+        // Both idle again, so both later requests go to `a`: every
+        // finished sub-request left the count.
+        for id in ["t-idle-1", "t-idle-2"] {
+            assert_eq!(split(&fan.run(id, grid(1)).0), (0, 1));
+        }
+        assert_eq!(pool.dispatch_log(), ["a", "b", "a", "a"]);
+    }
+
+    #[test]
+    fn no_delivered_cell_is_a_retryable_busy() {
         let pool = FakePool::new(&[
-            ("w-loaded", Behavior::Healthy { occupancy: 3 }),
-            ("w-idle", Behavior::Healthy { occupancy: 0 }),
-            ("w-gone", Behavior::Unreachable),
-            ("w-mid", Behavior::Healthy { occupancy: 1 }),
+            ("gone", Behavior::Unreachable),
+            ("b40", Behavior::AlwaysBusy { hint: 40 }),
+            ("b70", Behavior::AlwaysBusy { hint: 70 }),
+            ("dies", Behavior::DiesAfter(0)),
         ]);
-        let configured: Vec<String> = ["w-loaded", "w-idle", "w-gone", "w-mid"]
+        let run = |workers: &[&str]| busy(Fan::new(&pool, workers).run("t-busy", grid(3)));
+        assert_eq!(run(&["b40", "b70"]), 70, "the largest worker hint");
+        assert_eq!(run(&["gone", "b70"]), 70, "a hint beats no hint");
+        assert_eq!(run(&["gone"]), RETRY_QUANTUM_MS, "no worker hinted");
+        assert_eq!(run(&["dies"]), RETRY_QUANTUM_MS, "lost before a cell");
+        // An empty batch has nothing to deliver: it completes, not Busy.
+        let (ran, _) = Fan::new(&pool, &["gone"]).run("t-empty", Vec::new());
+        assert_eq!(split(&ran), (0, 0));
+    }
+
+    #[test]
+    fn an_unreachable_workers_shard_requeues_onto_a_reachable_one() {
+        let pool = FakePool::new(&[("gone", Behavior::Unreachable), ("ok", Behavior::Healthy)]);
+        let (ran, emitted) = Fan::new(&pool, &["gone", "ok"]).run("t-gone", grid(4));
+        assert_eq!(split(&ran), (0, 4));
+        let indices: Vec<usize> = emitted.iter().map(|(i, _, _)| *i).collect();
+        assert_eq!(indices, [0, 1, 2, 3], "one emit per cell");
+        assert!(emitted
             .iter()
-            .map(|s| (*s).to_owned())
-            .collect();
-        assert_eq!(
-            select_workers(&pool, &configured),
-            vec!["w-idle", "w-mid", "w-loaded"],
-            "least-loaded first, dead host dropped"
-        );
+            .all(|(_, c, _)| c.status == CellStatus::Computed));
+        // Round 1 deals to both (parallel threads, so the order within
+        // the round is unspecified); round 2 only to `ok`.
+        let log = pool.dispatch_log();
+        let mut round1 = log[..2].to_vec();
+        round1.sort_unstable();
+        assert_eq!(round1, ["gone", "ok"]);
+        assert_eq!(log[2..], ["ok".to_owned()]);
     }
 
     #[test]
     fn fan_out_completes_on_healthy_workers_in_one_round() {
-        let pool = FakePool::new(&[
-            ("a", Behavior::Healthy { occupancy: 0 }),
-            ("b", Behavior::Healthy { occupancy: 0 }),
-        ]);
+        let pool = FakePool::new(&[("a", Behavior::Healthy), ("b", Behavior::Healthy)]);
         let scenarios = grid(5);
-        let (cells_seen, raws_seen) = collect_emit();
-        let result = fan_out(
-            &pool,
-            &["a".to_owned(), "b".to_owned()],
-            "t-1",
-            &scenarios,
-            false,
-            &Registry::default(),
-            &|_, cell, raw| {
-                cells_seen.lock().unwrap().push(cell);
-                raws_seen.lock().unwrap().push(raw.to_owned());
-            },
-        );
-        let FanoutResult::Ran(out) = result else {
-            panic!("expected Ran, got {result:?}");
-        };
-        assert_eq!(out.rounds, 1);
-        assert!(out.dead.is_empty());
-        assert_eq!((out.hits, out.misses), (0, 5));
-        let ids: Vec<&str> = out.cells.iter().map(|c| c.id.as_str()).collect();
+        let (ran, emitted) = Fan::new(&pool, &["a", "b"]).run("t-1", scenarios);
+        assert_eq!(split(&ran), (0, 5));
+        let cells: Vec<(usize, &str)> = emitted
+            .iter()
+            .map(|(i, c, _)| (*i, c.id.as_str()))
+            .collect();
         assert_eq!(
-            ids,
-            ["cell-0", "cell-1", "cell-2", "cell-3", "cell-4"],
-            "merged outcomes are in scenario order"
+            cells,
+            [
+                (0, "cell-0"),
+                (1, "cell-1"),
+                (2, "cell-2"),
+                (3, "cell-3"),
+                (4, "cell-4")
+            ],
+            "one emit per cell, at its scenario's position"
         );
-        assert_eq!(cells_seen.lock().unwrap().len(), 5, "one emit per cell");
-        assert_eq!(raws_seen.lock().unwrap().len(), 5);
+        assert!(
+            emitted.iter().all(|(_, _, raw)| raw.is_some()),
+            "worker bytes forwarded"
+        );
         // Round-robin split: a gets indices 0,2,4; b gets 1,3. Shards
         // dispatch on parallel threads, so log order within a round is
         // unspecified — compare sorted.
@@ -545,44 +562,19 @@ mod tests {
         // `a` delivers one of its three cells, then drops; `b` is
         // healthy. The two cells `a` never finished must complete on
         // `b`, and `a` must not be dispatched to again.
-        let pool = FakePool::new(&[
-            ("a", Behavior::DiesAfter(1)),
-            ("b", Behavior::Healthy { occupancy: 0 }),
-        ]);
-        let scenarios = grid(6);
-        let (cells_seen, _raws) = collect_emit();
-        let result = fan_out(
-            &pool,
-            &["a".to_owned(), "b".to_owned()],
-            "t-2",
-            &scenarios,
-            false,
-            &Registry::default(),
-            &|_, cell, _| cells_seen.lock().unwrap().push(cell),
-        );
-        let FanoutResult::Ran(out) = result else {
-            panic!("expected Ran, got {result:?}");
-        };
-        assert_eq!(out.rounds, 2, "one requeue round");
-        assert_eq!(out.dead, vec!["a".to_owned()]);
-        assert_eq!(out.cells.len(), 6);
-        assert!(
-            out.cells.iter().all(|c| c.status == CellStatus::Computed),
-            "every cell completed despite the loss: {:?}",
-            out.cells
-        );
+        let pool = FakePool::new(&[("a", Behavior::DiesAfter(1)), ("b", Behavior::Healthy)]);
+        let (ran, emitted) = Fan::new(&pool, &["a", "b"]).run("t-2", grid(6));
+        assert_eq!(split(&ran), (0, 6));
         // Exactly one emit per scenario — the cell `a` delivered before
-        // dying is not re-emitted by the requeue.
-        let mut seen: Vec<String> = cells_seen
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|c| c.id.clone())
-            .collect();
-        seen.sort();
-        let mut expected: Vec<String> = scenarios.iter().map(|s| s.id.clone()).collect();
-        expected.sort();
-        assert_eq!(seen, expected);
+        // dying is not re-emitted by the requeue — and none failed.
+        let indices: Vec<usize> = emitted.iter().map(|(i, _, _)| *i).collect();
+        assert_eq!(indices, [0, 1, 2, 3, 4, 5]);
+        assert!(
+            emitted
+                .iter()
+                .all(|(_, c, _)| c.status == CellStatus::Computed),
+            "every cell completed despite the loss: {emitted:?}"
+        );
         // Dispatch log: round 1 fans to a and b (parallel threads, so
         // order within the round is unspecified); round 2 only to b.
         let log = pool.dispatch_log();
@@ -596,24 +588,14 @@ mod tests {
     fn fan_out_treats_busy_workers_as_lost_for_the_request() {
         let pool = FakePool::new(&[
             ("busy", Behavior::AlwaysBusy { hint: 99 }),
-            ("ok", Behavior::Healthy { occupancy: 0 }),
+            ("ok", Behavior::Healthy),
         ]);
-        let scenarios = grid(4);
-        let result = fan_out(
-            &pool,
-            &["busy".to_owned(), "ok".to_owned()],
-            "t-3",
-            &scenarios,
-            false,
-            &Registry::default(),
-            &|_, _, _| {},
-        );
-        let FanoutResult::Ran(out) = result else {
-            panic!("expected Ran, got {result:?}");
-        };
-        assert_eq!(out.dead, vec!["busy".to_owned()]);
-        assert_eq!(out.cells.len(), 4);
-        assert!(out.cells.iter().all(|c| c.status == CellStatus::Computed));
+        let (ran, emitted) = Fan::new(&pool, &["busy", "ok"]).run("t-3", grid(4));
+        assert_eq!(split(&ran), (0, 4));
+        assert_eq!(emitted.len(), 4);
+        assert!(emitted
+            .iter()
+            .all(|(_, c, _)| c.status == CellStatus::Computed));
         // The busy host is excluded from the requeue round. Round-1
         // dispatches race on parallel threads — compare sorted.
         let log = pool.dispatch_log();
@@ -629,19 +611,8 @@ mod tests {
             ("b1", Behavior::AlwaysBusy { hint: 40 }),
             ("b2", Behavior::AlwaysBusy { hint: 70 }),
         ]);
-        let result = fan_out(
-            &pool,
-            &["b1".to_owned(), "b2".to_owned()],
-            "t-4",
-            &grid(3),
-            false,
-            &Registry::default(),
-            &|_, _, _| {},
-        );
-        let FanoutResult::AllBusy { retry_after_ms } = result else {
-            panic!("expected AllBusy, got {result:?}");
-        };
-        assert_eq!(retry_after_ms, 70, "the largest worker hint wins");
+        let fanned = Fan::new(&pool, &["b1", "b2"]).run("t-4", grid(3));
+        assert_eq!(busy(fanned), 70, "the largest worker hint wins");
     }
 
     #[test]
@@ -655,19 +626,8 @@ mod tests {
             ("b2", Behavior::AlwaysBusy { hint: 20 }),
             ("b3", Behavior::AlwaysBusy { hint: 30 }),
         ]);
-        let result = fan_out(
-            &pool,
-            &["b1".to_owned(), "b2".to_owned(), "b3".to_owned()],
-            "t-6",
-            &grid(2),
-            false,
-            &Registry::default(),
-            &|_, _, _| {},
-        );
-        let FanoutResult::AllBusy { retry_after_ms } = result else {
-            panic!("expected AllBusy, got {result:?}");
-        };
-        assert_eq!(retry_after_ms, 30);
+        let fanned = Fan::new(&pool, &["b1", "b2", "b3"]).run("t-6", grid(2));
+        assert_eq!(busy(fanned), 30);
         assert_eq!(pool.dispatch_log().len(), 3, "every worker was tried");
     }
 
@@ -676,28 +636,19 @@ mod tests {
         // Two different scenarios sharing one display id: the arriving
         // cells must land on the scenario whose content key they carry,
         // not just the first unclaimed index with that id.
-        let pool = FakePool::new(&[("w", Behavior::Healthy { occupancy: 0 })]);
+        let pool = FakePool::new(&[("w", Behavior::Healthy)]);
         let mut a = Scenario::study(StudyId::Fig9a);
         let mut b = Scenario::study(StudyId::Table2);
         a.id = "dup".into();
         b.id = "dup".into();
-        let scenarios = vec![a.clone(), b.clone()];
-        let result = fan_out(
-            &pool,
-            &["w".to_owned()],
-            "t-dup",
-            &scenarios,
-            false,
-            &Registry::default(),
-            &|_, _, _| {},
-        );
-        let FanoutResult::Ran(out) = result else {
-            panic!("expected Ran, got {result:?}");
-        };
-        assert_eq!(out.cells.len(), 2);
-        assert_eq!(out.cells[0].key, a.cache_key());
-        assert_eq!(out.cells[1].key, b.cache_key());
-        assert!(out.cells.iter().all(|c| c.status == CellStatus::Computed));
+        let (ran, emitted) = Fan::new(&pool, &["w"]).run("t-dup", vec![a.clone(), b.clone()]);
+        assert_eq!(split(&ran), (0, 2));
+        assert_eq!(emitted.len(), 2);
+        assert_eq!((emitted[0].0, &emitted[0].1.key), (0, &a.cache_key()));
+        assert_eq!((emitted[1].0, &emitted[1].1.key), (1, &b.cache_key()));
+        assert!(emitted
+            .iter()
+            .all(|(_, c, _)| c.status == CellStatus::Computed));
     }
 
     #[test]
@@ -706,36 +657,21 @@ mod tests {
             ("d1", Behavior::DiesAfter(1)),
             ("d2", Behavior::DiesAfter(0)),
         ]);
-        let scenarios = grid(5);
-        let (cells_seen, _raws) = collect_emit();
-        let result = fan_out(
-            &pool,
-            &["d1".to_owned(), "d2".to_owned()],
-            "t-5",
-            &scenarios,
-            false,
-            &Registry::default(),
-            &|_, cell, _| cells_seen.lock().unwrap().push(cell),
-        );
-        let FanoutResult::Ran(out) = result else {
-            panic!("expected Ran, got {result:?}");
-        };
-        assert_eq!(out.dead.len(), 2, "both workers lost");
-        assert_eq!(out.cells.len(), 5, "batch still completes positionally");
-        let failed = out
-            .cells
+        let (ran, emitted) = Fan::new(&pool, &["d1", "d2"]).run("t-5", grid(5));
+        assert_eq!(split(&ran), (0, 5));
+        let mut log = pool.dispatch_log();
+        log.sort_unstable();
+        assert_eq!(log, ["d1", "d2"], "both workers lost in round 1");
+        assert_eq!(emitted.len(), 5, "batch still completes positionally");
+        let failed: Vec<&CellOutcome> = emitted
             .iter()
+            .map(|(_, c, _)| c)
             .filter(|c| c.status == CellStatus::Failed)
-            .count();
-        assert_eq!(failed, 4, "the one delivered cell survives");
-        for cell in out.cells.iter().filter(|c| c.status == CellStatus::Failed) {
+            .collect();
+        assert_eq!(failed.len(), 4, "the one delivered cell survives");
+        for cell in failed {
             assert_eq!(cell.error.as_ref().unwrap().category(), "evaluation");
         }
-        assert_eq!(
-            cells_seen.lock().unwrap().len(),
-            5,
-            "synthesized failures are emitted too"
-        );
     }
 
     #[test]
@@ -779,10 +715,7 @@ mod tests {
 
     #[test]
     fn coordinator_streams_a_v2_exchange_end_to_end() {
-        let pool = FakePool::new(&[
-            ("a", Behavior::Healthy { occupancy: 0 }),
-            ("b", Behavior::Healthy { occupancy: 0 }),
-        ]);
+        let pool = FakePool::new(&[("a", Behavior::Healthy), ("b", Behavior::Healthy)]);
         let c = coordinator(pool, &["a", "b"], 2);
         let scenarios = grid(4);
         let mut frames: Vec<Response> = Vec::new();
@@ -828,10 +761,7 @@ mod tests {
 
     #[test]
     fn coordinator_buffered_v1_collects_cells_in_request_order() {
-        let pool = FakePool::new(&[
-            ("a", Behavior::Healthy { occupancy: 0 }),
-            ("b", Behavior::Healthy { occupancy: 0 }),
-        ]);
+        let pool = FakePool::new(&[("a", Behavior::Healthy), ("b", Behavior::Healthy)]);
         let c = coordinator(pool, &["a", "b"], 2);
         let scenarios = grid(5);
         let mut frames: Vec<Response> = Vec::new();
@@ -854,9 +784,9 @@ mod tests {
         let pool = FakePool::new(&[("gone", Behavior::Unreachable)]);
         let c = coordinator(pool, &["gone"], 1);
         // v2: an unreachable cluster is (probably) transient — answer
-        // retryable Busy, not a hard failure. The probe is the backend
-        // call, so the stream opens with Accepted, as when every worker
-        // answers Busy.
+        // retryable Busy, not a hard failure. The refused dispatch is
+        // part of the backend call, so the stream opens with Accepted,
+        // as when every worker answers Busy.
         let mut frames: Vec<Response> = Vec::new();
         let served = c
             .handle_line(
@@ -914,10 +844,7 @@ mod tests {
 
     #[test]
     fn coordinator_never_answers_from_a_memo() {
-        let pool = FakePool::new(&[
-            ("a", Behavior::Healthy { occupancy: 0 }),
-            ("b", Behavior::Healthy { occupancy: 0 }),
-        ]);
+        let pool = FakePool::new(&[("a", Behavior::Healthy), ("b", Behavior::Healthy)]);
         let log = Arc::clone(&pool.dispatched);
         let c = coordinator(pool, &["a", "b"], 2);
         let warm = line(&Request::Eval(EvalRequest::new("cl-warm", grid(4))));
@@ -945,10 +872,7 @@ mod tests {
 
     #[test]
     fn coordinator_terminal_frames_leave_after_the_exchange_is_counted() {
-        let pool = FakePool::new(&[
-            ("a", Behavior::Healthy { occupancy: 0 }),
-            ("b", Behavior::Healthy { occupancy: 0 }),
-        ]);
+        let pool = FakePool::new(&[("a", Behavior::Healthy), ("b", Behavior::Healthy)]);
         let c = coordinator(pool, &["a", "b"], 2);
         let snapshot = || (c.status(), c.metrics().snapshot());
         let requests = [

@@ -10,7 +10,7 @@
 //! survives producer loss):
 //!
 //! ```text
-//!                       ┌──────────────┐   Status / EvalRequest (v2)
+//!                       ┌──────────────┐   v2 sub-requests (one per shard)
 //!   client ──(v1/v2)──▶ │ coordinator  │ ─────────────┬──────────────┐
 //!                       │   Runtime    │              ▼              ▼
 //!                       └──────┬───────┘        ┌──────────┐   ┌──────────┐
@@ -28,16 +28,18 @@
 //!
 //! * **Partitioning** reuses the `--shard i/n` round-robin rule
 //!   ([`Shard::select_indices`](crate::api::Shard::select_indices)): the
-//!   grid is split across the selected workers exactly as a manual
+//!   grid is split across the live workers exactly as a manual
 //!   multi-host sharded run would split it.
-//! * **Selection** is occupancy-aware: the coordinator probes every
-//!   configured worker with the `Status` control frame and dispatches to
-//!   live workers least-loaded first (`select_workers`).
-//! * **Fault tolerance**: a worker lost mid-stream (connection drop) or
-//!   refusing admission (`Busy`) has its *unfinished* cells requeued
-//!   onto the surviving workers — excluding the failed host — round
-//!   after round until the batch completes or no workers remain
-//!   ([`fan_out`]).
+//! * **Selection** needs no probe: the coordinator counts its own
+//!   sub-requests in flight on each worker and deals shards
+//!   least-loaded first, configured order breaking ties. Dispatch is its
+//!   only contact with workers.
+//! * **Fault tolerance**: a worker that refuses the connection, is lost
+//!   mid-stream (connection drop), or refuses admission (`Busy`) has its
+//!   *unfinished* cells requeued onto the surviving workers — excluding
+//!   the failed host — round after round until the batch completes or
+//!   no workers remain (`fan_out`). A request no worker delivered a
+//!   cell of answers a retryable `Busy`.
 //! * **Determinism**: workers share the evaluator and cache-key code,
 //!   so a cluster run and a single-box run of the same grid produce
 //!   identical canonical reports ([`report_from_outcomes`] feeds the
@@ -51,6 +53,6 @@
 mod coordinator;
 mod pool;
 
-pub(crate) use coordinator::fan_out_request;
-pub use coordinator::{fan_out, report_from_outcomes, FanoutOutcome, FanoutResult};
-pub use pool::{ShardOutcome, TcpPool, WorkerPool};
+pub(crate) use coordinator::fan_out;
+pub use coordinator::report_from_outcomes;
+pub use pool::{TcpPool, WorkerPool};

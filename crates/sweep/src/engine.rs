@@ -38,14 +38,6 @@ pub struct SweepReport {
 }
 
 impl SweepReport {
-    /// The typed payload for a cell id, if it succeeded.
-    pub fn metrics(&self, id: &str) -> Option<&Metrics> {
-        self.cells
-            .iter()
-            .find(|c| c.scenario.id == id && c.error.is_none())
-            .and_then(|c| c.metrics.as_ref())
-    }
-
     /// Ids and errors of failed cells.
     pub fn errors(&self) -> Vec<(String, SweepError)> {
         self.cells

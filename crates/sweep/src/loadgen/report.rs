@@ -84,14 +84,6 @@ impl Summary {
         }
         self.busy as f64 / self.sent as f64
     }
-
-    /// Error share of issued requests (`0.0..=1.0`).
-    pub fn error_rate(&self) -> f64 {
-        if self.sent == 0 {
-            return 0.0;
-        }
-        self.errors as f64 / self.sent as f64
-    }
 }
 
 /// Schema tag of one history row.

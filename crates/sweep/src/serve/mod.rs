@@ -30,8 +30,8 @@
 //!   that bounded throughput before.
 //! * **Observability** — a `"Status"` control line answers a
 //!   [`StatusReport`] (occupancy, queue depth, jobs, service counters)
-//!   without touching the gate, so load balancers — including the
-//!   [`crate::cluster`] coordinator — can probe a fully busy server.
+//!   without touching the gate, so an operator or a load balancer can
+//!   probe a fully busy server.
 //! * **One server type** — a single-box server and a cluster
 //!   coordinator are both a [`Runtime`], differing only in the backend
 //!   that answers admitted requests: the engine and warm memo, or the
@@ -50,7 +50,7 @@ use crate::api::{
     CellOutcome, CellStatus, EvalRequest, EvalResponse, Request, Response, StatusReport,
     SweepError, API_V1, API_V2,
 };
-use crate::cluster::{fan_out_request, TcpPool, WorkerPool};
+use crate::cluster::{fan_out, TcpPool, WorkerPool};
 use crate::engine::Engine;
 use crate::executor;
 use crate::scenario::Scenario;
@@ -396,13 +396,13 @@ impl MemoCell {
     }
 }
 
-/// The warm memo: scenario fingerprint ([`hash_scenario`]) → memoized
-/// cell. Keyed per cell rather than per batch so overlapping grids share
-/// entries — a batch warmed by *any* combination of earlier requests
-/// replays without touching the cache. A hit also requires the stored
-/// scenario to equal the requested one, field for field, so a 64-bit
-/// collision is a miss, never another scenario's frame. Bounded FIFO:
-/// inserting past `cap` evicts the oldest keys.
+/// The warm memo: scenario fingerprint ([`CellMemo::fingerprint`]) →
+/// memoized cell. Keyed per cell rather than per batch so overlapping
+/// grids share entries — a batch warmed by *any* combination of earlier
+/// requests replays without touching the cache. A hit also requires the
+/// stored scenario to equal the requested one, field for field, so a
+/// 64-bit collision is a miss, never another scenario's frame. Bounded
+/// FIFO: inserting past `cap` evicts the oldest keys.
 #[derive(Debug)]
 struct CellMemo {
     entries: HashMap<u64, Arc<MemoCell>>,
@@ -422,12 +422,14 @@ impl CellMemo {
         }
     }
 
-    /// The memo key of one scenario. It covers the display id, which
-    /// `Cell` frames embed verbatim, so two scenarios with identical
-    /// content and different labels never share a memoized frame.
+    /// The memo key of one scenario: its derived [`Hash`] under the
+    /// fixed-key `DefaultHasher`, so every scenario field is covered by
+    /// construction. That includes the display id, which `Cell` frames
+    /// embed verbatim, so two scenarios with identical content and
+    /// different labels never share a memoized frame.
     fn fingerprint(scenario: &Scenario) -> u64 {
         let mut h = std::collections::hash_map::DefaultHasher::new();
-        hash_scenario(scenario, &mut h);
+        scenario.hash(&mut h);
         h.finish()
     }
 
@@ -470,84 +472,13 @@ impl CellMemo {
     }
 }
 
-/// Feeds one scenario into `h` structurally: strings as bytes, enums
-/// as discriminants, floats by bit pattern — no text formatting. This is
-/// the [`CellMemo`] fingerprint. Every memo hit is checked against the
-/// stored scenario, so a field omitted here would cost hit rate
-/// (scenarios differing only in it would evict each other), never a
-/// wrong frame. Still, every struct and struct variant is destructured
-/// in full, without `..`: a new field breaks the build here instead of
-/// silently sharing keys.
-fn hash_scenario(s: &Scenario, h: &mut impl Hasher) {
-    use crate::scenario::{ScenarioKind, WorkloadSpec};
-    use std::mem::discriminant;
-    use yoco::pipeline::AttentionDims;
-    let Scenario { id, kind } = s;
-    id.hash(h);
-    discriminant(kind).hash(h);
-    match kind {
-        ScenarioKind::Gemm {
-            accelerator,
-            design,
-            workload,
-        } => {
-            discriminant(accelerator).hash(h);
-            hash_design(design, h);
-            discriminant(workload).hash(h);
-            match workload {
-                WorkloadSpec::Zoo { model } => model.hash(h),
-                WorkloadSpec::Gemm {
-                    name,
-                    m,
-                    k,
-                    n,
-                    kind,
-                } => {
-                    name.hash(h);
-                    (m, k, n).hash(h);
-                    discriminant(kind).hash(h);
-                }
-            }
-        }
-        ScenarioKind::Attention {
-            model,
-            dims:
-                AttentionDims {
-                    seq,
-                    d_model,
-                    heads,
-                },
-            design,
-        } => {
-            model.hash(h);
-            (seq, d_model, heads).hash(h);
-            hash_design(design, h);
-        }
-        ScenarioKind::Study { study } => discriminant(study).hash(h),
-    }
-}
-
-/// The [`hash_scenario`] leaf for design points: `Option` knobs hash
-/// directly, the float knob hashes by bit pattern.
-fn hash_design(d: &crate::scenario::DesignPoint, h: &mut impl Hasher) {
-    let crate::scenario::DesignPoint {
-        ima_stack,
-        ima_width,
-        dimas_per_tile,
-        simas_per_tile,
-        tiles,
-        activity,
-    } = d;
-    (ima_stack, ima_width, dimas_per_tile, simas_per_tile, tiles).hash(h);
-    activity.map(f64::to_bits).hash(h);
-}
-
 /// Where a backend hands each finished cell: its position in the batch,
 /// its outcome, and its frame line when the backend already holds one
 /// (a worker's forwarded bytes). Called from several threads at once.
 pub(crate) type Emit<'a> = dyn Fn(usize, CellOutcome, Option<&str>) + Sync + 'a;
 
 /// What one backend call produced.
+#[derive(Debug)]
 pub(crate) enum Ran {
     /// Every cell went through the emit callback; the batch's cache
     /// split.
@@ -591,12 +522,15 @@ pub struct Runtime {
 enum Backend {
     /// A single box.
     Local(Local),
-    /// A coordinator: each request probes the worker hosts and fans out
-    /// over the live ones ([`fan_out_request`]). It keeps no memo, so
-    /// every repeat reaches the workers.
+    /// A coordinator: each request fans out over the worker hosts
+    /// ([`fan_out`]). It keeps no memo, so every repeat reaches the
+    /// workers.
     Cluster {
         pool: Box<dyn WorkerPool + Send + Sync>,
         workers: Vec<String>,
+        /// This coordinator's sub-requests in flight on each worker, by
+        /// position in `workers`: the load shards are dealt by.
+        in_flight: Mutex<Vec<usize>>,
     },
 }
 
@@ -639,7 +573,11 @@ impl Runtime {
         Self {
             gate: Gate::new(queue_depth),
             metrics: Registry::default(),
-            backend: Backend::Cluster { pool, workers },
+            backend: Backend::Cluster {
+                pool,
+                in_flight: Mutex::new(vec![0; workers.len()]),
+                workers,
+            },
         }
     }
 
@@ -869,9 +807,9 @@ impl Runtime {
             })
         };
         let (hits, misses, terminal) = match ran {
-            // A refusal's duration (probe timeouts, workers answering
-            // Busy) is not service time; keep it out of the retry-hint
-            // EWMA.
+            // A refusal's duration (refused connections, workers
+            // answering Busy) is not service time; keep it out of the
+            // retry-hint EWMA.
             Err(busy) => {
                 ticket.skip_service_record();
                 return self.reject(sink, req.id, streamed, busy);
@@ -934,9 +872,11 @@ impl Runtime {
                 Some(cells) => Ran::Memo(cells),
                 None => local.evaluate(req, self.gate.occupancy(), emit),
             }),
-            Backend::Cluster { pool, workers } => {
-                fan_out_request(&**pool, workers, req, span, &self.metrics, emit)
-            }
+            Backend::Cluster {
+                pool,
+                workers,
+                in_flight,
+            } => fan_out(&**pool, workers, in_flight, req, span, &self.metrics, emit),
         }
     }
 
@@ -1877,6 +1817,103 @@ pub(crate) mod tests {
             memo.lookup_all(&scenarios[2..]).is_some(),
             "replacing a live key must not evict its neighbour"
         );
+    }
+
+    #[test]
+    fn every_scenario_field_moves_the_fingerprint() {
+        use crate::scenario::{AcceleratorKind, DesignPoint, ScenarioKind, WorkloadSpec};
+        use yoco::pipeline::AttentionDims;
+        use yoco_arch::workload::LayerKind;
+        let fc = |name: &str, m, k, n, kind| WorkloadSpec::Gemm {
+            name: name.into(),
+            m,
+            k,
+            n,
+            kind,
+        };
+        let gemm = |accelerator, design, workload| ScenarioKind::Gemm {
+            accelerator,
+            design,
+            workload,
+        };
+        let attention = |model: &str, dims, design| ScenarioKind::Attention {
+            model: model.into(),
+            dims,
+            design,
+        };
+        let (yoco, paper, linear) = (
+            AcceleratorKind::Yoco,
+            DesignPoint::paper(),
+            LayerKind::Linear,
+        );
+        let dims = AttentionDims {
+            seq: 128,
+            d_model: 768,
+            heads: 12,
+        };
+        let zoo = |model: &str| WorkloadSpec::Zoo {
+            model: model.into(),
+        };
+        // A GEMM, an attention and a study scenario, then one variant
+        // per field, each differing from its base in that field alone.
+        let mut kinds = vec![
+            gemm(yoco, paper, fc("fc", 8, 8, 8, linear)),
+            gemm(AcceleratorKind::Isaac, paper, fc("fc", 8, 8, 8, linear)),
+            gemm(yoco, paper, fc("fc2", 8, 8, 8, linear)),
+            gemm(yoco, paper, fc("fc", 9, 8, 8, linear)),
+            gemm(yoco, paper, fc("fc", 8, 9, 8, linear)),
+            gemm(yoco, paper, fc("fc", 8, 8, 9, linear)),
+            gemm(yoco, paper, fc("fc", 8, 8, 8, LayerKind::Convolution)),
+            gemm(yoco, paper, zoo("resnet18")),
+            gemm(yoco, paper, zoo("vgg16")),
+            attention("bert", dims, paper),
+            attention("gpt2", dims, paper),
+            attention("bert", AttentionDims { seq: 256, ..dims }, paper),
+            attention(
+                "bert",
+                AttentionDims {
+                    d_model: 512,
+                    ..dims
+                },
+                paper,
+            ),
+            attention("bert", AttentionDims { heads: 8, ..dims }, paper),
+            ScenarioKind::Study {
+                study: StudyId::Fig9a,
+            },
+            ScenarioKind::Study {
+                study: StudyId::Table2,
+            },
+        ];
+        let knobs: [fn(&mut DesignPoint); 6] = [
+            |d| d.ima_stack = Some(2),
+            |d| d.ima_width = Some(2),
+            |d| d.dimas_per_tile = Some(2),
+            |d| d.simas_per_tile = Some(2),
+            |d| d.tiles = Some(2),
+            |d| d.activity = Some(0.5),
+        ];
+        for knob in knobs {
+            let mut design = paper;
+            knob(&mut design);
+            kinds.push(gemm(yoco, design, fc("fc", 8, 8, 8, linear)));
+            kinds.push(attention("bert", dims, design));
+        }
+        let mut scenarios: Vec<Scenario> = kinds
+            .into_iter()
+            .map(|kind| Scenario {
+                id: "cell".into(),
+                kind,
+            })
+            .collect();
+        scenarios.push(Scenario {
+            id: "relabelled".into(),
+            ..scenarios[0].clone()
+        });
+        // `DefaultHasher::new()` is fixed-key, so this is deterministic.
+        let fingerprints: std::collections::HashSet<u64> =
+            scenarios.iter().map(CellMemo::fingerprint).collect();
+        assert_eq!(fingerprints.len(), scenarios.len());
     }
 
     #[test]

@@ -74,11 +74,6 @@ pub fn init(dir: &Path) -> io::Result<()> {
     Ok(())
 }
 
-/// Whether this process writes span records.
-pub fn enabled() -> bool {
-    TRACER.get().is_some()
-}
-
 /// The span id for a request: the one embedded in a coordinator-minted
 /// sub-request id if present, a fresh mint otherwise. `None` when
 /// tracing is disabled — callers skip all span bookkeeping.

@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
-use yoco_sweep::api::{CellOutcome, CellStatus, EvalRequest, Request, Response, StatusReport};
+use yoco_sweep::api::{CellOutcome, CellStatus, EvalRequest, Request, Response};
 use yoco_sweep::cluster::report_from_outcomes;
 use yoco_sweep::{grids, Engine, ResultCache, Scenario, ServeClient, StudyId};
 
@@ -100,11 +100,12 @@ fn spawn_coordinator(worker_ports: &[u16]) -> (Server, u16) {
     spawn_serve(&args)
 }
 
-/// A scripted worker on a test-local listener. It answers `Status` as
-/// an idle `serve`, and a streamed `Eval` with `Accepted` plus real
-/// forced `Cell` frames — evaluated in process — for the first
-/// `cells_before_hold` scenarios of its shard. Then it holds the
-/// exchange silent until [`StubWorker::kill`].
+/// A scripted worker on a test-local listener. It answers a streamed
+/// `Eval` with `Accepted` plus real forced `Cell` frames — evaluated in
+/// process — for the first `cells_before_hold` scenarios of its shard.
+/// Then it holds the exchange silent until [`StubWorker::kill`]. The
+/// coordinator never probes a worker, so any other request is a
+/// failure.
 struct StubWorker {
     port: u16,
     dead: Arc<AtomicBool>,
@@ -124,7 +125,7 @@ impl StubWorker {
                 if killed.load(Ordering::SeqCst) {
                     break;
                 }
-                held.extend(stub_exchange(stream, cells_before_hold)?);
+                held.push(stub_exchange(stream, cells_before_hold)?);
             }
             // The coordinator sees each held exchange drop mid-stream,
             // and the closed listener refuses every later connection.
@@ -151,36 +152,28 @@ impl StubWorker {
     }
 }
 
-/// One connection to a [`StubWorker`]: a request line in, the scripted
-/// frames out. Returns the connection to hold when it was an `Eval`.
-fn stub_exchange(stream: TcpStream, cells_before_hold: usize) -> io::Result<Option<TcpStream>> {
+/// One connection to a [`StubWorker`]: an `Eval` line in, the scripted
+/// frames out. Returns the connection to hold.
+fn stub_exchange(stream: TcpStream, cells_before_hold: usize) -> io::Result<TcpStream> {
     let mut line = String::new();
     BufReader::new(&stream).read_line(&mut line)?;
     let send = |frame: &Response| {
         let text = serde_json::to_string(frame).expect("frames serialize") + "\n";
         (&stream).write_all(text.as_bytes())
     };
-    match serde_json::from_str::<Request>(&line).expect("stub gets a request line") {
-        Request::Status => {
-            send(&Response::Status(StatusReport {
-                role: "serve".into(),
-                ..StatusReport::default()
-            }))?;
-            Ok(None)
-        }
-        Request::Eval(request) => {
-            send(&Response::Accepted {
-                id: request.id.clone(),
-                position: 0,
-            })?;
-            let head = &request.scenarios[..cells_before_hold.min(request.scenarios.len())];
-            for cell in &Engine::ephemeral().run(head).cells {
-                send(&Response::Cell(CellOutcome::from_cell(cell)))?;
-            }
-            Ok(Some(stream))
-        }
-        other => panic!("stub worker got an unexpected request: {other:?}"),
+    let Request::Eval(request) = serde_json::from_str(&line).expect("stub gets a request line")
+    else {
+        panic!("stub worker got a request other than Eval: {line}");
+    };
+    send(&Response::Accepted {
+        id: request.id.clone(),
+        position: 0,
+    })?;
+    let head = &request.scenarios[..cells_before_hold.min(request.scenarios.len())];
+    for cell in &Engine::ephemeral().run(head).cells {
+        send(&Response::Cell(CellOutcome::from_cell(cell)))?;
     }
+    Ok(stream)
 }
 
 fn client(port: u16) -> ServeClient {
@@ -311,9 +304,10 @@ fn killing_a_worker_mid_stream_requeues_its_cells_onto_the_survivor() {
     let (w2, p2) = spawn_worker(&caches[0]);
     let (coord, cport) = spawn_coordinator(&[stub.port, p2]);
 
-    // Six unique cheap cells. Both workers answer idle at selection, so
-    // the round-robin split gives worker 1 (the first configured)
-    // positions 0, 2, 4 and worker 2 positions 1, 3, 5.
+    // Six unique cheap cells. Both workers are idle (the coordinator has
+    // nothing in flight on either), so the round-robin split gives
+    // worker 1 (the first configured) positions 0, 2, 4 and worker 2
+    // positions 1, 3, 5.
     let batch: Vec<Scenario> = [
         StudyId::Fig9a,
         StudyId::Table2,
