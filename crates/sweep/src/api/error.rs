@@ -1,6 +1,6 @@
 //! [`SweepError`]: the one error type of the evaluation API.
 //!
-//! Every fallible operation in the sweep crate — scenario validation,
+//! Every fallible operation in the sweep crate — scenario checks,
 //! workload resolution, evaluator failures, cache I/O, and wire-format
 //! checks — reports a `SweepError`. The enum is serde-backed so errors
 //! travel losslessly through [`crate::api::EvalResponse`] envelopes and
@@ -13,10 +13,11 @@ use std::fmt;
 /// What went wrong, and where.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum SweepError {
-    /// A scenario failed validation: an impossible design point, a design
-    /// override on a baseline accelerator, a missing builder field.
+    /// The evaluator rejected a scenario: an impossible design point, a
+    /// design override on a baseline accelerator, bad attention dimensions.
     InvalidScenario {
-        /// Display id (or builder stage) of the offending scenario.
+        /// Display id of the offending scenario (`design-point` when the
+        /// design point itself failed to resolve).
         scenario: String,
         /// Human-readable cause.
         reason: String,

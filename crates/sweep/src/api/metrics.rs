@@ -8,19 +8,20 @@
 //! Two serialized forms exist on purpose:
 //!
 //! * **wire form** — the derived externally-tagged encoding
-//!   (`{"Gemm": {...}}`), self-describing, used inside
-//!   [`crate::engine::SweepReport`] and [`crate::api::EvalResponse`];
-//! * **cache form** — the *untagged* inner value
+//!   (`{"Gemm": {...}}`, `{"Study": {"Fig7": [...]}}`), self-describing,
+//!   used inside [`crate::engine::SweepReport`] and
+//!   [`crate::api::EvalResponse`];
+//! * **cache form** — the wire form with its variant names stripped
 //!   ([`Metrics::cache_value`]), the exact shape `results/cache/` entries
 //!   have always stored. The scenario recorded next to each entry names
-//!   the variant, so [`Metrics::from_cache_value`] rebuilds the typed
-//!   payload losslessly.
+//!   the variants, so [`Metrics::from_cache_value`] puts them back and
+//!   decodes through the same derived `Deserialize`.
 
 use crate::api::SweepError;
 use crate::eval::{AttentionMetrics, GemmMetrics};
 use crate::scenario::ScenarioKind;
 use crate::studies::StudyMetrics;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Map, Serialize, Value};
 
 /// The typed payload of one evaluated cell.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -34,34 +35,35 @@ pub enum Metrics {
 }
 
 impl Metrics {
-    /// The inner value in cache form (untagged).
+    /// The cache form: the wire form without its variant names, one
+    /// layer for a GEMM or attention cell and two for a study.
     pub fn cache_value(&self) -> Value {
+        let wire = self.to_value();
+        let inner = untag(&wire);
         match self {
-            Metrics::Gemm(m) => m.to_value(),
-            Metrics::Attention(m) => m.to_value(),
-            Metrics::Study(s) => s.cache_value(),
+            Metrics::Study(_) => untag(inner),
+            _ => inner,
         }
+        .clone()
     }
 
-    /// Rebuilds the typed payload from a cache value, using the scenario
-    /// kind to pick the variant. Fails with
-    /// [`SweepError::SchemaMismatch`] if the stored shape no longer
-    /// matches — the engine treats that as a cache miss.
-    pub fn from_cache_value(kind: &ScenarioKind, v: &Value) -> Result<Self, SweepError> {
-        match kind {
-            ScenarioKind::Gemm { .. } => {
-                Ok(Metrics::Gemm(serde_json::from_value(v).map_err(|e| {
-                    SweepError::schema("cached GEMM payload", e)
-                })?))
-            }
-            ScenarioKind::Attention { .. } => Ok(Metrics::Attention(
-                serde_json::from_value(v)
-                    .map_err(|e| SweepError::schema("cached attention payload", e))?,
-            )),
+    /// Rebuilds the typed payload from a cache value: puts back the
+    /// variant names the scenario kind gives (for a study, the
+    /// [`StudyId`](crate::StudyId)'s own serialized name) and decodes the
+    /// wire form. Fails with [`SweepError::SchemaMismatch`] if the stored
+    /// shape no longer matches — the engine treats that as a cache miss.
+    pub fn from_cache_value(kind: &ScenarioKind, v: Value) -> Result<Self, SweepError> {
+        let wire = match kind {
+            ScenarioKind::Gemm { .. } => tag("Gemm", v),
+            ScenarioKind::Attention { .. } => tag("Attention", v),
             ScenarioKind::Study { study } => {
-                StudyMetrics::from_cache_value(*study, v).map(Metrics::Study)
+                let Value::String(name) = study.to_value() else {
+                    unreachable!("a unit variant serializes as its name")
+                };
+                tag("Study", tag(name, v))
             }
-        }
+        };
+        serde_json::from_value(&wire).map_err(|e| SweepError::schema("cached payload", e))
     }
 
     /// The GEMM record, if this is a GEMM cell.
@@ -79,6 +81,21 @@ impl Metrics {
             _ => None,
         }
     }
+}
+
+/// The payload of an externally tagged data variant, `{"Name": payload}`.
+fn untag(wire: &Value) -> &Value {
+    wire.as_object()
+        .and_then(|m| m.iter().next())
+        .map(|(_, payload)| payload)
+        .expect("data variants serialize as one-key objects")
+}
+
+/// Wraps `payload` as the data variant `name`.
+fn tag(name: impl Into<String>, payload: Value) -> Value {
+    let mut m = Map::new();
+    m.insert(name, payload);
+    Value::Object(m)
 }
 
 #[cfg(test)]
@@ -106,7 +123,7 @@ mod tests {
     fn cache_form_round_trips_through_the_kind() {
         let kind = gemm_kind();
         let metrics = crate::eval::evaluate(&kind, 1).unwrap();
-        let back = Metrics::from_cache_value(&kind, &metrics.cache_value()).unwrap();
+        let back = Metrics::from_cache_value(&kind, metrics.cache_value()).unwrap();
         assert_eq!(metrics, back);
         assert!(back.as_gemm().is_some());
         assert!(back.as_attention().is_none());
@@ -131,7 +148,7 @@ mod tests {
             study: StudyId::Fig9a,
         };
         let metrics = crate::eval::evaluate(&kind, 1).unwrap();
-        let err = Metrics::from_cache_value(&attention_kind, &metrics.cache_value()).unwrap_err();
+        let err = Metrics::from_cache_value(&attention_kind, metrics.cache_value()).unwrap_err();
         assert_eq!(err.category(), "schema-mismatch");
     }
 }

@@ -6,7 +6,6 @@
 //!   in the crate returns (no more `Result<_, String>`);
 //! * [`Metrics`] — typed cell payloads
 //!   ([`Gemm`](Metrics::Gemm)/[`Attention`](Metrics::Attention)/[`Study`](Metrics::Study));
-//! * [`ScenarioBuilder`] — validated scenario construction;
 //! * [`EvalRequest`]/[`EvalResponse`] (framed by [`Request`]/[`Response`])
 //!   — the versioned NDJSON wire format `yoco-serve` speaks;
 //! * [`Shard`] — deterministic grid slicing for CI matrices and
@@ -14,15 +13,24 @@
 //!
 //! The server side of one exchange runs in process through
 //! [`Runtime::handle_line`](crate::serve::Runtime::handle_line), with a
-//! `Vec<Response>` collecting the reply frames:
+//! `Vec<Response>` collecting the reply frames. Cells are built with the
+//! [`Scenario`] constructors and checked where they are evaluated: an
+//! invalid cell comes back `Failed` with a typed [`SweepError`], next to
+//! its batch's good cells.
 //!
 //! ```
-//! use yoco_sweep::api::{EvalRequest, Request, Response, ScenarioBuilder};
-//! use yoco_sweep::{AcceleratorKind, Engine, Runtime, ServeConfig, StudyId};
+//! use yoco_sweep::api::{CellStatus, EvalRequest, Request, Response};
+//! use yoco_sweep::{
+//!     AcceleratorKind, DesignPoint, Engine, Runtime, Scenario, ServeConfig, StudyId, WorkloadSpec,
+//! };
 //!
+//! let resnet18 = || WorkloadSpec::Zoo { model: "resnet18".into() };
+//! let half_chip = DesignPoint { tiles: Some(2), ..Default::default() };
 //! let batch = vec![
-//!     ScenarioBuilder::gemm(AcceleratorKind::Yoco).zoo("resnet18").build().unwrap(),
-//!     ScenarioBuilder::study(StudyId::Table2).build().unwrap(),
+//!     Scenario::gemm(AcceleratorKind::Yoco, half_chip, resnet18()),
+//!     Scenario::study(StudyId::Table2),
+//!     // Design overrides only apply to the YOCO chip:
+//!     Scenario::gemm(AcceleratorKind::Isaac, half_chip, resnet18()),
 //! ];
 //! let line = serde_json::to_string(&Request::Eval(EvalRequest::new("r-1", batch))).unwrap();
 //! let runtime = Runtime::new(Engine::ephemeral(), ServeConfig::default());
@@ -31,16 +39,17 @@
 //! let [Response::Eval(response)] = &frames[..] else {
 //!     unreachable!("a v1 request gets one buffered Eval response");
 //! };
-//! assert!(response.is_ok());
-//! assert_eq!(response.cells.len(), 2);
+//! assert_eq!(response.cells.len(), 3);
+//! assert_eq!(response.cells[1].status, CellStatus::Computed);
+//! let bad = &response.cells[2];
+//! assert_eq!(bad.status, CellStatus::Failed);
+//! assert_eq!(bad.error.as_ref().unwrap().category(), "invalid-scenario");
 //! ```
 
-mod builder;
 mod error;
 mod metrics;
 mod wire;
 
-pub use builder::ScenarioBuilder;
 pub use error::SweepError;
 pub use metrics::Metrics;
 pub use wire::{

@@ -183,7 +183,7 @@ impl Engine {
                     // An entry whose stored shape no longer decodes is a
                     // stale schema, not an error: fall through and
                     // recompute (the store below refreshes it).
-                    if let Ok(metrics) = Metrics::from_cache_value(&kind, &payload) {
+                    if let Ok(metrics) = Metrics::from_cache_value(&kind, payload) {
                         return CellResult {
                             scenario: scenario.clone(),
                             key,

@@ -6,7 +6,7 @@
 //! structured [`SweepError`] instead of raw JSON and strings.
 
 use crate::api::{Metrics, SweepError};
-use crate::scenario::{AcceleratorKind, ScenarioKind};
+use crate::scenario::{AcceleratorKind, DesignPoint, ScenarioKind};
 use serde::{Deserialize, Serialize};
 use yoco::pipeline::{AttentionDims, AttentionPipeline};
 use yoco::YocoChip;
@@ -55,10 +55,10 @@ pub struct AttentionMetrics {
 /// threads (the calling one included; only fig6d's Monte-Carlo uses more
 /// than one).
 ///
-/// Resolution *is* validation here — workload and design resolve exactly
-/// once, and the cheap guards ([`crate::scenario`]'s baseline/dims
-/// checks, shared with [`ScenarioKind::validate`]) run inline, so a cell
-/// that went through [`crate::api::ScenarioBuilder`] pays nothing twice.
+/// This is the one place a scenario is checked: workload and design
+/// resolve exactly once, the baseline-design and attention-dimension
+/// guards run inline, and a cell that fails any of them returns its
+/// typed [`SweepError`] instead of a payload.
 pub fn evaluate(kind: &ScenarioKind, jobs: usize) -> Result<Metrics, SweepError> {
     match kind {
         ScenarioKind::Gemm {
@@ -66,7 +66,7 @@ pub fn evaluate(kind: &ScenarioKind, jobs: usize) -> Result<Metrics, SweepError>
             design,
             workload,
         } => {
-            crate::scenario::baseline_design_guard(*accelerator, design, workload.label())?;
+            baseline_design_guard(*accelerator, design, workload.label())?;
             let workloads = workload.resolve()?;
             let label = workload.label().to_owned();
             let report = match accelerator {
@@ -96,7 +96,7 @@ pub fn evaluate(kind: &ScenarioKind, jobs: usize) -> Result<Metrics, SweepError>
             dims,
             design,
         } => {
-            crate::scenario::attention_dims_guard(model, dims)?;
+            attention_dims_guard(model, dims)?;
             let pipeline = AttentionPipeline::new(design.resolve()?);
             let r = pipeline.simulate(dims);
             Ok(Metrics::Attention(AttentionMetrics {
@@ -111,10 +111,52 @@ pub fn evaluate(kind: &ScenarioKind, jobs: usize) -> Result<Metrics, SweepError>
     }
 }
 
+/// Baselines must run at the paper design point: silently ignoring an
+/// override would poison the cache key space.
+fn baseline_design_guard(
+    accelerator: AcceleratorKind,
+    design: &DesignPoint,
+    workload_label: &str,
+) -> Result<(), SweepError> {
+    if accelerator != AcceleratorKind::Yoco && !design.is_paper() {
+        return Err(SweepError::invalid(
+            format!("{}/{workload_label}", accelerator.name()),
+            format!(
+                "design-point overrides only apply to yoco, not {}",
+                accelerator.name()
+            ),
+        ));
+    }
+    Ok(())
+}
+
+/// Attention dimensions must be positive with an integral head width.
+fn attention_dims_guard(model: &str, dims: &AttentionDims) -> Result<(), SweepError> {
+    if dims.seq == 0 || dims.d_model == 0 || dims.heads == 0 {
+        return Err(SweepError::invalid(
+            format!("attention/{model}"),
+            format!(
+                "attention dimensions must be positive, got seq {} d_model {} heads {}",
+                dims.seq, dims.d_model, dims.heads
+            ),
+        ));
+    }
+    if !dims.d_model.is_multiple_of(dims.heads) {
+        return Err(SweepError::invalid(
+            format!("attention/{model}"),
+            format!(
+                "heads ({}) must divide d_model ({})",
+                dims.heads, dims.d_model
+            ),
+        ));
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{DesignPoint, Scenario, WorkloadSpec};
+    use crate::scenario::{Scenario, WorkloadSpec};
     use yoco_arch::workload::LayerKind;
 
     #[test]
@@ -142,10 +184,10 @@ mod tests {
 
     #[test]
     fn design_overrides_on_baselines_are_rejected() {
-        let kind = ScenarioKind::Gemm {
+        let timely = |tiles| ScenarioKind::Gemm {
             accelerator: AcceleratorKind::Timely,
             design: DesignPoint {
-                tiles: Some(2),
+                tiles: Some(tiles),
                 ..Default::default()
             },
             workload: WorkloadSpec::Gemm {
@@ -156,9 +198,56 @@ mod tests {
                 kind: LayerKind::Linear,
             },
         };
-        let err = evaluate(&kind, 1).unwrap_err();
+        let err = evaluate(&timely(2), 1).unwrap_err();
         assert!(err.to_string().contains("only apply to yoco"), "{err}");
         assert_eq!(err.category(), "invalid-scenario");
+        // A restated paper default is still the paper design point.
+        assert!(evaluate(&timely(4), 1).is_ok());
+    }
+
+    #[test]
+    fn invalid_cells_fail_with_typed_errors() {
+        let attention = |seq, heads| {
+            let dims = AttentionDims {
+                seq,
+                d_model: 768,
+                heads,
+            };
+            Scenario::attention("m", dims, DesignPoint::paper()).kind
+        };
+        let zero_k = WorkloadSpec::Gemm {
+            name: "g".into(),
+            m: 4,
+            k: 0,
+            n: 32,
+            kind: LayerKind::Linear,
+        };
+        let zero_tiles = DesignPoint {
+            tiles: Some(0),
+            ..Default::default()
+        };
+        let resnet18 = WorkloadSpec::Zoo {
+            model: "resnet18".into(),
+        };
+        let cases = [
+            (
+                Scenario::gemm(AcceleratorKind::Yoco, DesignPoint::paper(), zero_k).kind,
+                "workload-resolution",
+                "must be positive",
+            ),
+            (
+                Scenario::gemm(AcceleratorKind::Yoco, zero_tiles, resnet18).kind,
+                "invalid-scenario",
+                "design-point",
+            ),
+            (attention(0, 12), "invalid-scenario", "must be positive"),
+            (attention(128, 5), "invalid-scenario", "divide"),
+        ];
+        for (kind, category, reason) in cases {
+            let err = evaluate(&kind, 1).unwrap_err();
+            assert_eq!(err.category(), category, "{kind:?}: {err}");
+            assert!(err.to_string().contains(reason), "{kind:?}: {err}");
+        }
     }
 
     #[test]

@@ -313,6 +313,7 @@ impl DseGrid {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::ScenarioKind;
 
     #[test]
     fn named_grids_resolve() {
@@ -359,8 +360,14 @@ mod tests {
             let scenarios = grid.scenarios();
             assert_eq!(scenarios.len(), grid.total_designs() * DSE_WORKLOADS.len());
             for s in &scenarios {
-                s.validate()
-                    .unwrap_or_else(|e| panic!("{}: {}: {e}", grid.name, s.id));
+                let ScenarioKind::Gemm {
+                    design, workload, ..
+                } = &s.kind
+                else {
+                    panic!("{}: {} is not a GEMM cell", grid.name, s.id);
+                };
+                let resolved = design.resolve().and_then(|_| workload.resolve());
+                resolved.unwrap_or_else(|e| panic!("{}: {}: {e}", grid.name, s.id));
             }
         }
     }

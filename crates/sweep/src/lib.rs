@@ -4,13 +4,15 @@
 //! service request in the workspace:
 //!
 //! * [`api`] — **the crate's primary interface**: the [`SweepError`]
-//!   error enum, typed [`Metrics`] payloads, the validating
-//!   [`ScenarioBuilder`], the versioned [`EvalRequest`]/[`EvalResponse`]
-//!   wire format spoken by the `yoco-serve` binary, and [`Shard`]
-//!   descriptors for splitting grids across hosts;
+//!   error enum, typed [`Metrics`] payloads, the versioned
+//!   [`EvalRequest`]/[`EvalResponse`] wire format spoken by the
+//!   `yoco-serve` binary, and [`Shard`] descriptors for splitting grids
+//!   across hosts;
 //! * [`scenario`] — serde-backed [`Scenario`] descriptors: accelerator
 //!   choice, design-point overrides, workload selection, and named
 //!   studies, composable into grids ([`grids`], [`figures`]);
+//! * [`eval`] — the one place a scenario is checked and evaluated: an
+//!   invalid cell comes back as a typed [`SweepError`];
 //! * [`engine`] — the [`Engine`]: parallel execution over self-scheduling
 //!   scoped threads with deterministic, order-independent assembly, and
 //!   per-cell completion callbacks ([`Engine::run_with`]) for streaming
@@ -88,10 +90,7 @@ pub mod serve;
 pub mod studies;
 pub mod telemetry;
 
-pub use api::{
-    EvalRequest, EvalResponse, Metrics, ScenarioBuilder, Shard, StatusReport, SweepError,
-    API_VERSION,
-};
+pub use api::{EvalRequest, EvalResponse, Metrics, Shard, StatusReport, SweepError, API_VERSION};
 pub use cache::{CacheStats, GcBudget, GcOutcome, ResultCache};
 pub use client::{RetryPolicy, ServeClient, StreamOutcome};
 pub use engine::{CellResult, Engine, SweepReport};

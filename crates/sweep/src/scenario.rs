@@ -394,33 +394,6 @@ impl Scenario {
     pub fn cache_key(&self) -> String {
         self.kind.normalized().cache_key()
     }
-
-    /// Checks every precondition the evaluator would enforce, without
-    /// evaluating anything. [`crate::api::ScenarioBuilder`] calls this at
-    /// `build()`; frontends can call it to reject a bad scenario before
-    /// it occupies a worker (the evaluator re-checks the cheap guards
-    /// either way, so nothing relies on callers remembering to).
-    pub fn validate(&self) -> Result<(), SweepError> {
-        self.kind
-            .validate()
-            .map_err(|e| e.for_scenario(self.id.clone()))
-    }
-}
-
-impl SweepError {
-    /// Attaches a concrete scenario id to errors raised below the
-    /// scenario level (design-point and dimension checks).
-    fn for_scenario(self, id: String) -> Self {
-        match self {
-            SweepError::InvalidScenario { scenario, reason } if scenario == "design-point" => {
-                SweepError::InvalidScenario {
-                    scenario: id,
-                    reason: format!("design-point: {reason}"),
-                }
-            }
-            other => other,
-        }
-    }
 }
 
 impl ScenarioKind {
@@ -430,33 +403,6 @@ impl ScenarioKind {
     pub fn cache_key(&self) -> String {
         let canonical = serde_json::to_string(self).expect("scenario serialization is infallible");
         hash::content_key(&canonical)
-    }
-
-    /// Checks evaluator preconditions for this kind: the design point
-    /// must resolve, baseline accelerators must run at the paper design
-    /// point, workloads must resolve, and attention dimensions must be
-    /// positive with an integral head width.
-    pub fn validate(&self) -> Result<(), SweepError> {
-        match self {
-            ScenarioKind::Gemm {
-                accelerator,
-                design,
-                workload,
-            } => {
-                workload.resolve()?;
-                design.resolve()?;
-                baseline_design_guard(*accelerator, design, workload.label())
-            }
-            ScenarioKind::Attention {
-                model,
-                dims,
-                design,
-            } => {
-                design.resolve()?;
-                attention_dims_guard(model, dims)
-            }
-            ScenarioKind::Study { .. } => Ok(()),
-        }
     }
 
     /// Canonical form: embedded design points are normalized.
@@ -483,51 +429,6 @@ impl ScenarioKind {
             ScenarioKind::Study { study } => ScenarioKind::Study { study: *study },
         }
     }
-}
-
-/// Baselines must run at the paper design point: silently ignoring an
-/// override would poison the cache key space. Shared by
-/// [`ScenarioKind::validate`] and the evaluator (which must hold the
-/// invariant even for scenarios that skipped validation).
-pub(crate) fn baseline_design_guard(
-    accelerator: AcceleratorKind,
-    design: &DesignPoint,
-    workload_label: &str,
-) -> Result<(), SweepError> {
-    if accelerator != AcceleratorKind::Yoco && !design.is_paper() {
-        return Err(SweepError::invalid(
-            format!("{}/{workload_label}", accelerator.name()),
-            format!(
-                "design-point overrides only apply to yoco, not {}",
-                accelerator.name()
-            ),
-        ));
-    }
-    Ok(())
-}
-
-/// Attention dimensions must be positive with an integral head width.
-/// Shared by [`ScenarioKind::validate`] and the evaluator.
-pub(crate) fn attention_dims_guard(model: &str, dims: &AttentionDims) -> Result<(), SweepError> {
-    if dims.seq == 0 || dims.d_model == 0 || dims.heads == 0 {
-        return Err(SweepError::invalid(
-            format!("attention/{model}"),
-            format!(
-                "attention dimensions must be positive, got seq {} d_model {} heads {}",
-                dims.seq, dims.d_model, dims.heads
-            ),
-        ));
-    }
-    if !dims.d_model.is_multiple_of(dims.heads) {
-        return Err(SweepError::invalid(
-            format!("attention/{model}"),
-            format!(
-                "heads ({}) must divide d_model ({})",
-                dims.heads, dims.d_model
-            ),
-        ));
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@ pub mod overview;
 
 use crate::api::SweepError;
 use crate::scenario::StudyId;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use yoco::YocoChip;
 use yoco_circuit::energy::{array_area, array_vmm_energy, ima_area, ima_vmm_cost, table2};
 use yoco_circuit::variation::MonteCarloReport;
@@ -73,11 +73,10 @@ pub fn table2_record() -> Table2Record {
     }
 }
 
-/// Typed payload of one study cell: one variant per [`StudyId`], each
-/// wrapping the record the study computes. Serialization is externally
-/// tagged (`{"Fig7": [...]}`); cache entries store the *untagged* inner
-/// value (see [`StudyMetrics::cache_value`]) so they stay byte-compatible
-/// with pre-API cache entries.
+/// Typed payload of one study cell: one variant per [`StudyId`], named
+/// like it, each wrapping the record the study computes. Serialization
+/// is externally tagged (`{"Fig7": [...]}`); cache entries store the
+/// untagged inner value (see [`crate::Metrics::cache_value`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum StudyMetrics {
     /// Fig 1(c) scatter points.
@@ -142,71 +141,6 @@ impl StudyMetrics {
             StudyMetrics::AblationCorners(_) => StudyId::AblationCorners,
         }
     }
-
-    /// The untagged inner value — the exact shape cache entries store
-    /// (and stored before payloads were typed).
-    pub fn cache_value(&self) -> Value {
-        match self {
-            StudyMetrics::Fig1c(v) => v.to_value(),
-            StudyMetrics::Fig6a(v) => v.to_value(),
-            StudyMetrics::Fig6bc(v) => v.to_value(),
-            StudyMetrics::Fig6d(v) => v.to_value(),
-            StudyMetrics::Fig6e(v) => v.to_value(),
-            StudyMetrics::Fig6f(v) => v.to_value(),
-            StudyMetrics::Fig7(v) => v.to_value(),
-            StudyMetrics::Fig9a(v) => v.to_value(),
-            StudyMetrics::Fig9b(v) => v.to_value(),
-            StudyMetrics::Table1(v) => v.to_value(),
-            StudyMetrics::Table2(v) => v.to_value(),
-            StudyMetrics::Models(v) => v.to_value(),
-            StudyMetrics::Breakdown(v) => v.to_value(),
-            StudyMetrics::AblationSlicing(v) => v.to_value(),
-            StudyMetrics::AblationTda(v) => v.to_value(),
-            StudyMetrics::AblationHybrid(v) => v.to_value(),
-            StudyMetrics::AblationPipelineDepth(v) => v.to_value(),
-            StudyMetrics::AblationCorners(v) => v.to_value(),
-        }
-    }
-
-    /// Rebuilds the typed payload from an untagged cache value, using the
-    /// study id (recorded next to every cache entry) to pick the variant.
-    pub fn from_cache_value(study: StudyId, v: &Value) -> Result<Self, SweepError> {
-        let mismatch = |e: serde_json::Error| {
-            SweepError::schema(format!("cached payload of study/{}", study.name()), e)
-        };
-        Ok(match study {
-            StudyId::Fig1c => StudyMetrics::Fig1c(serde_json::from_value(v).map_err(mismatch)?),
-            StudyId::Fig6a => StudyMetrics::Fig6a(serde_json::from_value(v).map_err(mismatch)?),
-            StudyId::Fig6bc => StudyMetrics::Fig6bc(serde_json::from_value(v).map_err(mismatch)?),
-            StudyId::Fig6d => StudyMetrics::Fig6d(serde_json::from_value(v).map_err(mismatch)?),
-            StudyId::Fig6e => StudyMetrics::Fig6e(serde_json::from_value(v).map_err(mismatch)?),
-            StudyId::Fig6f => StudyMetrics::Fig6f(serde_json::from_value(v).map_err(mismatch)?),
-            StudyId::Fig7 => StudyMetrics::Fig7(serde_json::from_value(v).map_err(mismatch)?),
-            StudyId::Fig9a => StudyMetrics::Fig9a(serde_json::from_value(v).map_err(mismatch)?),
-            StudyId::Fig9b => StudyMetrics::Fig9b(serde_json::from_value(v).map_err(mismatch)?),
-            StudyId::Table1 => StudyMetrics::Table1(serde_json::from_value(v).map_err(mismatch)?),
-            StudyId::Table2 => StudyMetrics::Table2(serde_json::from_value(v).map_err(mismatch)?),
-            StudyId::Models => StudyMetrics::Models(serde_json::from_value(v).map_err(mismatch)?),
-            StudyId::Breakdown => {
-                StudyMetrics::Breakdown(serde_json::from_value(v).map_err(mismatch)?)
-            }
-            StudyId::AblationSlicing => {
-                StudyMetrics::AblationSlicing(serde_json::from_value(v).map_err(mismatch)?)
-            }
-            StudyId::AblationTda => {
-                StudyMetrics::AblationTda(serde_json::from_value(v).map_err(mismatch)?)
-            }
-            StudyId::AblationHybrid => {
-                StudyMetrics::AblationHybrid(serde_json::from_value(v).map_err(mismatch)?)
-            }
-            StudyId::AblationPipelineDepth => {
-                StudyMetrics::AblationPipelineDepth(serde_json::from_value(v).map_err(mismatch)?)
-            }
-            StudyId::AblationCorners => {
-                StudyMetrics::AblationCorners(serde_json::from_value(v).map_err(mismatch)?)
-            }
-        })
-    }
 }
 
 /// Evaluates one study to its typed payload, with one thread per core
@@ -244,31 +178,30 @@ pub(crate) fn run_with(study: StudyId, jobs: usize) -> Result<StudyMetrics, Swee
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::Metrics;
+    use crate::scenario::ScenarioKind;
 
     #[test]
     fn every_study_evaluates_to_its_own_typed_payload() {
-        // fig6f (stand-in training) is covered by the bins and the
-        // integration tests; keep the unit sweep quick with the rest.
         for study in StudyId::ALL {
-            if study == StudyId::Fig6f {
-                continue;
-            }
-            let m = run(study).unwrap_or_else(|e| panic!("{}: {e}", study.name()));
-            assert_eq!(m.study_id(), study);
-            assert!(!m.cache_value().is_null(), "{} produced null", study.name());
+            let payload = run(study).unwrap_or_else(|e| panic!("{}: {e}", study.name()));
+            assert_eq!(payload.study_id(), study);
+            // Cache values, not typed payloads, are compared: a non-finite
+            // float (ablation-hybrid's endurance) is stored as `null` and
+            // reads back as NaN.
+            let stored = Metrics::Study(payload).cache_value();
+            assert!(!stored.is_null(), "{} produced null", study.name());
+            let kind = ScenarioKind::Study { study };
+            let back = Metrics::from_cache_value(&kind, stored.clone())
+                .unwrap_or_else(|e| panic!("{}: {e}", study.name()));
+            assert_eq!(back.cache_value(), stored, "{}", study.name());
         }
-    }
-
-    #[test]
-    fn study_payloads_round_trip_through_cache_values() {
-        for study in [StudyId::Fig7, StudyId::Table2, StudyId::Models] {
-            let m = run(study).unwrap();
-            let back = StudyMetrics::from_cache_value(study, &m.cache_value()).unwrap();
-            assert_eq!(m, back, "{}", study.name());
-        }
-        // Wrong study id for a payload shape is a schema mismatch.
-        let m = run(StudyId::Table2).unwrap();
-        assert!(StudyMetrics::from_cache_value(StudyId::Fig7, &m.cache_value()).is_err());
+        // A payload read back under another study's id is a schema mismatch.
+        let table2 = Metrics::Study(run(StudyId::Table2).unwrap()).cache_value();
+        let fig7 = ScenarioKind::Study {
+            study: StudyId::Fig7,
+        };
+        assert!(Metrics::from_cache_value(&fig7, table2).is_err());
     }
 
     #[test]

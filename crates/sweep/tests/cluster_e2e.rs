@@ -15,90 +15,17 @@
 //!
 //! Readiness is the server's announce line, never a sleep.
 
+mod common;
+
+use common::{client, spawn_coordinator, spawn_server, temp_dir};
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, ExitStatus, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 use yoco_sweep::api::{CellOutcome, CellStatus, EvalRequest, Request, Response};
 use yoco_sweep::cluster::report_from_outcomes;
-use yoco_sweep::{grids, Engine, ResultCache, Scenario, ServeClient, StudyId};
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("yoco-cluster-e2e-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-/// A spawned `yoco-serve`, killed on drop so a failing test cannot
-/// leak a server (a leaked child also holds the test harness's stdout
-/// pipe open, wedging `cargo test`'s output).
-struct Server(Child);
-
-impl Server {
-    fn wait(mut self) -> ExitStatus {
-        self.0.wait().expect("server exits")
-    }
-}
-
-impl Drop for Server {
-    fn drop(&mut self) {
-        if matches!(self.0.try_wait(), Ok(None)) {
-            let _ = self.0.kill();
-            let _ = self.0.wait();
-        }
-    }
-}
-
-/// Spawns a `yoco-serve` process and parses its announce line.
-fn spawn_serve(args: &[String]) -> (Server, u16) {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_yoco-serve"))
-        .args(args)
-        .stdout(Stdio::piped())
-        .spawn()
-        .expect("yoco-serve spawns");
-    let stdout = child.stdout.take().expect("piped stdout");
-    let mut line = String::new();
-    BufReader::new(stdout)
-        .read_line(&mut line)
-        .expect("announce line");
-    let port = line
-        .trim()
-        .rsplit(':')
-        .next()
-        .and_then(|p| p.parse().ok())
-        .unwrap_or_else(|| panic!("unparseable announce line {line:?}"));
-    (Server(child), port)
-}
-
-fn spawn_worker(cache_dir: &Path) -> (Server, u16) {
-    spawn_serve(&[
-        "--addr".into(),
-        "127.0.0.1:0".into(),
-        "--cache-dir".into(),
-        cache_dir.to_str().expect("utf-8 temp path").into(),
-        "--jobs".into(),
-        "2".into(),
-        "--quiet".into(),
-    ])
-}
-
-fn spawn_coordinator(worker_ports: &[u16]) -> (Server, u16) {
-    let mut args: Vec<String> = vec![
-        "--coordinator".into(),
-        "--addr".into(),
-        "127.0.0.1:0".into(),
-        "--quiet".into(),
-    ];
-    for port in worker_ports {
-        args.push("--worker".into());
-        args.push(format!("127.0.0.1:{port}"));
-    }
-    spawn_serve(&args)
-}
+use yoco_sweep::{grids, Engine, ResultCache, Scenario, StudyId};
 
 /// A scripted worker on a test-local listener. It answers a streamed
 /// `Eval` with `Accepted` plus real forced `Cell` frames — evaluated in
@@ -176,14 +103,6 @@ fn stub_exchange(stream: TcpStream, cells_before_hold: usize) -> io::Result<TcpS
     Ok(stream)
 }
 
-fn client(port: u16) -> ServeClient {
-    let mut client = ServeClient::connect(&format!("127.0.0.1:{port}")).expect("connects");
-    client
-        .set_read_timeout(Some(Duration::from_secs(120)))
-        .expect("timeout set");
-    client
-}
-
 /// Reassembles streamed cell outcomes into scenario order (batch ids
 /// are unique in these tests).
 fn in_scenario_order(scenarios: &[Scenario], cells: &[CellOutcome]) -> Vec<CellOutcome> {
@@ -202,8 +121,8 @@ fn in_scenario_order(scenarios: &[Scenario], cells: &[CellOutcome]) -> Vec<CellO
 #[test]
 fn coordinator_with_two_workers_matches_the_single_box_report_byte_for_byte() {
     let caches = [temp_dir("w1"), temp_dir("w2"), temp_dir("solo")];
-    let (w1, p1) = spawn_worker(&caches[0]);
-    let (w2, p2) = spawn_worker(&caches[1]);
+    let (w1, p1) = spawn_server(&caches[0], &[]);
+    let (w2, p2) = spawn_server(&caches[1], &[]);
     let (coord, cport) = spawn_coordinator(&[p1, p2]);
 
     let scenarios = grids::resolve("fig10").expect("named grid");
@@ -301,7 +220,7 @@ fn killing_a_worker_mid_stream_requeues_its_cells_onto_the_survivor() {
     // holds the rest until it is killed.
     const STUB_CELLS: usize = 1;
     let mut stub = StubWorker::spawn(STUB_CELLS);
-    let (w2, p2) = spawn_worker(&caches[0]);
+    let (w2, p2) = spawn_server(&caches[0], &[]);
     let (coord, cport) = spawn_coordinator(&[stub.port, p2]);
 
     // Six unique cheap cells. Both workers are idle (the coordinator has

@@ -8,78 +8,16 @@
 //! Readiness is the server's announce line ("yoco-serve listening on
 //! …") — never a sleep.
 
+mod common;
+
+use common::{client, spawn_coordinator, spawn_server, temp_dir};
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, ExitStatus, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use yoco_sweep::api::{EvalRequest, Request, Response};
 use yoco_sweep::serve::{listen, serve_reactor, ReactorConfig, ServeConfig};
 use yoco_sweep::{Engine, ResultCache, Runtime, Scenario, ServeClient, StreamOutcome, StudyId};
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("yoco-reactor-e2e-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-/// A spawned `yoco-serve`, killed on drop so a failing test cannot
-/// leak a server (a leaked child also holds the test harness's stdout
-/// pipe open, wedging `cargo test`'s output).
-struct Server(Child);
-
-impl Server {
-    fn wait(mut self) -> ExitStatus {
-        self.0.wait().expect("server exits")
-    }
-}
-
-impl Drop for Server {
-    fn drop(&mut self) {
-        if matches!(self.0.try_wait(), Ok(None)) {
-            let _ = self.0.kill();
-            let _ = self.0.wait();
-        }
-    }
-}
-
-fn spawn_server_with(cache_dir: &Path, extra: &[&str]) -> (Server, u16) {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_yoco-serve"))
-        .args([
-            "--addr",
-            "127.0.0.1:0",
-            "--cache-dir",
-            cache_dir.to_str().expect("utf-8 temp path"),
-            "--jobs",
-            "2",
-            "--quiet",
-        ])
-        .args(extra)
-        .stdout(Stdio::piped())
-        .spawn()
-        .expect("yoco-serve spawns");
-    let stdout = child.stdout.take().expect("piped stdout");
-    let mut line = String::new();
-    BufReader::new(stdout)
-        .read_line(&mut line)
-        .expect("announce line");
-    let port = line
-        .trim()
-        .rsplit(':')
-        .next()
-        .and_then(|p| p.parse().ok())
-        .unwrap_or_else(|| panic!("unparseable announce line {line:?}"));
-    (Server(child), port)
-}
-
-fn client(port: u16) -> ServeClient {
-    let mut client = ServeClient::connect(&format!("127.0.0.1:{port}")).expect("connects");
-    client
-        .set_read_timeout(Some(Duration::from_secs(120)))
-        .expect("timeout set");
-    client
-}
 
 fn batch() -> Vec<Scenario> {
     vec![
@@ -97,7 +35,7 @@ fn request_line(request: &Request) -> String {
 #[test]
 fn pipelined_v1_requests_on_one_connection_all_answer() {
     let cache = temp_dir("pipeline-v1");
-    let (server, port) = spawn_server_with(&cache, &["--queue-depth", "8"]);
+    let (server, port) = spawn_server(&cache, &["--queue-depth", "8"]);
 
     // Prime so the pipelined burst below is all warm (and instant).
     let mut c = client(port);
@@ -153,7 +91,7 @@ fn pipelined_v1_requests_on_one_connection_all_answer() {
 #[test]
 fn pipelined_v2_streams_never_interleave_their_frames() {
     let cache = temp_dir("pipeline-v2");
-    let (server, port) = spawn_server_with(&cache, &["--queue-depth", "8"]);
+    let (server, port) = spawn_server(&cache, &["--queue-depth", "8"]);
 
     // Two FORCED streamed requests in one write: both need real
     // compute, so both go through the worker pool — where frames of
@@ -222,7 +160,7 @@ fn pipelined_v2_streams_never_interleave_their_frames() {
 #[test]
 fn frames_split_across_arbitrary_write_boundaries_reassemble() {
     let cache = temp_dir("partial");
-    let (server, port) = spawn_server_with(&cache, &[]);
+    let (server, port) = spawn_server(&cache, &[]);
 
     let mut stream = TcpStream::connect(("127.0.0.1", port)).expect("connects");
     stream
@@ -380,7 +318,7 @@ fn smoke_1024_concurrent_connections_serve_one_warm_batch_each() {
         }
     }
     let cache = temp_dir("smoke-1024");
-    let (server, port) = spawn_server_with(&cache, &["--queue-depth", "2048"]);
+    let (server, port) = spawn_server(&cache, &["--queue-depth", "2048"]);
 
     let mut primer = client(port);
     let outcome = primer
@@ -438,32 +376,9 @@ fn smoke_1024_concurrent_connections_serve_one_warm_batch_each() {
 fn warm_v1_bytes_match_between_runtime_and_coordinator() {
     let runtime_cache = temp_dir("parity-runtime");
     let worker_cache = temp_dir("parity-worker");
-    let (runtime_server, runtime_port) = spawn_server_with(&runtime_cache, &[]);
-    let (worker_server, worker_port) = spawn_server_with(&worker_cache, &[]);
-    let coordinator = Command::new(env!("CARGO_BIN_EXE_yoco-serve"))
-        .args([
-            "--coordinator",
-            "--worker",
-            &format!("127.0.0.1:{worker_port}"),
-            "--addr",
-            "127.0.0.1:0",
-            "--quiet",
-        ])
-        .stdout(Stdio::piped())
-        .spawn()
-        .expect("coordinator spawns");
-    let mut coordinator = Server(coordinator);
-    let stdout = coordinator.0.stdout.take().expect("piped stdout");
-    let mut line = String::new();
-    BufReader::new(stdout)
-        .read_line(&mut line)
-        .expect("announce line");
-    let coordinator_port: u16 = line
-        .trim()
-        .rsplit(':')
-        .next()
-        .and_then(|p| p.parse().ok())
-        .unwrap_or_else(|| panic!("unparseable announce line {line:?}"));
+    let (runtime_server, runtime_port) = spawn_server(&runtime_cache, &[]);
+    let (worker_server, worker_port) = spawn_server(&worker_cache, &[]);
+    let (coordinator, coordinator_port) = spawn_coordinator(&[worker_port]);
 
     let warm_line = |port: u16| {
         let mut c = client(port);

@@ -8,83 +8,17 @@
 //! Readiness is the server's announce line ("yoco-serve listening on
 //! …") — never a sleep.
 
+mod common;
+
+use common::{client, spawn_server, temp_dir};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, ExitStatus, Stdio};
 use std::time::Duration;
 use yoco_sweep::api::{CellStatus, EvalRequest, Request, Response};
 use yoco_sweep::{
-    AcceleratorKind, DesignPoint, Engine, ResultCache, Scenario, ServeClient, StreamOutcome,
-    StudyId, WorkloadSpec,
+    AcceleratorKind, DesignPoint, Engine, ResultCache, Scenario, StreamOutcome, StudyId,
+    WorkloadSpec,
 };
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("yoco-serve-smoke-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-/// A spawned `yoco-serve`, killed on drop so a failing test cannot
-/// leak a server (a leaked child also holds the test harness's stdout
-/// pipe open, wedging `cargo test`'s output).
-struct Server(Child);
-
-impl Server {
-    fn wait(mut self) -> ExitStatus {
-        self.0.wait().expect("server exits")
-    }
-}
-
-impl Drop for Server {
-    fn drop(&mut self) {
-        if matches!(self.0.try_wait(), Ok(None)) {
-            let _ = self.0.kill();
-            let _ = self.0.wait();
-        }
-    }
-}
-
-fn spawn_server(cache_dir: &Path) -> (Server, u16) {
-    spawn_server_with(cache_dir, &[])
-}
-
-fn spawn_server_with(cache_dir: &Path, extra: &[&str]) -> (Server, u16) {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_yoco-serve"))
-        .args([
-            "--addr",
-            "127.0.0.1:0",
-            "--cache-dir",
-            cache_dir.to_str().expect("utf-8 temp path"),
-            "--jobs",
-            "2",
-            "--quiet",
-        ])
-        .args(extra)
-        .stdout(Stdio::piped())
-        .spawn()
-        .expect("yoco-serve spawns");
-    let stdout = child.stdout.take().expect("piped stdout");
-    let mut line = String::new();
-    BufReader::new(stdout)
-        .read_line(&mut line)
-        .expect("announce line");
-    let port = line
-        .trim()
-        .rsplit(':')
-        .next()
-        .and_then(|p| p.parse().ok())
-        .unwrap_or_else(|| panic!("unparseable announce line {line:?}"));
-    (Server(child), port)
-}
-
-fn client(port: u16) -> ServeClient {
-    let mut client = ServeClient::connect(&format!("127.0.0.1:{port}")).expect("connects");
-    client
-        .set_read_timeout(Some(Duration::from_secs(120)))
-        .expect("timeout set");
-    client
-}
 
 fn exchange(
     stream: &mut TcpStream,
@@ -121,7 +55,7 @@ fn batch() -> Vec<Scenario> {
 fn serve_round_trip_matches_direct_engine_and_is_byte_stable_when_warm() {
     let serve_cache = temp_dir("server");
     let direct_cache = temp_dir("direct");
-    let (server, port) = spawn_server(&serve_cache);
+    let (server, port) = spawn_server(&serve_cache, &[]);
 
     let mut stream = TcpStream::connect(("127.0.0.1", port)).expect("connects");
     stream
@@ -185,7 +119,7 @@ fn serve_round_trip_matches_direct_engine_and_is_byte_stable_when_warm() {
 #[test]
 fn malformed_lines_get_an_error_response_not_a_hangup() {
     let cache = temp_dir("malformed");
-    let (server, port) = spawn_server(&cache);
+    let (server, port) = spawn_server(&cache, &[]);
     let mut stream = TcpStream::connect(("127.0.0.1", port)).expect("connects");
     stream
         .set_read_timeout(Some(Duration::from_secs(60)))
@@ -218,7 +152,7 @@ fn malformed_lines_get_an_error_response_not_a_hangup() {
 #[test]
 fn v2_streams_accepted_cells_done_and_serves_warm_hits() {
     let cache = temp_dir("stream");
-    let (server, port) = spawn_server(&cache);
+    let (server, port) = spawn_server(&cache, &[]);
     let mut c = client(port);
 
     // Cold streamed exchange: Accepted first, one Cell per scenario (in
@@ -312,7 +246,7 @@ fn v2_streams_accepted_cells_done_and_serves_warm_hits() {
 #[test]
 fn status_probe_reports_counters_over_the_wire() {
     let cache = temp_dir("status");
-    let (server, port) = spawn_server(&cache);
+    let (server, port) = spawn_server(&cache, &[]);
     let mut c = client(port);
 
     let idle = c.status().expect("status answers");
@@ -343,7 +277,7 @@ fn status_probe_reports_counters_over_the_wire() {
 fn queue_full_rejects_and_shutdown_drains_an_inflight_stream() {
     let cache = temp_dir("busy");
     // One admission slot: the heavy stream below owns it for seconds.
-    let (server, port) = spawn_server_with(&cache, &["--queue-depth", "1"]);
+    let (server, port) = spawn_server(&cache, &["--queue-depth", "1"]);
 
     // Connection A: a forced streamed batch anchored by the fig6d
     // Monte-Carlo study (seconds of compute), admitted first.

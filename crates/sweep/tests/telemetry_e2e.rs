@@ -7,69 +7,13 @@
 //! Each test spawns its own server process, whose registry starts from
 //! zero, so counter assertions are absolute.
 
-use std::io::{BufRead, BufReader};
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
-use std::time::{Duration, Instant};
+mod common;
+
+use common::{client, spawn_server, temp_dir};
+use std::time::Instant;
 use yoco_sweep::api::EvalRequest;
 use yoco_sweep::telemetry::trace;
-use yoco_sweep::{Scenario, ServeClient, StreamOutcome, StudyId};
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("yoco-telemetry-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-/// A spawned `yoco-serve`, killed on drop so a failing test cannot
-/// leak a server.
-struct Server(Child);
-
-impl Drop for Server {
-    fn drop(&mut self) {
-        if matches!(self.0.try_wait(), Ok(None)) {
-            let _ = self.0.kill();
-            let _ = self.0.wait();
-        }
-    }
-}
-
-fn spawn_server(cache_dir: &Path, extra: &[&str]) -> (Server, u16) {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_yoco-serve"))
-        .args([
-            "--addr",
-            "127.0.0.1:0",
-            "--cache-dir",
-            cache_dir.to_str().expect("utf-8 temp path"),
-            "--jobs",
-            "2",
-            "--quiet",
-        ])
-        .args(extra)
-        .stdout(Stdio::piped())
-        .spawn()
-        .expect("yoco-serve spawns");
-    let stdout = child.stdout.take().expect("piped stdout");
-    let mut line = String::new();
-    BufReader::new(stdout)
-        .read_line(&mut line)
-        .expect("announce line");
-    let port = line
-        .trim()
-        .rsplit(':')
-        .next()
-        .and_then(|p| p.parse().ok())
-        .unwrap_or_else(|| panic!("unparseable announce line {line:?}"));
-    (Server(child), port)
-}
-
-fn client(port: u16) -> ServeClient {
-    let mut client = ServeClient::connect(&format!("127.0.0.1:{port}")).expect("connects");
-    client
-        .set_read_timeout(Some(Duration::from_secs(120)))
-        .expect("timeout set");
-    client
-}
+use yoco_sweep::{Scenario, StreamOutcome, StudyId};
 
 fn batch() -> Vec<Scenario> {
     vec![
