@@ -1,325 +1,130 @@
-//! [`ScenarioBuilder`]: validated scenario construction.
-//!
-//! The plain [`Scenario`] constructors (`Scenario::gemm` & co.) stay
-//! infallible for trusted in-crate grids; the builder is the API-surface
-//! path — it runs [`Scenario::validate`] at `build()`, so a scenario
-//! that would fail in a worker thread fails here instead, with the same
-//! [`SweepError`] the engine would have produced.
-
-use crate::api::SweepError;
-use crate::scenario::{AcceleratorKind, DesignPoint, Scenario, StudyId, WorkloadSpec};
-use yoco::pipeline::AttentionDims;
-use yoco_arch::workload::LayerKind;
-
-#[derive(Debug, Clone)]
-enum Draft {
-    Gemm {
-        accelerator: AcceleratorKind,
-        design: DesignPoint,
-        workload: Option<WorkloadSpec>,
-    },
-    Attention {
-        model: String,
-        dims: AttentionDims,
-        design: DesignPoint,
-    },
-    Study {
-        study: StudyId,
-        design_set: bool,
-    },
-}
-
-/// A validating builder for [`Scenario`]s.
-///
-/// ```
-/// use yoco_sweep::api::ScenarioBuilder;
-/// use yoco_sweep::{AcceleratorKind, DesignPoint};
-///
-/// let cell = ScenarioBuilder::gemm(AcceleratorKind::Yoco)
-///     .zoo("resnet18")
-///     .design(DesignPoint { tiles: Some(8), ..Default::default() })
-///     .build()
-///     .unwrap();
-/// assert_eq!(cell.id, "yoco/resnet18");
-///
-/// // Baselines reject design overrides at build time, not in a worker:
-/// assert!(ScenarioBuilder::gemm(AcceleratorKind::Isaac)
-///     .zoo("resnet18")
-///     .design(DesignPoint { tiles: Some(8), ..Default::default() })
-///     .build()
-///     .is_err());
-/// ```
-#[derive(Debug, Clone)]
-pub struct ScenarioBuilder {
-    id: Option<String>,
-    draft: Draft,
-    misuse: Option<SweepError>,
-}
-
-impl ScenarioBuilder {
-    /// Starts a GEMM cell on `accelerator` at the paper design point.
-    /// A workload ([`Self::zoo`], [`Self::gemm_workload`], or
-    /// [`Self::workload`]) is required before `build()`.
-    pub fn gemm(accelerator: AcceleratorKind) -> Self {
-        Self {
-            id: None,
-            draft: Draft::Gemm {
-                accelerator,
-                design: DesignPoint::paper(),
-                workload: None,
-            },
-            misuse: None,
-        }
-    }
-
-    /// Starts an attention-pipeline cell.
-    pub fn attention(model: impl Into<String>, dims: AttentionDims) -> Self {
-        Self {
-            id: None,
-            draft: Draft::Attention {
-                model: model.into(),
-                dims,
-                design: DesignPoint::paper(),
-            },
-            misuse: None,
-        }
-    }
-
-    /// Starts a study cell.
-    pub fn study(study: StudyId) -> Self {
-        Self {
-            id: None,
-            draft: Draft::Study {
-                study,
-                design_set: false,
-            },
-            misuse: None,
-        }
-    }
-
-    /// Overrides the display id (not part of the cache key).
-    pub fn id(mut self, id: impl Into<String>) -> Self {
-        self.id = Some(id.into());
-        self
-    }
-
-    /// Sets design-point overrides. Valid on GEMM and attention cells;
-    /// on a study cell `build()` rejects it (studies are design-free).
-    pub fn design(mut self, design: DesignPoint) -> Self {
-        match &mut self.draft {
-            Draft::Gemm { design: d, .. } | Draft::Attention { design: d, .. } => *d = design,
-            Draft::Study { design_set, .. } => *design_set = true,
-        }
-        self
-    }
-
-    /// Selects a zoo model workload (GEMM cells only).
-    pub fn zoo(self, model: impl Into<String>) -> Self {
-        self.workload(WorkloadSpec::Zoo {
-            model: model.into(),
-        })
-    }
-
-    /// Selects a single ad-hoc GEMM workload (GEMM cells only).
-    pub fn gemm_workload(self, name: impl Into<String>, m: u64, k: u64, n: u64) -> Self {
-        self.workload(WorkloadSpec::Gemm {
-            name: name.into(),
-            m,
-            k,
-            n,
-            kind: LayerKind::Linear,
-        })
-    }
-
-    /// Sets the workload spec directly (GEMM cells only; reported as an
-    /// error at `build()` on other kinds).
-    pub fn workload(mut self, spec: WorkloadSpec) -> Self {
-        if let Draft::Gemm { workload, .. } = &mut self.draft {
-            *workload = Some(spec);
-        } else {
-            self.misuse = Some(SweepError::invalid(
-                spec.label(),
-                "a workload spec only applies to GEMM cells",
-            ));
-        }
-        self
-    }
-
-    /// Validates and produces the scenario.
-    pub fn build(self) -> Result<Scenario, SweepError> {
-        if let Some(misuse) = self.misuse {
-            return Err(misuse);
-        }
-        let scenario = match self.draft {
-            Draft::Gemm {
-                accelerator,
-                design,
-                workload,
-            } => {
-                let workload = workload.ok_or_else(|| {
-                    SweepError::invalid(
-                        accelerator.name(),
-                        "a GEMM cell needs a workload (`zoo`, `gemm_workload`, or `workload`)",
-                    )
-                })?;
-                Scenario::gemm(accelerator, design, workload)
-            }
-            Draft::Attention {
-                model,
-                dims,
-                design,
-            } => Scenario::attention(model, dims, design),
-            Draft::Study { study, design_set } => {
-                if design_set {
-                    return Err(SweepError::invalid(
-                        format!("study/{}", study.name()),
-                        "studies take no design point",
-                    ));
-                }
-                Scenario::study(study)
-            }
-        };
-        let scenario = match self.id {
-            Some(id) => Scenario { id, ..scenario },
-            None => scenario,
-        };
-        scenario.validate()?;
-        Ok(scenario)
-    }
-}
+//! Checks on cells as a frontend builds them: with the
+//! [`Scenario`](crate::Scenario) constructors, or with a display id of its
+//! own. There is no separate validation step; each cell below runs
+//! through the engine, and one the evaluator refuses comes back as a
+//! `Failed` [`CellOutcome`](super::CellOutcome) carrying its typed
+//! [`SweepError`](super::SweepError).
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::api::{CellOutcome, CellStatus, SweepError};
+    use crate::scenario::{AcceleratorKind, DesignPoint, Scenario, StudyId, WorkloadSpec};
+    use crate::Engine;
+    use yoco::pipeline::AttentionDims;
+    use yoco_arch::workload::LayerKind;
 
-    #[test]
-    fn valid_cells_build_with_derived_or_custom_ids() {
-        let s = ScenarioBuilder::gemm(AcceleratorKind::Yoco)
-            .zoo("resnet18")
-            .build()
-            .unwrap();
-        assert_eq!(s.id, "yoco/resnet18");
+    fn zoo(model: &str) -> WorkloadSpec {
+        WorkloadSpec::Zoo {
+            model: model.into(),
+        }
+    }
 
-        let s = ScenarioBuilder::attention(
-            "bert",
-            AttentionDims {
-                seq: 128,
-                d_model: 768,
-                heads: 12,
-            },
-        )
-        .id("custom")
-        .build()
-        .unwrap();
-        assert_eq!(s.id, "custom");
+    /// Runs `cells` as one batch and returns each cell's wire outcome.
+    fn outcomes(cells: &[Scenario]) -> Vec<CellOutcome> {
+        let report = Engine::ephemeral().run(cells);
+        report.cells.iter().map(CellOutcome::from_cell).collect()
+    }
 
-        assert!(ScenarioBuilder::study(StudyId::Fig7).build().is_ok());
+    /// The typed error of a cell that must fail.
+    fn failure(cell: Scenario) -> SweepError {
+        let outcome = outcomes(&[cell]).remove(0);
+        assert_eq!(outcome.status, CellStatus::Failed, "{}", outcome.id);
+        assert!(outcome.metrics.is_none(), "{}", outcome.id);
+        outcome.error.expect("a failed cell carries its error")
     }
 
     #[test]
-    fn missing_workload_is_rejected() {
-        let err = ScenarioBuilder::gemm(AcceleratorKind::Yoco)
-            .build()
-            .unwrap_err();
-        assert_eq!(err.category(), "invalid-scenario");
-        assert!(err.to_string().contains("needs a workload"), "{err}");
+    fn valid_cells_build_with_derived_or_custom_ids() {
+        let bert = AttentionDims {
+            seq: 128,
+            d_model: 768,
+            heads: 12,
+        };
+        let cells = [
+            Scenario::gemm(AcceleratorKind::Yoco, DesignPoint::paper(), zoo("resnet18")),
+            Scenario {
+                id: "custom".into(),
+                ..Scenario::attention("bert", bert, DesignPoint::paper())
+            },
+            Scenario::study(StudyId::Fig7),
+        ];
+        let outcomes = outcomes(&cells);
+        let ids: Vec<&str> = outcomes.iter().map(|o| o.id.as_str()).collect();
+        assert_eq!(ids, ["yoco/resnet18", "custom", "study/fig7"]);
+        for outcome in &outcomes {
+            assert_eq!(outcome.status, CellStatus::Computed, "{}", outcome.id);
+        }
     }
 
     #[test]
     fn unknown_zoo_model_is_rejected() {
-        let err = ScenarioBuilder::gemm(AcceleratorKind::Yoco)
-            .zoo("no-such-model")
-            .build()
-            .unwrap_err();
+        let err = failure(Scenario::gemm(
+            AcceleratorKind::Yoco,
+            DesignPoint::paper(),
+            zoo("no-such-model"),
+        ));
         assert_eq!(err.category(), "workload-resolution");
     }
 
     #[test]
     fn zero_gemm_dimensions_are_rejected() {
-        let err = ScenarioBuilder::gemm(AcceleratorKind::Yoco)
-            .gemm_workload("g", 4, 0, 32)
-            .build()
-            .unwrap_err();
+        let workload = WorkloadSpec::Gemm {
+            name: "g".into(),
+            m: 4,
+            k: 0,
+            n: 32,
+            kind: LayerKind::Linear,
+        };
+        let err = failure(Scenario::gemm(
+            AcceleratorKind::Yoco,
+            DesignPoint::paper(),
+            workload,
+        ));
         assert!(err.to_string().contains("must be positive"), "{err}");
     }
 
     #[test]
     fn baseline_design_overrides_are_rejected() {
-        let err = ScenarioBuilder::gemm(AcceleratorKind::Timely)
-            .zoo("resnet18")
-            .design(DesignPoint {
-                tiles: Some(2),
+        let timely = |tiles| {
+            let design = DesignPoint {
+                tiles: Some(tiles),
                 ..Default::default()
-            })
-            .build()
-            .unwrap_err();
+            };
+            Scenario::gemm(AcceleratorKind::Timely, design, zoo("resnet18"))
+        };
+        let err = failure(timely(2));
         assert!(err.to_string().contains("only apply to yoco"), "{err}");
         // A restated paper default is still the paper design point.
-        assert!(ScenarioBuilder::gemm(AcceleratorKind::Timely)
-            .zoo("resnet18")
-            .design(DesignPoint {
-                tiles: Some(4),
-                ..Default::default()
-            })
-            .build()
-            .is_ok());
+        assert_eq!(outcomes(&[timely(4)])[0].status, CellStatus::Computed);
     }
 
     #[test]
     fn impossible_design_points_are_rejected() {
-        let err = ScenarioBuilder::gemm(AcceleratorKind::Yoco)
-            .zoo("resnet18")
-            .design(DesignPoint {
-                tiles: Some(0),
-                ..Default::default()
-            })
-            .build()
-            .unwrap_err();
+        let design = DesignPoint {
+            tiles: Some(0),
+            ..Default::default()
+        };
+        let err = failure(Scenario::gemm(
+            AcceleratorKind::Yoco,
+            design,
+            zoo("resnet18"),
+        ));
         assert_eq!(err.category(), "invalid-scenario");
     }
 
     #[test]
     fn bad_attention_dims_are_rejected() {
-        let zero = ScenarioBuilder::attention(
-            "m",
-            AttentionDims {
-                seq: 0,
+        let attention = |seq, heads| {
+            let dims = AttentionDims {
+                seq,
                 d_model: 768,
-                heads: 12,
-            },
-        )
-        .build()
-        .unwrap_err();
+                heads,
+            };
+            Scenario::attention("m", dims, DesignPoint::paper())
+        };
+        let zero = failure(attention(0, 12));
         assert!(zero.to_string().contains("must be positive"), "{zero}");
-
-        let ragged = ScenarioBuilder::attention(
-            "m",
-            AttentionDims {
-                seq: 128,
-                d_model: 768,
-                heads: 5,
-            },
-        )
-        .build()
-        .unwrap_err();
+        let ragged = failure(attention(128, 5));
         assert!(ragged.to_string().contains("divide"), "{ragged}");
-    }
-
-    #[test]
-    fn design_or_workload_on_a_study_is_rejected() {
-        let err = ScenarioBuilder::study(StudyId::Fig7)
-            .design(DesignPoint {
-                tiles: Some(8),
-                ..Default::default()
-            })
-            .build()
-            .unwrap_err();
-        assert!(err.to_string().contains("no design point"), "{err}");
-
-        let err = ScenarioBuilder::study(StudyId::Fig7)
-            .zoo("resnet18")
-            .build()
-            .unwrap_err();
-        assert!(err.to_string().contains("only applies to GEMM"), "{err}");
     }
 }

@@ -46,6 +46,7 @@
 //! assert_eq!(bad.error.as_ref().unwrap().category(), "invalid-scenario");
 //! ```
 
+mod builder;
 mod error;
 mod metrics;
 mod wire;

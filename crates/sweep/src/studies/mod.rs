@@ -196,6 +196,16 @@ mod tests {
                 .unwrap_or_else(|e| panic!("{}: {e}", study.name()));
             assert_eq!(back.cache_value(), stored, "{}", study.name());
         }
+    }
+
+    #[test]
+    fn study_payloads_round_trip_through_cache_values() {
+        for study in [StudyId::Fig7, StudyId::Table2, StudyId::Models] {
+            let m = Metrics::Study(run(study).unwrap());
+            let kind = ScenarioKind::Study { study };
+            let back = Metrics::from_cache_value(&kind, m.cache_value()).unwrap();
+            assert_eq!(m, back, "{}", study.name());
+        }
         // A payload read back under another study's id is a schema mismatch.
         let table2 = Metrics::Study(run(StudyId::Table2).unwrap()).cache_value();
         let fig7 = ScenarioKind::Study {
