@@ -17,6 +17,7 @@
 
 use std::process::ExitCode;
 use yoco_dse::{run_dse, Driver, Objective, ObjectiveSpace};
+use yoco_sweep::cli::{positive, Args};
 use yoco_sweep::{root, DseGrid, Engine, DSE_GRIDS, DSE_WORKLOADS};
 
 fn usage() -> &'static str {
@@ -30,17 +31,18 @@ fn usage() -> &'static str {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
+    let outcome = match args.first().map(String::as_str) {
         Some("list") => {
             list();
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         Some("run") => run(&args[1..]),
         _ => {
             eprintln!("{}", usage());
-            ExitCode::FAILURE
+            return ExitCode::FAILURE;
         }
-    }
+    };
+    outcome.unwrap_or_else(|e| fail(&e))
 }
 
 fn list() {
@@ -66,109 +68,49 @@ fn list() {
     println!("\ndrivers: exhaustive (default), random, climb (both honor --seed)");
 }
 
-fn run(args: &[String]) -> ExitCode {
+fn run(args: &[String]) -> Result<ExitCode, String> {
     let mut grid_name: Option<&str> = None;
-    let mut objectives = "tops,tops-per-watt".to_owned();
-    let mut driver_name = "exhaustive".to_owned();
+    let mut objectives = "tops,tops-per-watt";
+    let mut driver_name = "exhaustive";
     let mut budget: Option<usize> = None;
     let mut seed: u64 = 0;
     let mut report_path: Option<&str> = None;
     let mut csv_path: Option<&str> = None;
     let mut engine = Engine::cached();
     let mut quiet = false;
-
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--grid" => {
-                i += 1;
-                match args.get(i) {
-                    Some(name) => grid_name = Some(name),
-                    None => return fail("--grid needs a name"),
-                }
-            }
-            "--objectives" => {
-                i += 1;
-                match args.get(i) {
-                    Some(list) => objectives = list.clone(),
-                    None => return fail("--objectives needs a comma-separated list"),
-                }
-            }
-            "--driver" => {
-                i += 1;
-                match args.get(i) {
-                    Some(name) => driver_name = name.clone(),
-                    None => return fail("--driver needs a name"),
-                }
-            }
-            "--budget" => {
-                i += 1;
-                match args.get(i).and_then(|v| v.parse::<usize>().ok()) {
-                    Some(n) if n > 0 => budget = Some(n),
-                    _ => return fail("--budget needs a positive integer"),
-                }
-            }
-            "--seed" => {
-                i += 1;
-                match args.get(i).and_then(|v| v.parse::<u64>().ok()) {
-                    Some(s) => seed = s,
-                    None => return fail("--seed needs an unsigned integer"),
-                }
-            }
-            "--report" => {
-                i += 1;
-                match args.get(i) {
-                    Some(path) => report_path = Some(path),
-                    None => return fail("--report needs a path"),
-                }
-            }
-            "--csv" => {
-                i += 1;
-                match args.get(i) {
-                    Some(path) => csv_path = Some(path),
-                    None => return fail("--csv needs a path"),
-                }
-            }
-            "--jobs" => {
-                i += 1;
-                match args.get(i).and_then(|v| v.parse::<usize>().ok()) {
-                    Some(n) if n > 0 => engine = engine.jobs(n),
-                    _ => return fail("--jobs needs a positive integer"),
-                }
-            }
+    let mut args = Args::new(args);
+    while let Some(arg) = args.next() {
+        match arg {
+            "--grid" => grid_name = Some(args.value(arg, "a name")?),
+            "--objectives" => objectives = args.value(arg, "a comma-separated list")?,
+            "--driver" => driver_name = args.value(arg, "a name")?,
+            "--budget" => budget = Some(args.parse(arg, "a positive integer", positive)?),
+            "--seed" => seed = args.parse(arg, "an unsigned integer", |_| true)?,
+            "--report" => report_path = Some(args.value(arg, "a path")?),
+            "--csv" => csv_path = Some(args.value(arg, "a path")?),
+            "--jobs" => engine = engine.jobs(args.parse(arg, "a positive integer", positive)?),
             "--serial" => engine = engine.jobs(1),
             "--no-cache" => engine = engine.no_cache(),
             "--force" => engine = engine.force(true),
             "--quiet" => quiet = true,
-            other => return fail(&format!("unknown argument `{other}`")),
+            other => return Err(format!("unknown argument `{other}`")),
         }
-        i += 1;
     }
 
-    let Some(grid_name) = grid_name else {
-        return fail("nothing to run — pass --grid <name>");
-    };
+    let grid_name = grid_name.ok_or("nothing to run — pass --grid <name>")?;
     let Some(grid) = DseGrid::find(grid_name) else {
         let known: Vec<&str> = DSE_GRIDS.iter().map(|g| g.name).collect();
-        return fail(&format!(
+        return Err(format!(
             "unknown DSE grid `{grid_name}` (known: {})",
             known.join(", ")
         ));
     };
-    let space = match ObjectiveSpace::parse(&objectives) {
-        Ok(s) => s,
-        Err(e) => return fail(&e.to_string()),
-    };
-    let driver = match Driver::parse(&driver_name, seed) {
-        Ok(d) => d,
-        Err(e) => return fail(&e.to_string()),
-    };
+    let space = ObjectiveSpace::parse(objectives).map_err(|e| e.to_string())?;
+    let driver = Driver::parse(driver_name, seed).map_err(|e| e.to_string())?;
     let budget = budget.unwrap_or(grid.total_designs());
 
-    let (report, exploration) = match run_dse(&engine, grid, &space, driver, budget) {
-        Ok(r) => r,
-        Err(e) => return fail(&e.to_string()),
-    };
+    let (report, exploration) =
+        run_dse(&engine, grid, &space, driver, budget).map_err(|e| e.to_string())?;
 
     println!("[dse] {}", exploration.cache_summary());
     println!(
@@ -186,34 +128,28 @@ fn run(args: &[String]) -> ExitCode {
     }
 
     if let Some(path) = report_path {
-        if let Err(e) = std::fs::write(path, report.canonical_json()) {
-            return fail(&format!("cannot write report {path}: {e}"));
-        }
+        std::fs::write(path, report.canonical_json())
+            .map_err(|e| format!("cannot write report {path}: {e}"))?;
         if !quiet {
             println!("canonical report written to {path}");
         }
     }
-    let csv = match report.csv() {
-        Ok(c) => c,
-        Err(e) => return fail(&e.to_string()),
-    };
+    let csv = report.csv().map_err(|e| e.to_string())?;
     let csv_target = match csv_path {
         Some(path) => std::path::PathBuf::from(path),
         None => {
             let dir = root::results_dir().join("dse");
-            if let Err(e) = std::fs::create_dir_all(&dir) {
-                return fail(&format!("cannot create {}: {e}", dir.display()));
-            }
+            std::fs::create_dir_all(&dir)
+                .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
             dir.join(format!("{}.csv", report.grid))
         }
     };
-    if let Err(e) = std::fs::write(&csv_target, csv) {
-        return fail(&format!("cannot write csv {}: {e}", csv_target.display()));
-    }
+    std::fs::write(&csv_target, csv)
+        .map_err(|e| format!("cannot write csv {}: {e}", csv_target.display()))?;
     if !quiet {
         println!("csv dump written to {}", csv_target.display());
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 fn print_front(report: &yoco_dse::DseReport, space: &ObjectiveSpace) {

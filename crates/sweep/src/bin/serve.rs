@@ -43,6 +43,7 @@
 use std::io::Write;
 use std::process::ExitCode;
 use std::sync::Arc;
+use yoco_sweep::cli::{positive, Args};
 use yoco_sweep::serve::{listen, serve_reactor, ReactorConfig, Runtime, ServeConfig};
 use yoco_sweep::{Engine, ResultCache};
 
@@ -67,7 +68,11 @@ fn usage() -> &'static str {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut addr = "127.0.0.1:7177".to_owned();
+    serve(&args).unwrap_or_else(|e| fail(&e))
+}
+
+fn serve(args: &[String]) -> Result<ExitCode, String> {
+    let mut addr = "127.0.0.1:7177";
     let mut engine = Engine::cached();
     let mut config = ServeConfig::default();
     let mut coordinator = false;
@@ -75,75 +80,46 @@ fn main() -> ExitCode {
     let mut engine_flags: Vec<&str> = Vec::new();
     let mut trace_dir: Option<std::path::PathBuf> = None;
     let mut quiet = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--addr" => {
-                i += 1;
-                match args.get(i) {
-                    Some(a) => addr = a.clone(),
-                    None => return fail("--addr needs HOST:PORT"),
-                }
-            }
+    let mut args = Args::new(args);
+    while let Some(arg) = args.next() {
+        match arg {
+            "--addr" => addr = args.value(arg, "HOST:PORT")?,
             "--jobs" => {
-                i += 1;
-                engine_flags.push("--jobs");
-                match args.get(i).and_then(|v| v.parse::<usize>().ok()) {
-                    Some(n) if n > 0 => config.jobs = n,
-                    _ => return fail("--jobs needs a positive integer"),
-                }
+                engine_flags.push(arg);
+                config.jobs = args.parse(arg, "a positive integer", positive)?;
             }
             "--queue-depth" => {
-                i += 1;
-                match args.get(i).and_then(|v| v.parse::<usize>().ok()) {
-                    Some(n) => config.queue_depth = n,
-                    None => return fail(
-                        "--queue-depth needs a non-negative integer (0 rejects every evaluation)",
-                    ),
-                }
+                config.queue_depth = args.parse(
+                    arg,
+                    "a non-negative integer (0 rejects every evaluation)",
+                    |_| true,
+                )?;
             }
             "--cache-dir" => {
-                i += 1;
-                engine_flags.push("--cache-dir");
-                match args.get(i) {
-                    Some(dir) => engine = engine.with_cache(ResultCache::at(dir)),
-                    None => return fail("--cache-dir needs a path"),
-                }
+                engine_flags.push(arg);
+                engine = engine.with_cache(ResultCache::at(args.value(arg, "a path")?));
             }
             "--no-cache" => {
-                engine_flags.push("--no-cache");
+                engine_flags.push(arg);
                 engine = engine.no_cache();
             }
-            "--trace-dir" => {
-                i += 1;
-                match args.get(i) {
-                    Some(dir) => trace_dir = Some(dir.into()),
-                    None => return fail("--trace-dir needs a path"),
-                }
-            }
+            "--trace-dir" => trace_dir = Some(args.value(arg, "a path")?.into()),
             "--coordinator" => coordinator = true,
-            "--worker" => {
-                i += 1;
-                match args.get(i) {
-                    Some(w) => workers.push(w.clone()),
-                    None => return fail("--worker needs HOST:PORT"),
-                }
-            }
+            "--worker" => workers.push(args.value(arg, "HOST:PORT")?.to_owned()),
             "--quiet" => quiet = true,
-            other => return fail(&format!("unknown flag `{other}`")),
+            other => return Err(format!("unknown flag `{other}`")),
         }
-        i += 1;
     }
     if coordinator && workers.is_empty() {
-        return fail("--coordinator needs at least one --worker HOST:PORT");
+        return Err("--coordinator needs at least one --worker HOST:PORT".into());
     }
     if !coordinator && !workers.is_empty() {
-        return fail("--worker only makes sense with --coordinator");
+        return Err("--worker only makes sense with --coordinator".into());
     }
     if coordinator && !engine_flags.is_empty() {
         // Refuse rather than silently ignore: the coordinator evaluates
         // nothing itself — workers own their engines and caches.
-        return fail(&format!(
+        return Err(format!(
             "{} configure the single-box engine; a --coordinator evaluates nothing \
              itself (set them on the workers instead)",
             engine_flags.join("/")
@@ -152,15 +128,11 @@ fn main() -> ExitCode {
 
     // Before binding: the ready line must stay the first stdout line.
     if let Some(dir) = &trace_dir {
-        if let Err(e) = yoco_sweep::telemetry::trace::init(dir) {
-            return fail(&format!("cannot open trace dir {}: {e}", dir.display()));
-        }
+        yoco_sweep::telemetry::trace::init(dir)
+            .map_err(|e| format!("cannot open trace dir {}: {e}", dir.display()))?;
     }
 
-    let (listener, local) = match listen(&addr) {
-        Ok(pair) => pair,
-        Err(e) => return fail(&format!("cannot bind {addr}: {e}")),
-    };
+    let (listener, local) = listen(addr).map_err(|e| format!("cannot bind {addr}: {e}"))?;
     println!("yoco-serve listening on {local}");
     let runtime = if coordinator {
         if !quiet {
@@ -191,13 +163,12 @@ fn main() -> ExitCode {
     }
     let _ = std::io::stdout().flush();
     let reactor_config = ReactorConfig::for_queue_depth(config.queue_depth);
-    if let Err(e) = serve_reactor(listener, Arc::new(runtime), quiet, reactor_config) {
-        return fail(&format!("reactor failed: {e}"));
-    }
+    serve_reactor(listener, Arc::new(runtime), quiet, reactor_config)
+        .map_err(|e| format!("reactor failed: {e}"))?;
     if !quiet {
         println!("yoco-serve shutting down");
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 fn fail(msg: &str) -> ExitCode {

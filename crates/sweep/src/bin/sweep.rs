@@ -29,6 +29,8 @@
 use std::process::ExitCode;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 use yoco_sweep::api::{CellStatus, EvalRequest, Request, Response, StatusReport};
+use yoco_sweep::cli::{positive, Args};
+use yoco_sweep::telemetry::trace;
 use yoco_sweep::{
     grids, loadgen, root, Engine, GcBudget, ResultCache, Scenario, ServeClient, Shard,
     StreamOutcome, StudyId,
@@ -37,6 +39,9 @@ use yoco_sweep::{
 /// Exit code of `sweep client` when the server answers `Busy`: distinct
 /// from evaluation failures (1) so scripts can back off and retry.
 const EXIT_BUSY: u8 = 3;
+
+/// A subcommand's exit code, or the error `main` prints above the usage.
+type Outcome = Result<ExitCode, String>;
 
 fn usage() -> &'static str {
     "usage:\n  \
@@ -64,10 +69,10 @@ fn usage() -> &'static str {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
+    let outcome = match args.first().map(String::as_str) {
         Some("list") => {
             list();
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         Some("run") => run(&args[1..]),
         Some("cache") => cache_cmd(&args[1..]),
@@ -76,9 +81,10 @@ fn main() -> ExitCode {
         Some("trace") => trace_cmd(&args[1..]),
         _ => {
             eprintln!("{}", usage());
-            ExitCode::FAILURE
+            return ExitCode::FAILURE;
         }
-    }
+    };
+    outcome.unwrap_or_else(|e| fail(&e))
 }
 
 fn list() {
@@ -96,67 +102,34 @@ fn list() {
     }
 }
 
-fn run(args: &[String]) -> ExitCode {
+fn run(args: &[String]) -> Outcome {
     let mut grid_name: Option<&str> = None;
     let mut file: Option<&str> = None;
     let mut report_path: Option<&str> = None;
     let mut shard: Option<Shard> = None;
     let mut engine = Engine::cached();
     let mut quiet = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--file" => {
-                i += 1;
-                match args.get(i) {
-                    Some(path) => file = Some(path),
-                    None => return fail("--file needs a path"),
-                }
-            }
-            "--report" => {
-                i += 1;
-                match args.get(i) {
-                    Some(path) => report_path = Some(path),
-                    None => return fail("--report needs a path"),
-                }
-            }
+    let mut args = Args::new(args);
+    while let Some(arg) = args.next() {
+        match arg {
+            "--file" => file = Some(args.value(arg, "a path")?),
+            "--report" => report_path = Some(args.value(arg, "a path")?),
             "--shard" => {
-                i += 1;
-                match args.get(i).map(|v| Shard::parse(v)) {
-                    Some(Ok(s)) => shard = Some(s),
-                    Some(Err(e)) => return fail(&e.to_string()),
-                    None => return fail("--shard needs a descriptor like 2/4"),
-                }
+                let text = args.value(arg, "a descriptor like 2/4")?;
+                shard = Some(Shard::parse(text).map_err(|e| e.to_string())?);
             }
-            "--jobs" => {
-                i += 1;
-                match args.get(i).and_then(|v| v.parse::<usize>().ok()) {
-                    Some(n) if n > 0 => engine = engine.jobs(n),
-                    _ => return fail("--jobs needs a positive integer"),
-                }
-            }
+            "--jobs" => engine = engine.jobs(args.parse(arg, "a positive integer", positive)?),
             "--serial" => engine = engine.jobs(1),
             "--no-cache" => engine = engine.no_cache(),
             "--force" => engine = engine.force(true),
             "--quiet" => quiet = true,
-            flag if flag.starts_with("--") => {
-                return fail(&format!("unknown flag `{flag}`"));
-            }
-            name => {
-                if grid_name.is_some() {
-                    return fail("only one grid per run");
-                }
-                grid_name = Some(name);
-            }
+            flag if flag.starts_with("--") => return Err(format!("unknown flag `{flag}`")),
+            _ if grid_name.is_some() => return Err("only one grid per run".into()),
+            name => grid_name = Some(name),
         }
-        i += 1;
     }
 
-    let scenarios = match load_scenarios(grid_name, file) {
-        Ok(s) => s,
-        Err(e) => return fail(&e),
-    };
-
+    let scenarios = load_scenarios(grid_name, file)?;
     let scenarios = match shard {
         Some(shard) => {
             let slice = shard.select(&scenarios);
@@ -188,18 +161,17 @@ fn run(args: &[String]) -> ExitCode {
         eprintln!("error: {id}: {e}");
     }
     if let Some(path) = report_path {
-        if let Err(e) = std::fs::write(path, report.canonical_json()) {
-            return fail(&format!("cannot write report {path}: {e}"));
-        }
+        std::fs::write(path, report.canonical_json())
+            .map_err(|e| format!("cannot write report {path}: {e}"))?;
         if !quiet {
             println!("canonical report written to {path}");
         }
     }
-    if report.errors().is_empty() {
+    Ok(if report.errors().is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
-    }
+    })
 }
 
 /// Resolves the shared `<grid> | --file <path>` scenario source of
@@ -217,25 +189,31 @@ fn load_scenarios(grid_name: Option<&str>, file: Option<&str>) -> Result<Vec<Sce
     }
 }
 
-/// Parses `N`, `Nk`, `Nm`, or `Ng` (case-insensitive) into bytes.
+/// A byte count written `N`, `Nk`, `Nm`, or `Ng` (case-insensitive).
 /// Overflowing `u64` is a parse error, not a wrapped-around tiny budget.
-fn parse_bytes(text: &str) -> Option<u64> {
-    let lower = text.to_ascii_lowercase();
-    let (digits, unit) = match lower.strip_suffix(['k', 'm', 'g']) {
-        Some(d) => (d, lower.as_bytes()[lower.len() - 1]),
-        None => (lower.as_str(), b'b'),
-    };
-    let n: u64 = digits.parse().ok()?;
-    let scale: u64 = match unit {
-        b'k' => 1 << 10,
-        b'm' => 1 << 20,
-        b'g' => 1 << 30,
-        _ => 1,
-    };
-    n.checked_mul(scale)
+struct Bytes(u64);
+
+impl std::str::FromStr for Bytes {
+    type Err = ();
+
+    fn from_str(text: &str) -> Result<Self, ()> {
+        let lower = text.to_ascii_lowercase();
+        let (digits, unit) = match lower.strip_suffix(['k', 'm', 'g']) {
+            Some(d) => (d, lower.as_bytes()[lower.len() - 1]),
+            None => (lower.as_str(), b'b'),
+        };
+        let n: u64 = digits.parse().map_err(|_| ())?;
+        let scale: u64 = match unit {
+            b'k' => 1 << 10,
+            b'm' => 1 << 20,
+            b'g' => 1 << 30,
+            _ => 1,
+        };
+        n.checked_mul(scale).map(Bytes).ok_or(())
+    }
 }
 
-fn cache_cmd(args: &[String]) -> ExitCode {
+fn cache_cmd(args: &[String]) -> Outcome {
     let cache = ResultCache::default_location();
     match args.first().map(String::as_str) {
         Some("stats") | None => {
@@ -246,83 +224,60 @@ fn cache_cmd(args: &[String]) -> ExitCode {
                 stats.entries,
                 stats.bytes / 1024
             );
-            ExitCode::SUCCESS
         }
-        Some("clear") => match cache.clear() {
-            Ok(n) => {
-                println!("removed {n} entries from {}", cache.dir().display());
-                ExitCode::SUCCESS
-            }
-            Err(e) => fail(&format!("clear failed: {e}")),
-        },
+        Some("clear") => {
+            let n = cache.clear().map_err(|e| format!("clear failed: {e}"))?;
+            println!("removed {n} entries from {}", cache.dir().display());
+        }
         Some("gc") => {
             let mut budget = GcBudget::default();
-            let rest = &args[1..];
-            let mut i = 0;
-            while i < rest.len() {
-                match rest[i].as_str() {
+            let mut args = Args::new(&args[1..]);
+            while let Some(arg) = args.next() {
+                match arg {
                     "--max-age-days" => {
-                        i += 1;
-                        match rest.get(i).and_then(|v| v.parse::<f64>().ok()) {
-                            Some(d) if d >= 0.0 => {
-                                budget.max_age = Some(Duration::from_secs_f64(d * 86_400.0));
-                            }
-                            _ => return fail("--max-age-days needs a non-negative number"),
-                        }
+                        let days: f64 = args.parse(arg, "a non-negative number", |d| *d >= 0.0)?;
+                        budget.max_age = Some(Duration::from_secs_f64(days * 86_400.0));
                     }
                     "--max-bytes" => {
-                        i += 1;
-                        match rest.get(i).and_then(|v| parse_bytes(v)) {
-                            Some(b) => budget.max_bytes = Some(b),
-                            None => return fail("--max-bytes needs a size like 1048576 or 64m"),
-                        }
+                        let Bytes(n) = args.parse(arg, "a size like 1048576 or 64m", |_| true)?;
+                        budget.max_bytes = Some(n);
                     }
-                    other => return fail(&format!("unknown cache gc flag `{other}`")),
+                    other => return Err(format!("unknown cache gc flag `{other}`")),
                 }
-                i += 1;
             }
             if budget.max_age.is_none() && budget.max_bytes.is_none() {
-                return fail("cache gc needs --max-age-days and/or --max-bytes");
+                return Err("cache gc needs --max-age-days and/or --max-bytes".into());
             }
-            match cache.gc(&budget) {
-                Ok(o) => {
-                    println!(
-                        "gc {}: scanned {}, removed {} ({} KiB freed), kept {} ({} KiB)",
-                        cache.dir().display(),
-                        o.scanned,
-                        o.removed,
-                        o.freed_bytes / 1024,
-                        o.kept,
-                        o.kept_bytes / 1024
-                    );
-                    ExitCode::SUCCESS
-                }
-                Err(e) => fail(&format!("gc failed: {e}")),
-            }
+            let o = cache.gc(&budget).map_err(|e| format!("gc failed: {e}"))?;
+            println!(
+                "gc {}: scanned {}, removed {} ({} KiB freed), kept {} ({} KiB)",
+                cache.dir().display(),
+                o.scanned,
+                o.removed,
+                o.freed_bytes / 1024,
+                o.kept,
+                o.kept_bytes / 1024
+            );
         }
-        Some(other) => fail(&format!("unknown cache subcommand `{other}`")),
+        Some(other) => return Err(format!("unknown cache subcommand `{other}`")),
     }
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Default server address, matching `yoco-serve`'s default bind.
 const DEFAULT_ADDR: &str = "127.0.0.1:7177";
 
-/// Pulls `--addr HOST:PORT` out of a flag list, returning the remainder.
-fn take_addr(args: &[String]) -> Result<(String, Vec<String>), String> {
-    let mut addr = DEFAULT_ADDR.to_owned();
+/// Pulls `--addr HOST:PORT` out of a flag list, wherever it stands,
+/// returning the address and the remaining arguments.
+fn take_addr(args: &[String]) -> Result<(&str, Vec<String>), String> {
+    let mut addr = DEFAULT_ADDR;
     let mut rest = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--addr" {
-            i += 1;
-            match args.get(i) {
-                Some(a) => addr = a.clone(),
-                None => return Err("--addr needs HOST:PORT".into()),
-            }
-        } else {
-            rest.push(args[i].clone());
+    let mut args = Args::new(args);
+    while let Some(arg) = args.next() {
+        match arg {
+            "--addr" => addr = args.value(arg, "HOST:PORT")?,
+            other => rest.push(other.to_owned()),
         }
-        i += 1;
     }
     Ok((addr, rest))
 }
@@ -339,34 +294,28 @@ fn connect(addr: &str) -> Result<ServeClient, String> {
 /// `sweep client …` — drive a running `yoco-serve` over the versioned
 /// NDJSON protocol (v2 streamed by default, `--v1` for the buffered
 /// compatibility path).
-fn client_cmd(args: &[String]) -> ExitCode {
+fn client_cmd(args: &[String]) -> Outcome {
     let action = args.first().map(String::as_str);
-    let (addr, rest) = match take_addr(args.get(1..).unwrap_or(&[])) {
-        Ok(pair) => pair,
-        Err(e) => return fail(&e),
-    };
+    let (addr, rest) = take_addr(args.get(1..).unwrap_or(&[]))?;
     match action {
-        Some("ping") => match connect(&addr).and_then(|mut c| {
-            c.ping().map_err(|e| format!("ping failed: {e}"))?;
+        Some("ping") => {
+            connect(addr)?
+                .ping()
+                .map_err(|e| format!("ping failed: {e}"))?;
             println!("pong from {addr}");
-            Ok(())
-        }) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => fail(&e),
-        },
-        Some("shutdown") => match connect(&addr).and_then(|mut c| {
-            c.shutdown().map_err(|e| format!("shutdown failed: {e}"))?;
+        }
+        Some("shutdown") => {
+            connect(addr)?
+                .shutdown()
+                .map_err(|e| format!("shutdown failed: {e}"))?;
             println!("bye from {addr}");
-            Ok(())
-        }) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => fail(&e),
-        },
-        Some("status") => client_status(&addr, &rest),
-        Some("metrics") => client_metrics(&addr, &rest),
-        Some("run") => client_run(&addr, &rest),
-        _ => fail("client needs an action: ping, status, metrics, shutdown, or run"),
+        }
+        Some("status") => client_status(addr, &rest)?,
+        Some("metrics") => client_metrics(addr, &rest)?,
+        Some("run") => return client_run(addr, &rest),
+        _ => return Err("client needs an action: ping, status, metrics, shutdown, or run".into()),
     }
+    Ok(ExitCode::SUCCESS)
 }
 
 /// One human-readable line per [`StatusReport`] for `sweep client status`.
@@ -402,63 +351,42 @@ fn status_line(report: &StatusReport) -> String {
     )
 }
 
-fn client_status(addr: &str, args: &[String]) -> ExitCode {
+fn client_status(addr: &str, args: &[String]) -> Result<(), String> {
     let mut raw = false;
     let mut watch: Option<Duration> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut args = Args::new(args);
+    while let Some(arg) = args.next() {
+        match arg {
             "--raw" => raw = true,
             "--watch" => {
-                i += 1;
-                match args.get(i).and_then(|v| v.parse::<f64>().ok()) {
-                    Some(secs) if secs > 0.0 => watch = Some(Duration::from_secs_f64(secs)),
-                    _ => return fail("--watch needs a positive number of seconds"),
-                }
+                let secs = args.parse(arg, "a positive number of seconds", positive)?;
+                watch = Some(Duration::from_secs_f64(secs));
             }
-            other => return fail(&format!("unknown status flag `{other}`")),
-        }
-        i += 1;
-    }
-    match watch {
-        Some(period) => client_status_watch(addr, raw, period),
-        None => {
-            let mut client = match connect(addr) {
-                Ok(c) => c,
-                Err(e) => return fail(&e),
-            };
-            match render_status_once(addr, &mut client, raw) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => fail(&e),
-            }
+            other => return Err(format!("unknown status flag `{other}`")),
         }
     }
+    if let Some(period) = watch {
+        client_status_watch(addr, raw, period);
+        return Ok(());
+    }
+    render_status_once(addr, &mut connect(addr)?, raw)
 }
 
 /// One probe, rendered: the raw NDJSON `Status` line or the
 /// human-readable summary.
 fn render_status_once(addr: &str, client: &mut ServeClient, raw: bool) -> Result<(), String> {
-    if raw {
-        client
-            .send(&Request::Status)
-            .map_err(|e| format!("status failed: {e}"))?;
-        match client.recv() {
-            Ok((line, Response::Status(_))) => {
-                println!("{line}");
-                Ok(())
-            }
-            Ok((line, _)) => Err(format!("expected Status, got {line}")),
-            Err(e) => Err(format!("status failed: {e}")),
-        }
-    } else {
-        match client.status() {
-            Ok(report) => {
-                println!("{addr}: {}", status_line(&report));
-                Ok(())
-            }
-            Err(e) => Err(format!("status failed: {e}")),
-        }
+    let failed = |e| format!("status failed: {e}");
+    if !raw {
+        let report = client.status().map_err(failed)?;
+        println!("{addr}: {}", status_line(&report));
+        return Ok(());
     }
+    client.send(&Request::Status).map_err(failed)?;
+    match client.recv().map_err(failed)? {
+        (line, Response::Status(_)) => println!("{line}"),
+        (line, _) => return Err(format!("expected Status, got {line}")),
+    }
+    Ok(())
 }
 
 /// `sweep client status --watch <secs>`: re-probe on a fixed period
@@ -467,7 +395,7 @@ fn render_status_once(addr: &str, client: &mut ServeClient, raw: bool) -> Result
 /// which is equally clean since the terminal is never put in raw mode.
 /// Each probe opens a fresh connection so a server restart mid-watch
 /// shows up as one failed line, not a dead loop.
-fn client_status_watch(addr: &str, raw: bool, period: Duration) -> ExitCode {
+fn client_status_watch(addr: &str, raw: bool, period: Duration) {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
@@ -492,13 +420,8 @@ fn client_status_watch(addr: &str, raw: bool, period: Duration) -> ExitCode {
     loop {
         // Probe before checking for exit, so even an immediately-closed
         // stdin gets one rendered line.
-        match connect(addr) {
-            Ok(mut client) => {
-                if let Err(e) = render_status_once(addr, &mut client, raw) {
-                    eprintln!("{e}");
-                }
-            }
-            Err(e) => eprintln!("{e}"),
+        if let Err(e) = connect(addr).and_then(|mut c| render_status_once(addr, &mut c, raw)) {
+            eprintln!("{e}");
         }
         // Sleep in short slices so `q`/EOF exits promptly, not after a
         // full period.
@@ -507,37 +430,31 @@ fn client_status_watch(addr: &str, raw: bool, period: Duration) -> ExitCode {
             std::thread::sleep(Duration::from_millis(50));
         }
         if stop.load(Ordering::Relaxed) {
-            return ExitCode::SUCCESS;
+            return;
         }
     }
 }
 
-fn client_metrics(addr: &str, args: &[String]) -> ExitCode {
+fn client_metrics(addr: &str, args: &[String]) -> Result<(), String> {
     let mut raw = false;
-    for arg in args {
-        match arg.as_str() {
+    for arg in Args::new(args) {
+        match arg {
             "--raw" => raw = true,
-            other => return fail(&format!("unknown metrics flag `{other}`")),
+            other => return Err(format!("unknown metrics flag `{other}`")),
         }
     }
-    let mut client = match connect(addr) {
-        Ok(c) => c,
-        Err(e) => return fail(&e),
-    };
-    match client.metrics() {
-        Ok((line, report)) => {
-            if raw {
-                println!("{line}");
-            } else {
-                print!("{}", report.render_prometheus());
-            }
-            ExitCode::SUCCESS
-        }
-        Err(e) => fail(&format!("metrics failed: {e}")),
+    let (line, report) = connect(addr)?
+        .metrics()
+        .map_err(|e| format!("metrics failed: {e}"))?;
+    if raw {
+        println!("{line}");
+    } else {
+        print!("{}", report.render_prometheus());
     }
+    Ok(())
 }
 
-fn client_run(addr: &str, args: &[String]) -> ExitCode {
+fn client_run(addr: &str, args: &[String]) -> Outcome {
     let mut grid_name: Option<&str> = None;
     let mut file: Option<&str> = None;
     let mut v1 = false;
@@ -545,43 +462,23 @@ fn client_run(addr: &str, args: &[String]) -> ExitCode {
     let mut raw = false;
     let mut quiet = false;
     let mut no_retry = false;
-    let mut id = "client".to_owned();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--file" => {
-                i += 1;
-                match args.get(i) {
-                    Some(path) => file = Some(path),
-                    None => return fail("--file needs a path"),
-                }
-            }
-            "--id" => {
-                i += 1;
-                match args.get(i) {
-                    Some(v) => id = v.clone(),
-                    None => return fail("--id needs a value"),
-                }
-            }
+    let mut id = "client";
+    let mut args = Args::new(args);
+    while let Some(arg) = args.next() {
+        match arg {
+            "--file" => file = Some(args.value(arg, "a path")?),
+            "--id" => id = args.value(arg, "a value")?,
             "--v1" => v1 = true,
             "--force" => force = true,
             "--raw" => raw = true,
             "--quiet" => quiet = true,
             "--no-retry" => no_retry = true,
-            flag if flag.starts_with("--") => return fail(&format!("unknown flag `{flag}`")),
-            name => {
-                if grid_name.is_some() {
-                    return fail("only one grid per run");
-                }
-                grid_name = Some(name);
-            }
+            flag if flag.starts_with("--") => return Err(format!("unknown flag `{flag}`")),
+            _ if grid_name.is_some() => return Err("only one grid per run".into()),
+            name => grid_name = Some(name),
         }
-        i += 1;
     }
-    let scenarios = match load_scenarios(grid_name, file) {
-        Ok(s) => s,
-        Err(e) => return fail(&e),
-    };
+    let scenarios = load_scenarios(grid_name, file)?;
     let mut request = if v1 {
         EvalRequest::new(id, scenarios)
     } else {
@@ -589,10 +486,7 @@ fn client_run(addr: &str, args: &[String]) -> ExitCode {
     };
     request.force = force;
 
-    let mut client = match connect(addr) {
-        Ok(c) => c,
-        Err(e) => return fail(&e),
-    };
+    let mut client = connect(addr)?;
     // Busy answers are retried in-request on a jittered exponential
     // backoff honoring the server's hint; `--no-retry` keeps the raw
     // single-shot semantics (exit 3 on the first Busy), which is what
@@ -603,10 +497,9 @@ fn client_run(addr: &str, args: &[String]) -> ExitCode {
         yoco_sweep::RetryPolicy::default()
     };
     if v1 {
-        let (raw_line, response) = match client.eval_buffered_with_retry(request, &policy) {
-            Ok(pair) => pair,
-            Err(e) => return fail(&format!("exchange failed: {e}")),
-        };
+        let (raw_line, response) = client
+            .eval_buffered_with_retry(request, &policy)
+            .map_err(|e| format!("exchange failed: {e}"))?;
         if raw {
             println!("{raw_line}");
         } else if !quiet {
@@ -618,11 +511,11 @@ fn client_run(addr: &str, args: &[String]) -> ExitCode {
             if !raw {
                 eprintln!("error: request refused: {error}");
             }
-            return if error.category() == "busy" {
+            return Ok(if error.category() == "busy" {
                 ExitCode::from(EXIT_BUSY)
             } else {
                 ExitCode::FAILURE
-            };
+            });
         }
         if !raw {
             println!(
@@ -632,11 +525,11 @@ fn client_run(addr: &str, args: &[String]) -> ExitCode {
                 response.misses
             );
         }
-        if response.is_ok() {
+        Ok(if response.is_ok() {
             ExitCode::SUCCESS
         } else {
             ExitCode::FAILURE
-        }
+        })
     } else {
         let mut failed = 0usize;
         let outcome = client.eval_streaming_with_retry(request, &policy, |raw_line, frame| {
@@ -661,32 +554,31 @@ fn client_run(addr: &str, args: &[String]) -> ExitCode {
                 _ => {}
             }
         });
-        match outcome {
-            Ok(StreamOutcome::Done {
+        match outcome.map_err(|e| format!("exchange failed: {e}"))? {
+            StreamOutcome::Done {
                 position,
                 cells,
                 hits,
                 misses,
-            }) => {
+            } => {
                 if !raw {
                     println!(
                         "done {cells} cells: {hits} hits, {misses} misses (position {position})"
                     );
                 }
                 if failed == 0 {
-                    ExitCode::SUCCESS
+                    Ok(ExitCode::SUCCESS)
                 } else {
                     eprintln!("error: {failed} cells failed");
-                    ExitCode::FAILURE
+                    Ok(ExitCode::FAILURE)
                 }
             }
-            Ok(StreamOutcome::Busy { retry_after_ms }) => {
+            StreamOutcome::Busy { retry_after_ms } => {
                 if !raw {
                     println!("busy retry_after_ms={retry_after_ms}");
                 }
-                ExitCode::from(EXIT_BUSY)
+                Ok(ExitCode::from(EXIT_BUSY))
             }
-            Err(e) => fail(&format!("exchange failed: {e}")),
         }
     }
 }
@@ -728,111 +620,54 @@ fn parse_duration(text: &str) -> Result<Duration, String> {
 
 /// `sweep loadgen …` — drive, render, or gate the open-loop latency
 /// trajectory. A leading flag means an implicit `run`.
-fn loadgen_cmd(args: &[String]) -> ExitCode {
+fn loadgen_cmd(args: &[String]) -> Outcome {
     match args.first().map(String::as_str) {
         Some("run") => loadgen_run(&args[1..]),
         Some("report") => loadgen_report(&args[1..]),
         Some("gate") => loadgen_gate(&args[1..]),
         Some(flag) if flag.starts_with("--") => loadgen_run(args),
-        _ => fail("loadgen needs an action: run (or its flags directly), report, or gate"),
+        _ => Err("loadgen needs an action: run (or its flags directly), report, or gate".into()),
     }
 }
 
-fn loadgen_run(args: &[String]) -> ExitCode {
-    let mut addr = DEFAULT_ADDR.to_owned();
-    let mut target = "serve".to_owned();
+fn loadgen_run(args: &[String]) -> Outcome {
+    let mut addr = DEFAULT_ADDR;
+    let mut target = "serve";
     let mut rate = 50.0f64;
     let mut duration = Duration::from_secs(10);
     let mut connections = 4usize;
-    let mut mix_spec = "fig9a".to_owned();
+    let mut mix_spec = "fig9a";
     let mut arrivals = loadgen::ArrivalKind::Poisson;
     let mut seed = 0x10ad_u64;
     let mut deadline_ms: Option<u64> = None;
     let mut out = Some(default_loadgen_history());
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--addr" => {
-                i += 1;
-                match args.get(i) {
-                    Some(a) => addr = a.clone(),
-                    None => return fail("--addr needs HOST:PORT"),
-                }
-            }
-            "--target" => {
-                i += 1;
-                match args.get(i) {
-                    Some(t) => target = t.clone(),
-                    None => return fail("--target needs a label (serve, coordinator, cluster)"),
-                }
-            }
+    let mut args = Args::new(args);
+    while let Some(arg) = args.next() {
+        match arg {
+            "--addr" => addr = args.value(arg, "HOST:PORT")?,
+            "--target" => target = args.value(arg, "a label (serve, coordinator, cluster)")?,
             "--rate" => {
-                i += 1;
-                match args.get(i).and_then(|v| v.parse::<f64>().ok()) {
-                    Some(r) if r > 0.0 && r.is_finite() => rate = r,
-                    _ => return fail("--rate needs a positive requests/s"),
-                }
+                rate = args.parse(arg, "a positive requests/s", |r: &f64| {
+                    *r > 0.0 && r.is_finite()
+                })?;
             }
-            "--duration" => {
-                i += 1;
-                match args.get(i).map(|v| parse_duration(v)) {
-                    Some(Ok(d)) => duration = d,
-                    Some(Err(e)) => return fail(&e),
-                    None => return fail("--duration needs a value (e.g. 10s)"),
-                }
-            }
-            "--connections" => {
-                i += 1;
-                match args.get(i).and_then(|v| v.parse::<usize>().ok()) {
-                    Some(n) if n > 0 => connections = n,
-                    _ => return fail("--connections needs a positive integer"),
-                }
-            }
-            "--mix" => {
-                i += 1;
-                match args.get(i) {
-                    Some(m) => mix_spec = m.clone(),
-                    None => return fail("--mix needs a spec (e.g. fig9a=9,fig10:v1=1)"),
-                }
-            }
+            "--duration" => duration = parse_duration(args.value(arg, "a value (e.g. 10s)")?)?,
+            "--connections" => connections = args.parse(arg, "a positive integer", positive)?,
+            "--mix" => mix_spec = args.value(arg, "a spec (e.g. fig9a=9,fig10:v1=1)")?,
             "--arrivals" => {
-                i += 1;
-                match args.get(i).map(|v| loadgen::ArrivalKind::parse(v)) {
-                    Some(Ok(kind)) => arrivals = kind,
-                    Some(Err(e)) => return fail(&e),
-                    None => return fail("--arrivals needs fixed, poisson, or burstN"),
-                }
+                let kind = args.value(arg, "fixed, poisson, or burstN")?;
+                arrivals = loadgen::ArrivalKind::parse(kind)?;
             }
-            "--seed" => {
-                i += 1;
-                match args.get(i).and_then(|v| v.parse::<u64>().ok()) {
-                    Some(s) => seed = s,
-                    None => return fail("--seed needs an integer"),
-                }
-            }
+            "--seed" => seed = args.parse(arg, "an integer", |_| true)?,
             "--deadline-ms" => {
-                i += 1;
-                match args.get(i).and_then(|v| v.parse::<u64>().ok()) {
-                    Some(ms) if ms > 0 => deadline_ms = Some(ms),
-                    _ => return fail("--deadline-ms needs a positive integer"),
-                }
+                deadline_ms = Some(args.parse(arg, "a positive integer", positive)?)
             }
-            "--out" => {
-                i += 1;
-                match args.get(i) {
-                    Some(path) => out = Some(path.clone()),
-                    None => return fail("--out needs a path"),
-                }
-            }
+            "--out" => out = Some(args.value(arg, "a path")?.to_owned()),
             "--no-out" => out = None,
-            other => return fail(&format!("unknown loadgen flag `{other}`")),
+            other => return Err(format!("unknown loadgen flag `{other}`")),
         }
-        i += 1;
     }
-    let mix = match loadgen::Mix::parse(&mix_spec) {
-        Ok(m) => m,
-        Err(e) => return fail(&e),
-    };
+    let mix = loadgen::Mix::parse(mix_spec)?;
 
     // Prime every warm entry's grid once, so "warm" measures the memo
     // path instead of one accidental first-compute outlier per grid.
@@ -851,38 +686,34 @@ fn loadgen_run(args: &[String]) -> ExitCode {
             .collect()
     };
     if !warm_grids.is_empty() {
-        let mut primer = match connect(&addr) {
-            Ok(c) => c,
-            Err(e) => return fail(&e),
-        };
+        let mut primer = connect(addr)?;
         for entry in warm_grids {
             let request =
                 EvalRequest::streaming(format!("lg-prime-{}", entry.grid), entry.scenarios.clone());
             match primer.eval_streaming(request, |_, _| {}) {
                 Ok(StreamOutcome::Done { .. }) => {}
                 Ok(StreamOutcome::Busy { retry_after_ms }) => {
-                    return fail(&format!(
+                    return Err(format!(
                         "server busy priming `{}` (retry after {retry_after_ms} ms) — \
                          loadgen needs an idle server to start from",
                         entry.grid
                     ));
                 }
-                Err(e) => return fail(&format!("prime of `{}` failed: {e}", entry.grid)),
+                Err(e) => return Err(format!("prime of `{}` failed: {e}", entry.grid)),
             }
         }
     }
 
     let plan = loadgen::schedule(arrivals, rate, duration, seed);
     if plan.is_empty() {
-        return fail("rate × duration offers zero arrivals — raise one of them");
+        return Err("rate × duration offers zero arrivals — raise one of them".into());
     }
     let assignment = mix.assign(plan.len(), seed);
     let mut issuers: Vec<Box<dyn loadgen::Issuer>> = Vec::with_capacity(connections);
     for _ in 0..connections {
-        match loadgen::TcpIssuer::connect(&addr, deadline_ms) {
-            Ok(issuer) => issuers.push(Box::new(issuer)),
-            Err(e) => return fail(&format!("cannot connect to {addr}: {e}")),
-        }
+        let issuer = loadgen::TcpIssuer::connect(addr, deadline_ms)
+            .map_err(|e| format!("cannot connect to {addr}: {e}"))?;
+        issuers.push(Box::new(issuer));
     }
     println!(
         "loadgen {target}: {} arrivals ({} at {rate:.0}/s over {:.1}s) on {connections} \
@@ -894,7 +725,7 @@ fn loadgen_run(args: &[String]) -> ExitCode {
     );
     let summary = loadgen::run(&plan, &assignment, mix.entries(), issuers, duration);
     let shape = loadgen::RunShape {
-        target: target.clone(),
+        target: target.to_owned(),
         mix: mix.label(),
         arrivals: arrivals.label(),
         rate,
@@ -940,137 +771,90 @@ fn loadgen_run(args: &[String]) -> ExitCode {
         }
     }
     if let Some(path) = out {
-        match loadgen::append_history(&path, record) {
-            Ok(total) => println!("  appended to {path} ({total} runs)"),
-            Err(e) => return fail(&e),
-        }
+        let total = loadgen::append_history(&path, record)?;
+        println!("  appended to {path} ({total} runs)");
     }
     if summary.errors > 0 {
         eprintln!("error: {} request(s) failed outright", summary.errors);
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn loadgen_report(args: &[String]) -> ExitCode {
+fn loadgen_report(args: &[String]) -> Outcome {
     let mut path = default_loadgen_history();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => path = p.clone(),
-                    None => return fail("--out needs a path"),
-                }
-            }
-            other => return fail(&format!("unknown report flag `{other}`")),
+    let mut args = Args::new(args);
+    while let Some(arg) = args.next() {
+        match arg {
+            "--out" => path = args.value(arg, "a path")?.to_owned(),
+            other => return Err(format!("unknown report flag `{other}`")),
         }
-        i += 1;
     }
-    let runs = match loadgen::read_history(&path) {
-        Ok(r) => r,
-        Err(e) => return fail(&e),
-    };
+    let runs = loadgen::read_history(&path)?;
     if runs.is_empty() {
         println!("no loadgen history at {path} yet — run `sweep loadgen` first");
-        return ExitCode::SUCCESS;
+    } else {
+        print!("{}", loadgen::render_table(&runs));
     }
-    print!("{}", loadgen::render_table(&runs));
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn loadgen_gate(args: &[String]) -> ExitCode {
+fn loadgen_gate(args: &[String]) -> Outcome {
     let mut path = default_loadgen_history();
     let mut factor = 2.0f64;
     let mut max_p99_ms: Option<f64> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => path = p.clone(),
-                    None => return fail("--out needs a path"),
-                }
-            }
-            "--factor" => {
-                i += 1;
-                match args.get(i).and_then(|v| v.parse::<f64>().ok()) {
-                    Some(f) if f >= 1.0 => factor = f,
-                    _ => return fail("--factor needs a number ≥ 1.0"),
-                }
-            }
-            "--max-p99-ms" => {
-                i += 1;
-                match args.get(i).and_then(|v| v.parse::<f64>().ok()) {
-                    Some(ms) if ms > 0.0 => max_p99_ms = Some(ms),
-                    _ => return fail("--max-p99-ms needs a positive number"),
-                }
-            }
-            other => return fail(&format!("unknown gate flag `{other}`")),
+    let mut args = Args::new(args);
+    while let Some(arg) = args.next() {
+        match arg {
+            "--out" => path = args.value(arg, "a path")?.to_owned(),
+            "--factor" => factor = args.parse(arg, "a number ≥ 1.0", |f| *f >= 1.0)?,
+            "--max-p99-ms" => max_p99_ms = Some(args.parse(arg, "a positive number", positive)?),
+            other => return Err(format!("unknown gate flag `{other}`")),
         }
-        i += 1;
     }
-    let runs = match loadgen::read_history(&path) {
-        Ok(r) => r,
-        Err(e) => return fail(&e),
-    };
+    let runs = loadgen::read_history(&path)?;
     match loadgen::gate(&runs, factor, max_p99_ms) {
         Ok(verdicts) => {
             for v in verdicts {
                 println!("ok: {v}");
             }
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         Err(e) => {
             eprintln!("error: loadgen gate failed: {e}");
-            ExitCode::FAILURE
+            Ok(ExitCode::FAILURE)
         }
     }
 }
 
 /// `sweep trace …` — aggregate the span files a `--trace-dir` server
 /// wrote.
-fn trace_cmd(args: &[String]) -> ExitCode {
+fn trace_cmd(args: &[String]) -> Outcome {
     match args.first().map(String::as_str) {
         Some("report") => trace_report(&args[1..]),
-        _ => fail("trace needs an action: report"),
+        _ => Err("trace needs an action: report".into()),
     }
 }
 
-fn trace_report(args: &[String]) -> ExitCode {
+fn trace_report(args: &[String]) -> Outcome {
     let mut dir = root::results_dir().join("telemetry");
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--dir" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => dir = p.into(),
-                    None => return fail("--dir needs a path"),
-                }
-            }
-            other => return fail(&format!("unknown trace report flag `{other}`")),
+    let mut args = Args::new(args);
+    while let Some(arg) = args.next() {
+        match arg {
+            "--dir" => dir = args.value(arg, "a path")?.into(),
+            other => return Err(format!("unknown trace report flag `{other}`")),
         }
-        i += 1;
     }
-    let spans = match yoco_sweep::telemetry::trace::read_spans(&dir) {
-        Ok(s) => s,
-        Err(e) => return fail(&e),
-    };
+    let spans = trace::read_spans(&dir)?;
     if spans.is_empty() {
         println!(
             "no span records under {} — start the server with --trace-dir and send traffic",
             dir.display()
         );
-        return ExitCode::SUCCESS;
+    } else {
+        print!("{}", trace::render_stage_table(&spans));
     }
-    print!(
-        "{}",
-        yoco_sweep::telemetry::trace::render_stage_table(&spans)
-    );
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 fn fail(msg: &str) -> ExitCode {

@@ -50,7 +50,9 @@
 //! * [`figures`] / [`studies`] — the Fig 1(c)/6–10 / Table I–II
 //!   computations, expressed as grids and cacheable study cells;
 //! * [`root`] — workspace-root discovery shared with `yoco-bench`'s
-//!   output writer.
+//!   output writer;
+//! * [`cli`] — [`cli::Args`], the one argument reader of the `sweep`,
+//!   `yoco-serve` and `yoco-dse` binaries.
 //!
 //! ## Quickstart
 //!
@@ -75,6 +77,7 @@
 
 pub mod api;
 pub mod cache;
+pub mod cli;
 pub mod client;
 pub mod cluster;
 pub mod engine;

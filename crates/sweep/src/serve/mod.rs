@@ -65,7 +65,7 @@ use std::time::{Duration, Instant};
 
 pub mod reactor;
 
-pub use reactor::{serve_reactor, ReactorConfig, DEFAULT_OUTBUF_CAP};
+pub use reactor::{serve_reactor, ReactorConfig, DEFAULT_OUTBUF_CAP, MAX_LINE_BYTES};
 
 /// Default bound on concurrently admitted evaluation requests.
 pub const DEFAULT_QUEUE_DEPTH: usize = 4;
@@ -372,27 +372,26 @@ impl Served {
 }
 
 /// One memoized cell (status already rewritten to `Hit`): the scenario
-/// it answers, as requested, and its two pre-serialized wire forms — the
-/// v2 `Cell` frame line and the standalone outcome object spliced into
-/// buffered v1 `cells` arrays.
+/// it answers, as requested, and its pre-serialized v2 `Cell` frame
+/// line, whose inner outcome object is also what buffered v1 `cells`
+/// arrays splice ([`MemoCell::outcome_json`]).
 #[derive(Debug)]
 pub(crate) struct MemoCell {
     scenario: Scenario,
     line: String,
-    outcome_json: String,
 }
 
 impl MemoCell {
     fn new(scenario: Scenario, outcome: CellOutcome) -> Self {
-        let line = serde_json::to_string(&Response::Cell(outcome.clone()))
+        let line = serde_json::to_string(&Response::Cell(outcome))
             .expect("frame serialization is infallible");
-        let outcome_json =
-            serde_json::to_string(&outcome).expect("frame serialization is infallible");
-        Self {
-            scenario,
-            line,
-            outcome_json,
-        }
+        Self { scenario, line }
+    }
+
+    /// The standalone outcome object: the frame line `{"Cell":…}`
+    /// without its envelope.
+    fn outcome_json(&self) -> &str {
+        &self.line[r#"{"Cell":"#.len()..self.line.len() - 1]
     }
 }
 
@@ -1006,7 +1005,7 @@ fn frame_line(frame: &Response) -> io::Result<String> {
 fn warm_eval_line(id: &str, cells: &[Arc<MemoCell>]) -> String {
     use std::fmt::Write as _;
     let id_json = serde_json::to_string(id).expect("string serialization is infallible");
-    let cells_len: usize = cells.iter().map(|c| c.outcome_json.len() + 1).sum();
+    let cells_len: usize = cells.iter().map(|c| c.outcome_json().len() + 1).sum();
     // The envelope around the id and the cells is under 128 bytes, so
     // the line is built without a reallocation.
     let mut line = String::with_capacity(cells_len + id_json.len() + 128);
@@ -1018,7 +1017,7 @@ fn warm_eval_line(id: &str, cells: &[Arc<MemoCell>]) -> String {
         if i > 0 {
             line.push(',');
         }
-        line.push_str(&cell.outcome_json);
+        line.push_str(cell.outcome_json());
     }
     let _ = write!(
         line,
@@ -1788,7 +1787,6 @@ pub(crate) mod tests {
             memo.insert(MemoCell {
                 scenario: s.clone(),
                 line: format!("frame-{}", s.id),
-                outcome_json: format!("outcome-{}", s.id),
             });
         }
         assert_eq!(memo.len(), 2, "cap bounds the entry count");
@@ -1806,7 +1804,6 @@ pub(crate) mod tests {
         memo.insert(MemoCell {
             scenario: scenarios[1].clone(),
             line: "frame-refreshed".into(),
-            outcome_json: "outcome-refreshed".into(),
         });
         assert_eq!(memo.len(), 2);
         let cells = memo
@@ -1931,7 +1928,6 @@ pub(crate) mod tests {
             Arc::new(MemoCell {
                 scenario: table2,
                 line: "frame-table2".into(),
-                outcome_json: "outcome-table2".into(),
             }),
         );
         memo.order.push_back(key);
@@ -2204,7 +2200,6 @@ mod microbench {
             memo.insert(MemoCell {
                 scenario: s.clone(),
                 line: String::new(),
-                outcome_json: String::new(),
             });
         }
         let t = Instant::now();

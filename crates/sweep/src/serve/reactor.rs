@@ -38,6 +38,9 @@
 //!   and arms `WRITABLE` interest (EAGAIN requeues the flush), and a
 //!   client that stops reading until the buffer hits its cap is
 //!   disconnected instead of holding server memory hostage.
+//! * **Bounded lines** — past [`MAX_LINE_BYTES`] without a newline, a
+//!   connection is not read further: its earlier lines are answered,
+//!   then one `Error` frame, and it is closed.
 //! * **Deadlines** — each line is stamped with its receipt
 //!   [`Instant`]; the admission gate answers `Busy` for requests whose
 //!   `deadline_ms` expired while queued, instead of occupying a slot.
@@ -48,7 +51,7 @@
 //!   60 s per-connection write timeout.
 
 use super::{FrameSink, Runtime, Served};
-use crate::api::Response;
+use crate::api::{Response, SweepError};
 use crate::telemetry::Registry;
 use mio::unix::SourceFd;
 use mio::{Events, Interest, Poll, Token, Waker};
@@ -64,6 +67,10 @@ use std::time::{Duration, Instant};
 /// a full `fig8` v1 response is tens of kilobytes — but finite: past
 /// it the client is deemed a slow reader and disconnected.
 pub const DEFAULT_OUTBUF_CAP: usize = 16 * 1024 * 1024;
+
+/// The longest request line a connection may send; the largest named
+/// grid's request (`dse-full`) is about 32 KiB.
+pub const MAX_LINE_BYTES: usize = 1024 * 1024;
 
 /// How long a shutdown drain may wait on unflushed outbufs before
 /// force-closing them — the reactor's analogue of a per-connection
@@ -127,6 +134,12 @@ impl LineBuf {
             self.start = 0;
         }
         self.buf.extend_from_slice(bytes);
+    }
+
+    /// Bytes fed and not yet popped: once [`LineBuf::next_line`]
+    /// returns `None`, the unterminated line so far.
+    pub(crate) fn pending(&self) -> usize {
+        self.buf.len() - self.start
     }
 
     /// Pops the next complete line (newline stripped, CRLF tolerated).
@@ -342,6 +355,10 @@ struct Conn {
     /// Close once pending work and the outbuf drain (a served
     /// `Shutdown`'s connection stops reading further requests).
     closing: bool,
+    /// A line outgrew [`MAX_LINE_BYTES`]: reads stopped, and the
+    /// `Error` frame answering it is owed once the lines before it are
+    /// answered.
+    overlong: bool,
     /// The current epoll registration, `None` when deregistered.
     registered: Option<(bool, bool)>,
 }
@@ -603,13 +620,15 @@ impl Reactor {
                 pending: 0,
                 read_closed: false,
                 closing: false,
+                overlong: false,
                 registered: Some((true, false)),
             },
         );
         Ok(())
     }
 
-    /// Drains the socket to EAGAIN, dispatching every complete line.
+    /// Drains the socket to EAGAIN, queueing every complete line, or
+    /// until a line outgrows [`MAX_LINE_BYTES`].
     fn read_ready(&mut self, id: usize) {
         let read_started = Instant::now();
         let Some(conn) = self.conns.get_mut(&id) else {
@@ -625,7 +644,24 @@ impl Reactor {
                     conn.read_closed = true;
                     break;
                 }
-                Ok(n) => conn.inbuf.feed(&chunk[..n]),
+                Ok(n) => {
+                    conn.inbuf.feed(&chunk[..n]);
+                    let received = Instant::now();
+                    while let Some(line) = conn.inbuf.next_line() {
+                        // Blank lines are skipped, and lines parsed after
+                        // a shutdown dropped: the drain covers work in
+                        // flight (queued included), not new work.
+                        if !line.trim().is_empty() && self.shutdown.is_none() {
+                            conn.queued.push_back((line, received));
+                        }
+                    }
+                    if conn.inbuf.pending() > MAX_LINE_BYTES {
+                        conn.inbuf = LineBuf::default();
+                        conn.read_closed = true;
+                        conn.overlong = true;
+                        break;
+                    }
+                }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => {
@@ -634,19 +670,6 @@ impl Reactor {
                     return;
                 }
             }
-        }
-        let conn = self.conns.get_mut(&id).expect("conn still present");
-        let received = Instant::now();
-        while let Some(line) = conn.inbuf.next_line() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            // Lines parsed after a shutdown are dropped: the drain
-            // covers work in flight (queued included), not new work.
-            if self.shutdown.is_some() {
-                continue;
-            }
-            conn.queued.push_back((line, received));
         }
         self.runtime
             .metrics()
@@ -662,7 +685,8 @@ impl Reactor {
     /// At most one line per connection is ever in flight, so responses
     /// come back in request order even under pipelining (a warm line
     /// never jumps ahead of a queued cold one, and two cold streams
-    /// can't interleave their frames). Called again on each job
+    /// can't interleave their frames). An overlong line's `Error` frame
+    /// goes out once the queue is empty. Called again on each job
     /// completion to keep the queue moving.
     fn advance(&mut self, id: usize) {
         let runtime = Arc::clone(&self.runtime);
@@ -674,6 +698,20 @@ impl Reactor {
                 return;
             }
             let Some((line, received)) = conn.queued.pop_front() else {
+                if std::mem::take(&mut conn.overlong) {
+                    eprintln!(
+                        "warning: [{}] request line over {MAX_LINE_BYTES} bytes — disconnecting",
+                        conn.peer
+                    );
+                    let frame = Response::Error(SweepError::schema(
+                        "request line",
+                        format!("no newline within {MAX_LINE_BYTES} bytes"),
+                    ));
+                    let line = serde_json::to_string(&frame).expect("frame serializes");
+                    // A full or closed outbuf refuses the frame, and
+                    // `refresh` disconnects the connection either way.
+                    let _ = conn.out.buf.lock().expect("outbuf lock").push(&line);
+                }
                 return;
             };
             let out = Arc::clone(&conn.out);
@@ -835,6 +873,18 @@ mod tests {
         buf.feed(b"\n");
         assert_eq!(buf.next_line().as_deref(), Some("{\"c\":3}"));
         assert_eq!(buf.next_line(), None);
+    }
+
+    #[test]
+    fn linebuf_pending_counts_the_unterminated_tail() {
+        let mut buf = LineBuf::default();
+        buf.feed(b"{\"a\":1}\n{\"b\"");
+        assert_eq!(buf.next_line().as_deref(), Some("{\"a\":1}"));
+        assert_eq!(buf.next_line(), None);
+        assert_eq!(buf.pending(), 4);
+        buf.feed(b":2}\n");
+        assert_eq!(buf.next_line().as_deref(), Some("{\"b\":2}"));
+        assert_eq!(buf.pending(), 0);
     }
 
     #[test]

@@ -36,6 +36,11 @@ pub fn temp_dir(tag: &str) -> PathBuf {
 pub struct Server(Child);
 
 impl Server {
+    /// The server's process id.
+    pub fn pid(&self) -> u32 {
+        self.0.id()
+    }
+
     /// Waits for the server to exit on its own (after a `Shutdown`).
     pub fn wait(mut self) -> ExitStatus {
         self.0.wait().expect("server exits")

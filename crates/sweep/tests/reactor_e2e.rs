@@ -2,8 +2,8 @@
 //! requests multiplexed on one connection, frames split across
 //! arbitrary write boundaries, slow-reader disconnects under a tiny
 //! output budget, a 1024-connection concurrency smoke (guarded by the
-//! process fd limit), and byte parity between the single-box runtime
-//! and the cluster coordinator's merge.
+//! process fd limit), byte parity between the single-box runtime and
+//! the cluster coordinator's merge, and the bound on a request line.
 //!
 //! Readiness is the server's announce line ("yoco-serve listening on
 //! …") — never a sleep.
@@ -11,12 +11,12 @@
 mod common;
 
 use common::{client, spawn_coordinator, spawn_server, temp_dir};
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use yoco_sweep::api::{EvalRequest, Request, Response};
-use yoco_sweep::serve::{listen, serve_reactor, ReactorConfig, ServeConfig};
+use yoco_sweep::serve::{listen, serve_reactor, ReactorConfig, ServeConfig, MAX_LINE_BYTES};
 use yoco_sweep::{Engine, ResultCache, Runtime, Scenario, ServeClient, StreamOutcome, StudyId};
 
 fn batch() -> Vec<Scenario> {
@@ -408,4 +408,70 @@ fn warm_v1_bytes_match_between_runtime_and_coordinator() {
     assert!(worker_server.wait().success());
     let _ = std::fs::remove_dir_all(runtime_cache);
     let _ = std::fs::remove_dir_all(worker_cache);
+}
+
+#[test]
+fn an_overlong_line_is_answered_with_one_error_frame_then_eof() {
+    let cache = temp_dir("overlong");
+    let (_server, port) = spawn_server(&cache, &[]);
+    let mut stream = TcpStream::connect(("127.0.0.1", port)).expect("connects");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("timeout set");
+    // A well-formed line first, whose answer must come before the
+    // Error, then one byte more than a line may hold.
+    let mut bytes = b"\"Ping\"\n".to_vec();
+    bytes.resize(bytes.len() + MAX_LINE_BYTES + 1, b'x');
+    stream
+        .write_all(&bytes)
+        .expect("the server reads up to the bound");
+    stream.shutdown(Shutdown::Write).expect("half-closes");
+    let mut reply = String::new();
+    stream.read_to_string(&mut reply).expect("reads to EOF");
+    let frames: Vec<Response> = reply
+        .lines()
+        .map(|line| serde_json::from_str(line).expect("frame parses"))
+        .collect();
+    assert!(
+        matches!(frames.as_slice(), [Response::Pong, Response::Error(_)]),
+        "{reply}"
+    );
+    client(port)
+        .ping()
+        .expect("another connection still gets Pong");
+    let _ = std::fs::remove_dir_all(cache);
+}
+
+/// The peak resident set of process `pid` in KiB (`VmHWM`).
+fn peak_rss_kib(pid: u32) -> u64 {
+    let status = std::fs::read_to_string(format!("/proc/{pid}/status")).expect("status reads");
+    status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmHWM:"))
+        .and_then(|v| v.split_whitespace().next()?.parse().ok())
+        .expect("VmHWM present")
+}
+
+#[test]
+fn a_flood_without_newlines_leaves_the_server_small() {
+    let cache = temp_dir("flood");
+    let (server, port) = spawn_server(&cache, &[]);
+    let mut stream = TcpStream::connect(("127.0.0.1", port)).expect("connects");
+    stream
+        .set_write_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout set");
+    // 64 MiB with no newline; writes fail once the server hangs up.
+    let chunk = vec![b'x'; 64 * 1024];
+    for _ in 0..1024 {
+        if stream.write_all(&chunk).is_err() {
+            break;
+        }
+    }
+    let peak_kib = peak_rss_kib(server.pid());
+    assert!(
+        peak_kib < 32 * 1024,
+        "yoco-serve peaked at {peak_kib} KiB resident"
+    );
+    client(port).ping().expect("the server is still healthy");
+    let _ = std::fs::remove_dir_all(cache);
 }
