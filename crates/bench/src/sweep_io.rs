@@ -10,18 +10,10 @@
 use yoco_sweep::{Engine, Metrics, Scenario, StudyId, StudyMetrics, SweepReport};
 
 /// The engine policy the `fig*`/`table*` bins share: workspace cache, one
-/// worker per core. Set `YOCO_SWEEP_NO_CACHE=1` to bypass the cache (e.g.
-/// when bisecting a model change); `0`, empty, and unset keep it on.
+/// worker per core. After a model change, `sweep run <grid> --force`
+/// refreshes the entries they read.
 pub fn bin_engine() -> Engine {
-    let engine = Engine::cached();
-    let opted_out = std::env::var("YOCO_SWEEP_NO_CACHE")
-        .map(|v| !v.is_empty() && v != "0")
-        .unwrap_or(false);
-    if opted_out {
-        engine.no_cache()
-    } else {
-        engine
-    }
+    Engine::cached()
 }
 
 /// Runs one study and returns its typed payload, reporting cache status

@@ -167,11 +167,6 @@ impl Volt {
     pub fn from_milli(mv: f64) -> Self {
         Self::new(mv * 1e-3)
     }
-
-    /// Returns the voltage in millivolts.
-    pub fn as_milli(self) -> f64 {
-        self.value() * 1e3
-    }
 }
 
 impl Farad {
@@ -266,11 +261,6 @@ impl Joule {
 }
 
 impl SquareMicron {
-    /// Returns the area in square millimetres.
-    pub fn as_mm2(self) -> f64 {
-        self.value() * 1e-6
-    }
-
     /// Creates an area from square millimetres.
     pub fn from_mm2(mm2: f64) -> Self {
         Self::new(mm2 * 1e6)

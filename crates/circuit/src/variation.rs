@@ -64,19 +64,6 @@ impl NoiseModel {
         }
     }
 
-    /// A pessimistic slow-slow corner (used by robustness tests, not by the
-    /// paper's headline figures).
-    pub fn ss_corner() -> Self {
-        Self {
-            cap_mismatch_sigma: 0.016,
-            charge_injection: 0.007,
-            settling_residue: 0.004,
-            readout_offset_sigma: 1.0e-3,
-            vtc_gain_error: 0.0012,
-            vtc_jitter_sigma: 0.0008,
-        }
-    }
-
     /// Applies the deterministic charge-injection bow to a node voltage.
     pub fn inject(&self, v: f64) -> f64 {
         v + self.charge_injection * v * (1.0 - v / crate::VDD)
@@ -186,9 +173,9 @@ pub struct MonteCarloReport {
     pub min: f64,
     /// Maximum observed offset in volts.
     pub max: f64,
-    /// Histogram bin edges in volts (length `bins + 1`).
+    /// Histogram bin edges in volts (41 of them).
     pub bin_edges: Vec<f64>,
-    /// Histogram counts (length `bins`).
+    /// Histogram counts (40 bins).
     pub counts: Vec<usize>,
 }
 
@@ -206,29 +193,22 @@ impl MonteCarloReport {
     }
 }
 
+/// Histogram bins of every [`MonteCarloReport`].
+const BINS: usize = 40;
+
 /// Monte-Carlo harness: evaluates a voltage-producing closure over many
-/// mismatched instances and reports the offset distribution.
+/// mismatched instances and reports the offset distribution (its moments,
+/// extremes and a 40-bin histogram).
 #[derive(Debug, Clone, Copy)]
 pub struct MonteCarlo {
     runs: usize,
-    bins: usize,
     seed: u64,
 }
 
 impl MonteCarlo {
     /// Creates a harness; the paper uses 2 000 runs.
     pub fn new(runs: usize, seed: u64) -> Self {
-        Self {
-            runs,
-            bins: 40,
-            seed,
-        }
-    }
-
-    /// Sets the number of histogram bins (default 40).
-    pub fn with_bins(mut self, bins: usize) -> Self {
-        self.bins = bins.max(1);
-        self
+        Self { runs, seed }
     }
 
     /// Number of runs.
@@ -248,7 +228,37 @@ impl MonteCarlo {
     /// A caller that evaluates the instances itself (in parallel, say)
     /// gets the same report as [`MonteCarlo::run`] from the same offsets.
     pub fn summarize(&self, offsets: &[f64]) -> MonteCarloReport {
-        summarize(offsets, self.bins)
+        let runs = offsets.len();
+        let mean = offsets.iter().sum::<f64>() / runs.max(1) as f64;
+        let var = if runs > 1 {
+            offsets.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (runs - 1) as f64
+        } else {
+            0.0
+        };
+        let sigma = var.sqrt();
+        let min = offsets.iter().copied().fold(f64::INFINITY, f64::min);
+        let max = offsets.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let (lo, hi) = if min.is_finite() && max > min {
+            (min, max)
+        } else {
+            (min - 1e-6, min + 1e-6)
+        };
+        let width = (hi - lo) / BINS as f64;
+        let bin_edges: Vec<f64> = (0..=BINS).map(|i| lo + width * i as f64).collect();
+        let mut counts = vec![0usize; BINS];
+        for &x in offsets {
+            let idx = (((x - lo) / width) as usize).min(BINS - 1);
+            counts[idx] += 1;
+        }
+        MonteCarloReport {
+            runs,
+            mean,
+            sigma,
+            min,
+            max,
+            bin_edges,
+            counts,
+        }
     }
 
     /// Runs `f(instance_seed) -> offset` for each instance and summarizes.
@@ -260,40 +270,6 @@ impl MonteCarlo {
             .map(|i| f(self.instance_seed(i)).value())
             .collect();
         self.summarize(&offsets)
-    }
-}
-
-fn summarize(offsets: &[f64], bins: usize) -> MonteCarloReport {
-    let runs = offsets.len();
-    let mean = offsets.iter().sum::<f64>() / runs.max(1) as f64;
-    let var = if runs > 1 {
-        offsets.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (runs - 1) as f64
-    } else {
-        0.0
-    };
-    let sigma = var.sqrt();
-    let min = offsets.iter().copied().fold(f64::INFINITY, f64::min);
-    let max = offsets.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    let (lo, hi) = if min.is_finite() && max > min {
-        (min, max)
-    } else {
-        (min - 1e-6, min + 1e-6)
-    };
-    let width = (hi - lo) / bins as f64;
-    let bin_edges: Vec<f64> = (0..=bins).map(|i| lo + width * i as f64).collect();
-    let mut counts = vec![0usize; bins];
-    for &x in offsets {
-        let idx = (((x - lo) / width) as usize).min(bins - 1);
-        counts[idx] += 1;
-    }
-    MonteCarloReport {
-        runs,
-        mean,
-        sigma,
-        min,
-        max,
-        bin_edges,
-        counts,
     }
 }
 

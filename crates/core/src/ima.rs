@@ -155,12 +155,6 @@ impl Ima {
         Ok(out)
     }
 
-    /// The dot product a given output code represents:
-    /// `code · rows · (2^8 − 1)`.
-    pub fn code_to_dot(&self, code: u32) -> f64 {
-        code as f64 * self.rows as f64 * 255.0
-    }
-
     /// The expected output code for an exact dot product.
     pub fn dot_to_code(&self, dot: f64) -> u32 {
         (dot / (self.rows as f64 * 255.0)).round() as u32

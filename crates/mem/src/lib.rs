@@ -3,16 +3,15 @@
 //! YOCO is a *hybrid-memory* architecture: dynamic IMAs (DIMAs) back their
 //! MCC clusters with SRAM for fast, endurance-free weight updates, while
 //! static IMAs (SIMAs) use dense 1T1R ReRAM for resident model weights.
-//! Tiles add a 128 KB eDRAM I/O cache and 2 KB IMA buffers. The paper
-//! models these with CACTI \[11\] and TIMELY's ReRAM parameters \[7\]; this
-//! crate provides equivalent analytical models:
+//! Tiles add a 128 KB eDRAM I/O cache. The paper models these with CACTI
+//! \[11\] and TIMELY's ReRAM parameters \[7\]; this crate provides
+//! equivalent analytical models (the 2 KB IMA buffers are priced once, by
+//! the Table II constants in `yoco_circuit::energy::table2`):
 //!
 //! * [`model`] — the [`MemoryModel`] trait and access-cost bookkeeping
 //! * [`sram`] — 6T SRAM arrays (DIMA clusters, quantization memory)
 //! * [`reram`] — 1T1R ReRAM arrays with endurance tracking (SIMA clusters)
 //! * [`edram`] — embedded DRAM with refresh (tile I/O cache)
-//! * [`buffer`] — the 2 KB IMA input/output buffers
-//! * [`cacti`] — CACTI-style capacity scaling used to size baseline buffers
 //!
 //! ```
 //! use yoco_mem::{MemoryModel, SramArray};
@@ -25,8 +24,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod buffer;
-pub mod cacti;
 pub mod edram;
 mod error;
 pub mod model;
@@ -34,7 +31,6 @@ pub mod reram;
 pub mod sram;
 pub mod wear;
 
-pub use buffer::IoBuffer;
 pub use edram::EdramArray;
 pub use error::MemError;
 pub use model::{AccessCost, MemoryModel, MemoryStats};

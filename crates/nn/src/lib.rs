@@ -28,7 +28,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod attention;
-pub mod conv;
 pub mod datasets;
 mod error;
 pub mod inference;

@@ -1,6 +1,7 @@
-//! The benchmark model zoo: the 10 DNNs of the paper's Fig 8 plus the five
-//! transformers of Fig 10, described layer by layer from their published
-//! architectures.
+//! The benchmark model zoo: the 10 DNNs of the paper's Fig 8, described
+//! layer by layer from their published architectures. Its five
+//! transformers are also the models of Fig 10, whose attention dimensions
+//! come from their [`LayerSpec::Attention`] layers.
 //!
 //! Shapes follow the standard references (torchvision for the CNNs, the
 //! original papers for the transformers). Sequence lengths match typical
@@ -343,17 +344,6 @@ pub fn fig8_benchmarks() -> Vec<Model> {
     ]
 }
 
-/// The five transformers of Fig 10, in the paper's order.
-pub fn fig10_transformers() -> Vec<Model> {
-    vec![
-        gpt_large(),
-        mobilebert(),
-        qdqbert(),
-        vit_base(),
-        llama3_7b(),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -444,7 +434,12 @@ mod tests {
 
     #[test]
     fn transformers_have_dynamic_share() {
-        for m in fig10_transformers() {
+        let transformers: Vec<Model> = fig8_benchmarks()
+            .into_iter()
+            .filter(|m| m.class == ModelClass::Transformer)
+            .collect();
+        assert_eq!(transformers.len(), 5);
+        for m in transformers {
             let w = m.workloads();
             let dyn_macs: u64 = w
                 .iter()

@@ -235,8 +235,10 @@ fn cache_cmd(args: &[String]) -> Outcome {
             while let Some(arg) = args.next() {
                 match arg {
                     "--max-age-days" => {
-                        let days: f64 = args.parse(arg, "a non-negative number", |d| *d >= 0.0)?;
-                        budget.max_age = Some(Duration::from_secs_f64(days * 86_400.0));
+                        let what = "a non-negative number";
+                        let days: f64 = args.parse(arg, what, |_| true)?;
+                        let age = Duration::try_from_secs_f64(days * 86_400.0);
+                        budget.max_age = Some(age.map_err(|_| format!("{arg} needs {what}"))?);
                     }
                     "--max-bytes" => {
                         let Bytes(n) = args.parse(arg, "a size like 1048576 or 64m", |_| true)?;
@@ -298,6 +300,9 @@ fn client_cmd(args: &[String]) -> Outcome {
     let action = args.first().map(String::as_str);
     let (addr, rest) = take_addr(args.get(1..).unwrap_or(&[]))?;
     match action {
+        Some(action @ ("ping" | "shutdown")) if !rest.is_empty() => {
+            return Err(format!("unknown {action} flag `{}`", rest[0]));
+        }
         Some("ping") => {
             connect(addr)?
                 .ping()
@@ -359,8 +364,9 @@ fn client_status(addr: &str, args: &[String]) -> Result<(), String> {
         match arg {
             "--raw" => raw = true,
             "--watch" => {
-                let secs = args.parse(arg, "a positive number of seconds", positive)?;
-                watch = Some(Duration::from_secs_f64(secs));
+                let what = "a positive number of seconds";
+                let period = Duration::try_from_secs_f64(args.parse(arg, what, positive)?);
+                watch = Some(period.map_err(|_| format!("{arg} needs {what}"))?);
             }
             other => return Err(format!("unknown status flag `{other}`")),
         }
@@ -424,9 +430,10 @@ fn client_status_watch(addr: &str, raw: bool, period: Duration) {
             eprintln!("{e}");
         }
         // Sleep in short slices so `q`/EOF exits promptly, not after a
-        // full period.
-        let deadline = Instant::now() + period;
-        while Instant::now() < deadline && !stop.load(Ordering::Relaxed) {
+        // full period. (Elapsed time, not a deadline: `now + period`
+        // overflows an `Instant` for a period like 1e19 s.)
+        let asleep = Instant::now();
+        while asleep.elapsed() < period && !stop.load(Ordering::Relaxed) {
             std::thread::sleep(Duration::from_millis(50));
         }
         if stop.load(Ordering::Relaxed) {
@@ -613,8 +620,8 @@ fn parse_duration(text: &str) -> Result<Duration, String> {
     digits
         .parse::<f64>()
         .ok()
-        .filter(|v| *v > 0.0 && v.is_finite())
-        .map(|v| Duration::from_secs_f64(v * scale))
+        .filter(|v| *v > 0.0)
+        .and_then(|v| Duration::try_from_secs_f64(v * scale).ok())
         .ok_or_else(|| format!("unparseable duration `{text}` (try 10s, 500ms, 2m)"))
 }
 

@@ -14,6 +14,7 @@ use crate::scenario::{AcceleratorKind, DesignPoint, Scenario, WorkloadSpec};
 use serde::{Deserialize, Serialize};
 use yoco::pipeline::AttentionDims;
 use yoco_arch::accelerator::geometric_mean;
+use yoco_nn::LayerSpec;
 
 /// One model's normalized ratios (YOCO ÷ baseline).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -167,50 +168,43 @@ pub struct Fig10Table {
     pub geomean: f64,
 }
 
-/// Attention dimensions of the five Fig 10 transformers, in paper order.
+/// The five Fig 10 transformers, in the paper's order.
+const FIG10_MODELS: [&str; 5] = [
+    "gpt_large",
+    "mobilebert",
+    "qdqbert",
+    "vision_transformer",
+    "llama3_7b",
+];
+
+/// Attention dimensions of the five Fig 10 transformers, in paper order,
+/// read off each zoo model's attention layers.
 pub fn fig10_dims() -> Vec<(&'static str, AttentionDims)> {
-    vec![
-        (
-            "gpt_large",
-            AttentionDims {
-                seq: 1024,
-                d_model: 1280,
-                heads: 20,
-            },
-        ),
-        (
-            "mobilebert",
-            AttentionDims {
-                seq: 128,
-                d_model: 512,
-                heads: 4,
-            },
-        ),
-        (
-            "qdqbert",
-            AttentionDims {
-                seq: 128,
-                d_model: 768,
-                heads: 12,
-            },
-        ),
-        (
-            "vision_transformer",
-            AttentionDims {
-                seq: 197,
-                d_model: 768,
-                heads: 12,
-            },
-        ),
-        (
-            "llama3_7b",
-            AttentionDims {
-                seq: 2048,
-                d_model: 4096,
-                heads: 32,
-            },
-        ),
-    ]
+    let zoo = yoco_nn::models::fig8_benchmarks();
+    FIG10_MODELS
+        .into_iter()
+        .map(|name| {
+            let dims = zoo
+                .iter()
+                .filter(|m| m.name == name)
+                .flat_map(|m| &m.layers)
+                .find_map(|layer| match *layer {
+                    LayerSpec::Attention {
+                        seq,
+                        d_model,
+                        heads,
+                        ..
+                    } => Some(AttentionDims {
+                        seq: seq as usize,
+                        d_model: d_model as usize,
+                        heads: heads as usize,
+                    }),
+                    _ => None,
+                })
+                .unwrap_or_else(|| panic!("{name} is a zoo transformer"));
+            (name, dims)
+        })
+        .collect()
 }
 
 /// The Fig 10 grid: one attention-pipeline cell per transformer.

@@ -26,8 +26,8 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// edits to model code do NOT invalidate entries — that is what makes
 /// "re-run `fig8` after touching only `fig10`" a cache hit — so after
 /// changing model constants during development, recompute with
-/// `sweep run --force` / `YOCO_SWEEP_NO_CACHE=1`. Entries orphaned by a
-/// version rotation are reclaimed by `sweep cache gc`.
+/// `sweep run --force`. Entries orphaned by a version rotation are
+/// reclaimed by `sweep cache gc`.
 pub fn content_key(canonical_json: &str) -> String {
     let tagged = format!(
         "v{CACHE_SCHEMA_VERSION}:{}:e{}:{canonical_json}",

@@ -1,7 +1,8 @@
 //! The argument errors of `sweep` and `yoco-serve`, byte for byte: each
 //! bad invocation must exit with its code and print its one-line error
 //! first on stderr. Every case fails before touching a server or the
-//! cache, except the refused connections to port 1, which fail at once.
+//! cache, except the refused connections to port 1, which fail at once
+//! (a `status --watch` loop prints the refusal and ends on closed stdin).
 
 use std::path::Path;
 use std::process::Command;
@@ -89,6 +90,17 @@ const SWEEP: &[Case] = &[
         1,
         "error: --max-age-days needs a non-negative number",
     ),
+    // A value whose seconds overflow a `Duration` is rejected, not a panic.
+    (
+        &["cache", "gc", "--max-age-days", "inf"],
+        1,
+        "error: --max-age-days needs a non-negative number",
+    ),
+    (
+        &["cache", "gc", "--max-age-days", "1e300"],
+        1,
+        "error: --max-age-days needs a non-negative number",
+    ),
     (
         &["cache", "gc", "--max-bytes"],
         1,
@@ -137,6 +149,16 @@ const SWEEP: &[Case] = &[
         "error: cannot connect to 127.0.0.1:1: Connection refused (os error 111)",
     ),
     (
+        &["client", "ping", "--bogus", "--addr", "127.0.0.1:1"],
+        1,
+        "error: unknown ping flag `--bogus`",
+    ),
+    (
+        &["client", "shutdown", "--bogus", "--addr", "127.0.0.1:1"],
+        1,
+        "error: unknown shutdown flag `--bogus`",
+    ),
+    (
         &["client", "status", "--watch"],
         1,
         "error: --watch needs a positive number of seconds",
@@ -145,6 +167,25 @@ const SWEEP: &[Case] = &[
         &["client", "status", "--watch", "0"],
         1,
         "error: --watch needs a positive number of seconds",
+    ),
+    (
+        &["client", "status", "--watch", "inf"],
+        1,
+        "error: --watch needs a positive number of seconds",
+    ),
+    // A period too long to add to an `Instant` still waits for q/EOF
+    // (stdin is closed here) instead of panicking after the first probe.
+    (
+        &[
+            "client",
+            "status",
+            "--watch",
+            "1e19",
+            "--addr",
+            "127.0.0.1:1",
+        ],
+        0,
+        "cannot connect to 127.0.0.1:1: Connection refused (os error 111)",
     ),
     (
         &["client", "status", "--bogus"],
@@ -213,6 +254,11 @@ const SWEEP: &[Case] = &[
         &["loadgen", "--duration", "10x"],
         1,
         "error: unparseable duration `10x` (try 10s, 500ms, 2m)",
+    ),
+    (
+        &["loadgen", "--duration", "1e300s"],
+        1,
+        "error: unparseable duration `1e300s` (try 10s, 500ms, 2m)",
     ),
     (
         &["loadgen", "--connections", "0"],
