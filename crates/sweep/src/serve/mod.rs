@@ -1776,6 +1776,64 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn malformed_request_lines_get_pinned_reply_bytes() {
+        let rt = runtime(2);
+        let cases = [
+            (
+                r#"{"Eval":{"version":1,"id":"t","scenarios":["#,
+                r#"{"Error":{"SchemaMismatch":{"context":"request line","reason":"unexpected input None at byte 43"}}}"#,
+            ),
+            (
+                r#""Ping" x"#,
+                r#"{"Error":{"SchemaMismatch":{"context":"request line","reason":"trailing characters at byte 7"}}}"#,
+            ),
+            (
+                r#""Pingg""#,
+                r#"{"Error":{"SchemaMismatch":{"context":"request line","reason":"unknown variant `Pingg` for Request"}}}"#,
+            ),
+            (
+                r#"{"Eval":{}}"#,
+                r#"{"Error":{"SchemaMismatch":{"context":"request line","reason":"missing field `version` while deserializing EvalRequest"}}}"#,
+            ),
+            (
+                r#"{"Eval":{"version":1,"id":"f","scenarios":[],"force":"yes"}}"#,
+                r#"{"Error":{"SchemaMismatch":{"context":"request line","reason":"invalid type for bool: expected boolean"}}}"#,
+            ),
+            (
+                "{}",
+                r#"{"Error":{"SchemaMismatch":{"context":"request line","reason":"empty enum object"}}}"#,
+            ),
+            (
+                r#"{"Eval":{"version":1},"Ping":null}"#,
+                r#"{"Error":{"SchemaMismatch":{"context":"request line","reason":"missing field `id` while deserializing EvalRequest"}}}"#,
+            ),
+            // A two-key enum object is read by its first key.
+            (r#"{"Ping":null,"Eval":{}}"#, r#""Pong""#),
+            (
+                r#""P\qng""#,
+                r#"{"Error":{"SchemaMismatch":{"context":"request line","reason":"bad escape Some(113)"}}}"#,
+            ),
+            (
+                r#""\ud800""#,
+                r#"{"Error":{"SchemaMismatch":{"context":"request line","reason":"unpaired surrogate escape"}}}"#,
+            ),
+            (
+                r#"{"Eval":{"version":4294967296,"id":"v","scenarios":[],"force":false}}"#,
+                r#"{"Error":{"SchemaMismatch":{"context":"request line","reason":"invalid type for u32: expected unsigned integer in range"}}}"#,
+            ),
+            (
+                "[1]",
+                r#"{"Error":{"SchemaMismatch":{"context":"request line","reason":"invalid type for Request: expected string or object"}}}"#,
+            ),
+        ];
+        for (request, reply) in cases {
+            let mut lines = RawLines::default();
+            rt.handle_line(request, &mut lines).unwrap();
+            assert_eq!(lines.0, [reply], "reply to {request}");
+        }
+    }
+
+    #[test]
     fn cell_memo_evicts_oldest_entries_at_cap() {
         let mut memo = CellMemo::new(2);
         let scenarios = [
