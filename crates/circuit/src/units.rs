@@ -162,13 +162,6 @@ quantity!(
     "um^2"
 );
 
-impl Volt {
-    /// Creates a voltage from millivolts.
-    pub fn from_milli(mv: f64) -> Self {
-        Self::new(mv * 1e-3)
-    }
-}
-
 impl Farad {
     /// Creates a capacitance from femtofarads.
     pub fn from_femto(ff: f64) -> Self {
@@ -260,13 +253,6 @@ impl Joule {
     }
 }
 
-impl SquareMicron {
-    /// Creates an area from square millimetres.
-    pub fn from_mm2(mm2: f64) -> Self {
-        Self::new(mm2 * 1e6)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,9 +285,7 @@ mod tests {
 
     #[test]
     fn unit_conversions() {
-        assert!((Volt::from_milli(3.52).value() - 0.00352).abs() < 1e-12);
         assert!((Second::from_nano(15.0).as_pico() - 15000.0).abs() < 1e-9);
-        assert!((SquareMicron::from_mm2(3.45).value() - 3.45e6).abs() < 1e-3);
     }
 
     #[test]

@@ -2221,49 +2221,89 @@ pub(crate) mod tests {
 
 /// Ignored-by-default timing probes for the warm fast path. Run with
 /// `cargo test -p yoco-sweep --release -- --ignored microbench` when
-/// chasing a warm-throughput regression: the request parse dominates, and
-/// the memo lookup (per-cell fingerprints plus equality checks) must stay
-/// far below it.
+/// chasing a warm-throughput regression. For each `warm-serve` request
+/// shape (the fig8 and fig9a v1 lines and an 8-cell `dse-full` v2
+/// subset) it times the two halves of the `Value` path, text → `Value`
+/// and `Value` → `Request`, against the typed decode that
+/// `serde_json::from_str` runs; the memo lookup (per-cell fingerprints
+/// plus equality checks) must stay far below the decode.
 #[cfg(test)]
 mod microbench {
     use super::*;
     use crate::api::{EvalRequest, Request};
     use crate::grids;
+    use serde::Deserialize;
+    use std::hint::black_box;
     use std::time::Instant;
+
+    const ROUNDS: u32 = 10;
+    const ITERS: u32 = 200;
+
+    /// Prints the fastest of `ROUNDS` round means, which a noisy
+    /// neighbour on a shared host moves least.
+    fn time(label: &str, what: &str, mut f: impl FnMut()) {
+        let best = (0..ROUNDS)
+            .map(|_| {
+                let t = Instant::now();
+                for _ in 0..ITERS {
+                    f();
+                }
+                t.elapsed() / ITERS
+            })
+            .min()
+            .expect("at least one round");
+        eprintln!("{label} {what}: {best:?}/iter");
+    }
 
     #[test]
     #[ignore]
     fn warm_path_piece_timings() {
-        let scenarios = grids::resolve("fig8").expect("grid");
-        let req = EvalRequest::new("bench", scenarios.clone());
-        let line = serde_json::to_string(&Request::Eval(req)).unwrap();
-        eprintln!("request line bytes: {}", line.len());
-        let n = 2000;
-        let t = Instant::now();
-        for _ in 0..n {
-            let _ = serde_json::from_str::<Request>(&line).unwrap();
+        let fig8 = grids::resolve("fig8").expect("grid");
+        let dse = grids::resolve("dse-full").expect("grid");
+        let subset = dse.iter().step_by(dse.len() / 8).take(8).cloned().collect();
+        let shapes = [
+            ("fig8", EvalRequest::new("bench", fig8.clone())),
+            (
+                "fig9a",
+                EvalRequest::new("bench", grids::resolve("fig9a").expect("grid")),
+            ),
+            ("dse-full/8", EvalRequest::streaming("bench", subset)),
+        ];
+        for (label, req) in shapes {
+            let request = Request::Eval(req);
+            let line = serde_json::to_string(&request).unwrap();
+            eprintln!("{label} request line bytes: {}", line.len());
+            let tree = serde_json::parse_value(&line).unwrap();
+            let typed = || {
+                let mut r = serde_json::Reader::new(&line);
+                let decoded = Request::from_json(&mut r).expect("typed decode");
+                r.end().expect("one value");
+                decoded
+            };
+            assert_eq!(typed(), request);
+            assert_eq!(serde_json::from_value::<Request>(&tree).unwrap(), request);
+            time(label, "text -> Value", || {
+                black_box(serde_json::parse_value(&line).unwrap());
+            });
+            time(label, "Value -> Request", || {
+                black_box(serde_json::from_value::<Request>(&tree).unwrap());
+            });
+            time(label, "typed decode", || {
+                black_box(typed());
+            });
         }
-        eprintln!("parse request: {:?}/iter", t.elapsed() / n);
-        let t = Instant::now();
-        for _ in 0..n {
-            let keys = scenarios
-                .iter()
-                .map(CellMemo::fingerprint)
-                .collect::<Vec<_>>();
-            std::hint::black_box(keys);
-        }
-        eprintln!("per-cell fingerprints: {:?}/iter", t.elapsed() / n);
+        time("fig8", "per-cell fingerprints", || {
+            black_box(fig8.iter().map(CellMemo::fingerprint).collect::<Vec<_>>());
+        });
         let mut memo = CellMemo::new(MEMO_CAP);
-        for s in &scenarios {
+        for s in &fig8 {
             memo.insert(MemoCell {
                 scenario: s.clone(),
                 line: String::new(),
             });
         }
-        let t = Instant::now();
-        for _ in 0..n {
-            std::hint::black_box(memo.lookup_all(&scenarios).expect("all memoized"));
-        }
-        eprintln!("memo lookup: {:?}/iter", t.elapsed() / n);
+        time("fig8", "memo lookup", || {
+            black_box(memo.lookup_all(&fig8).expect("all memoized"));
+        });
     }
 }

@@ -1,13 +1,17 @@
 //! Property tests for the API layer: wire envelopes and errors survive
-//! serde round trips for arbitrary well-formed inputs, and shard
+//! serde round trips for arbitrary well-formed inputs, the typed decode
+//! agrees with the `Value` path on valid and mutated lines, and shard
 //! selection partitions any grid.
 
 use proptest::prelude::*;
+use serde::{Deserialize, Serialize};
+use serde_json::{Reader, Value};
+use std::sync::OnceLock;
 use yoco_sweep::api::{
     CellOutcome, CellStatus, EvalRequest, EvalResponse, Request, Response, Shard, StatusReport,
 };
 use yoco_sweep::{
-    AcceleratorKind, DesignPoint, Engine, Scenario, StudyId, SweepError, WorkloadSpec,
+    grids, AcceleratorKind, DesignPoint, Engine, Scenario, StudyId, SweepError, WorkloadSpec,
 };
 
 /// Lowercase-ASCII identifier-ish strings.
@@ -332,4 +336,317 @@ fn refusals_and_failed_cells_round_trip() {
     let text = serde_json::to_string(&failed).unwrap();
     let back: CellOutcome = serde_json::from_str(&text).unwrap();
     assert_eq!(failed, back);
+}
+
+/// Any client line: an eval batch of either version or a control line.
+fn request_strategy() -> impl Strategy<Value = Request> {
+    (
+        0u8..6,
+        string_strategy(),
+        prop::collection::vec(scenario_strategy(), 0..6),
+        prop::option::of(0u64..120_000),
+    )
+        .prop_map(|(variant, id, scenarios, deadline_ms)| match variant {
+            0 => Request::Eval(EvalRequest::new(id, scenarios)),
+            1 => {
+                let mut request = EvalRequest::streaming(id, scenarios);
+                request.deadline_ms = deadline_ms;
+                request.force = true;
+                Request::Eval(request)
+            }
+            2 => Request::Ping,
+            3 => Request::Status,
+            4 => Request::Metrics,
+            _ => Request::Shutdown,
+        })
+}
+
+/// Buffered v1 replies with real metrics payloads: one engine run over
+/// a GEMM, an attention and four study cells, cut into every prefix.
+fn real_replies() -> &'static [Response] {
+    static REPLIES: OnceLock<Vec<Response>> = OnceLock::new();
+    REPLIES.get_or_init(|| {
+        let mut scenarios = vec![
+            Scenario::gemm(
+                AcceleratorKind::Yoco,
+                DesignPoint::default(),
+                WorkloadSpec::Zoo {
+                    model: "resnet18".into(),
+                },
+            ),
+            grids::resolve("fig10").expect("grid")[0].clone(),
+        ];
+        for study in [
+            StudyId::Fig9a,
+            StudyId::Table2,
+            StudyId::Fig7,
+            StudyId::Table1,
+        ] {
+            scenarios.push(Scenario::study(study));
+        }
+        let report = Engine::ephemeral().run(&scenarios);
+        let full = EvalResponse::from_report("real", &report);
+        assert!(full.is_ok(), "cheap cells evaluate");
+        (1..=full.cells.len())
+            .map(|n| {
+                Response::Eval(EvalResponse {
+                    cells: full.cells[..n].to_vec(),
+                    ..full.clone()
+                })
+            })
+            .collect()
+    })
+}
+
+/// One edit of a valid line: `(kind, a, b)`, where `a` and `b` pick the
+/// place and the variant of the edit (see [`mutate`]).
+fn mutation_strategy() -> impl Strategy<Value = (u8, usize, usize)> {
+    (0u8..8, 0usize..1 << 16, 0usize..1 << 16)
+}
+
+/// A JSON tree that keeps repeated keys, which a `Value` map cannot.
+#[derive(Clone)]
+enum Node {
+    Leaf(String),
+    Array(Vec<Node>),
+    Object(Vec<(String, Node)>),
+}
+
+type Members = Vec<(String, Node)>;
+
+/// A one-key object named like a variant: an externally tagged enum.
+fn is_tag(m: &Members) -> bool {
+    m.len() == 1 && m[0].0.starts_with(|c: char| c.is_ascii_uppercase())
+}
+
+/// Any other non-empty object: a struct.
+fn is_struct(m: &Members) -> bool {
+    !m.is_empty() && !is_tag(m)
+}
+
+impl Node {
+    fn of(v: &Value) -> Self {
+        match v {
+            Value::Array(items) => Node::Array(items.iter().map(Node::of).collect()),
+            Value::Object(map) => {
+                Node::Object(map.iter().map(|(k, v)| (k.clone(), Node::of(v))).collect())
+            }
+            leaf => Node::Leaf(serde_json::to_string(leaf).expect("leaf serializes")),
+        }
+    }
+
+    /// Writes the tree with `ws` after every opening bracket, comma and
+    /// colon and before every closing bracket.
+    fn write(&self, ws: &str, out: &mut String) {
+        match self {
+            Node::Leaf(text) => out.push_str(text),
+            Node::Array(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    out.push_str(if i > 0 { "," } else { "" });
+                    out.push_str(ws);
+                    item.write(ws, out);
+                }
+                out.push_str(ws);
+                out.push(']');
+            }
+            Node::Object(members) => {
+                out.push('{');
+                for (i, (k, v)) in members.iter().enumerate() {
+                    out.push_str(if i > 0 { "," } else { "" });
+                    out.push_str(ws);
+                    out.push_str(&serde_json::to_string(k).expect("key serializes"));
+                    out.push_str(ws);
+                    out.push(':');
+                    out.push_str(ws);
+                    v.write(ws, out);
+                }
+                out.push_str(ws);
+                out.push('}');
+            }
+        }
+    }
+
+    /// How many objects `pick` selects.
+    fn count(&self, pick: fn(&Members) -> bool) -> usize {
+        match self {
+            Node::Leaf(_) => 0,
+            Node::Array(items) => items.iter().map(|n| n.count(pick)).sum(),
+            Node::Object(m) => {
+                usize::from(pick(m)) + m.iter().map(|(_, n)| n.count(pick)).sum::<usize>()
+            }
+        }
+    }
+
+    /// The `k`-th object (in document order) that `pick` selects.
+    fn nth(&mut self, pick: fn(&Members) -> bool, k: &mut usize) -> Option<&mut Members> {
+        match self {
+            Node::Leaf(_) => None,
+            Node::Array(items) => items.iter_mut().find_map(|n| n.nth(pick, k)),
+            Node::Object(m) => {
+                if pick(m) {
+                    if *k == 0 {
+                        return Some(m);
+                    }
+                    *k -= 1;
+                }
+                m.iter_mut().find_map(|(_, n)| n.nth(pick, k))
+            }
+        }
+    }
+}
+
+/// Values an edit inserts: every JSON kind, one string with an escape,
+/// nested containers and a repeated key.
+const EXTRA: [&str; 7] = [
+    "null",
+    "true",
+    "-2.5e3",
+    "7",
+    r#""s\u00e9x""#,
+    r#"[1,{"a":[]}]"#,
+    r#"{"k":"v","k":[false]}"#,
+];
+/// Variant names an extra enum-object key takes (or the object's own).
+const TAGS: [&str; 6] = ["Eval", "Ping", "Cell", "Gemm", "Study", "Yoco"];
+const SPACE: [&str; 4] = [" ", "\n", "\t", "\r\n  "];
+const FLIPS: &[u8] = b"{}[]:,\"\\ 0123456789-+.eEnultrfasxI";
+
+/// Applies one edit to a valid line. The flag is whether the edit keeps
+/// the line in the typed path's reach: reordered, repeated (same value)
+/// or unknown struct keys, and whitespace between tokens, all of which
+/// the typed path must read exactly as the `Value` path does. Extra keys
+/// in enum objects, byte flips, truncations and deletions may also be
+/// refused by the typed path, as long as `from_str` still answers as
+/// the `Value` path does.
+fn mutate(line: &str, (kind, a, b): (u8, usize, usize)) -> (String, bool) {
+    let mut tree = Node::of(&serde_json::parse_value(line).expect("valid line"));
+    let mut edit = |pick: fn(&Members) -> bool, f: &mut dyn FnMut(&mut Members)| {
+        let n = tree.count(pick);
+        if n > 0 {
+            f(tree.nth(pick, &mut (a % n)).expect("counted object"));
+        }
+    };
+    let leaf = Node::Leaf(EXTRA[b % EXTRA.len()].to_owned());
+    match kind {
+        0 => edit(is_struct, &mut |m| {
+            let n = m.len();
+            m.rotate_left(b % n)
+        }),
+        1 => edit(is_struct, &mut |m| {
+            let twin = m[b % m.len()].clone();
+            m.insert(a % (m.len() + 1), twin)
+        }),
+        2 => edit(is_struct, &mut |m| {
+            m.insert(a % (m.len() + 1), ("zz_extra".into(), leaf.clone()))
+        }),
+        3 => edit(is_tag, &mut |m| {
+            let tag = match b % 3 {
+                0 => m[0].0.clone(),
+                _ => TAGS[b % TAGS.len()].to_owned(),
+            };
+            let value = match a % 3 {
+                0 => m[0].1.clone(),
+                _ => leaf.clone(),
+            };
+            m.insert(a % 2, (tag, value))
+        }),
+        4 => {
+            let mut out = String::from(SPACE[b % SPACE.len()]);
+            tree.write(SPACE[a % SPACE.len()], &mut out);
+            return (out, true);
+        }
+        _ => {
+            let mut chars: Vec<char> = line.chars().collect();
+            let at = a % chars.len();
+            match kind {
+                5 => chars[at] = char::from(FLIPS[b % FLIPS.len()]),
+                6 => chars.truncate(at),
+                _ => {
+                    chars.remove(at);
+                }
+            }
+            return (chars.into_iter().collect(), false);
+        }
+    }
+    let mut out = String::new();
+    tree.write("", &mut out);
+    (out, kind != 3)
+}
+
+/// The reference: text → `Value` → `T`, re-serialized so `null` floats
+/// (read as NaN) compare.
+fn value_path<T: Serialize + Deserialize>(line: &str) -> Result<String, String> {
+    let tree = serde_json::parse_value(line).map_err(|e| e.to_string())?;
+    let value: T = serde_json::from_value(&tree).map_err(|e| e.to_string())?;
+    Ok(serde_json::to_string(&value).expect("serializes"))
+}
+
+/// The typed path alone, with no fallback: `None` where it refuses.
+fn typed_path<T: Serialize + Deserialize>(line: &str) -> Option<String> {
+    let mut r = Reader::new(line);
+    r.skip_ws();
+    let value = T::from_json(&mut r).ok()?;
+    r.end().ok()?;
+    Some(serde_json::to_string(&value).expect("serializes"))
+}
+
+/// What callers see: `serde_json::from_str`.
+fn from_str_path<T: Serialize + Deserialize>(line: &str) -> Result<String, String> {
+    let value: T = serde_json::from_str(line).map_err(|e| e.to_string())?;
+    Ok(serde_json::to_string(&value).expect("serializes"))
+}
+
+/// Checks `value`'s line and each mutation of it on both paths.
+fn agree<T: Serialize + Deserialize>(
+    value: &T,
+    mutations: &[(u8, usize, usize)],
+) -> Result<(), TestCaseError> {
+    let line = serde_json::to_string(value).expect("serializes");
+    let reference = value_path::<T>(&line);
+    prop_assert!(reference.is_ok(), "valid line {line} fails: {reference:?}");
+    let typed = typed_path::<T>(&line);
+    prop_assert!(
+        typed == reference.clone().ok(),
+        "valid line {line}: typed {typed:?}, value path {reference:?}"
+    );
+    for &m in mutations {
+        let (mutated, reachable) = mutate(&line, m);
+        let reference = value_path::<T>(&mutated);
+        let answered = from_str_path::<T>(&mutated);
+        prop_assert!(
+            answered == reference,
+            "{m:?} {mutated}: from_str {answered:?}, value path {reference:?}"
+        );
+        let typed = typed_path::<T>(&mutated);
+        match &typed {
+            Some(bytes) => prop_assert!(
+                Ok(bytes) == reference.as_ref(),
+                "{m:?} {mutated}: typed {bytes}, value path {reference:?}"
+            ),
+            None => prop_assert!(
+                !reachable || reference.is_err(),
+                "{m:?} {mutated}: typed path refused, value path {reference:?}"
+            ),
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn typed_decode_agrees_with_the_value_path(
+        request in request_strategy(),
+        frame in v2_frame_strategy(),
+        report in status_report_strategy(),
+        reply in 0usize..6,
+        mutations in prop::collection::vec(mutation_strategy(), 6),
+    ) {
+        agree(&request, &mutations)?;
+        agree(&frame, &mutations)?;
+        agree(&report, &mutations)?;
+        agree(&real_replies()[reply], &mutations)?;
+    }
 }
