@@ -692,13 +692,16 @@ impl Runtime {
     /// Answers `line` on the calling thread iff it can be served
     /// without compute: an eval request whose every cell the memo holds
     /// under that exact scenario (one fingerprint probe and one equality
-    /// check per cell). Admission still applies, so the answer may be
-    /// `Busy`. `None` defers to [`Runtime::handle_line_at`] with no
-    /// frames emitted; a coordinator keeps no memo, so it defers every
-    /// line without parsing it. The reactor calls this from its event
-    /// thread, sparing warm repeats the worker handoff — two context
-    /// switches per request, which is most of a warm request's latency
-    /// on a loaded box.
+    /// check per cell). The line is decoded straight into a [`Request`]
+    /// by `serde_json::from_str`'s typed path, with no `Value` tree in
+    /// between; a line that path refuses is decoded through the tree
+    /// instead, to the same value or error. Admission still applies, so
+    /// the answer may be `Busy`. `None` defers to
+    /// [`Runtime::handle_line_at`] with no frames emitted; a coordinator
+    /// keeps no memo, so it defers every line without parsing it. The
+    /// reactor calls this from its event thread, sparing warm repeats
+    /// the worker handoff — two context switches per request, which is
+    /// most of a warm request's latency on a loaded box.
     pub fn try_handle_warm(
         &self,
         line: &str,
