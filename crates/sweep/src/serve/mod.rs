@@ -2228,8 +2228,9 @@ pub(crate) mod tests {
 /// shape (the fig8 and fig9a v1 lines and an 8-cell `dse-full` v2
 /// subset) it times the two halves of the `Value` path, text → `Value`
 /// and `Value` → `Request`, against the typed decode that
-/// `serde_json::from_str` runs; the memo lookup (per-cell fingerprints
-/// plus equality checks) must stay far below the decode.
+/// `serde_json::from_str` runs and a `skip_value` walk of the line (the
+/// lexer alone); the memo lookup (per-cell fingerprints plus equality
+/// checks) must stay far below the decode.
 #[cfg(test)]
 mod microbench {
     use super::*;
@@ -2278,7 +2279,7 @@ mod microbench {
             eprintln!("{label} request line bytes: {}", line.len());
             let tree = serde_json::parse_value(&line).unwrap();
             let typed = || {
-                let mut r = serde_json::Reader::new(&line);
+                let mut r = serde::Reader::new(&line);
                 let decoded = Request::from_json(&mut r).expect("typed decode");
                 r.end().expect("one value");
                 decoded
@@ -2293,6 +2294,13 @@ mod microbench {
             });
             time(label, "typed decode", || {
                 black_box(typed());
+            });
+            // The lexer alone: a walk that checks the line and builds
+            // nothing.
+            time(label, "skip_value walk", || {
+                let mut r = serde::Reader::new(black_box(&line));
+                r.skip_value().expect("valid line");
+                r.end().expect("one value");
             });
         }
         time("fig8", "per-cell fingerprints", || {

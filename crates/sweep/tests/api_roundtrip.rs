@@ -4,8 +4,7 @@
 //! selection partitions any grid.
 
 use proptest::prelude::*;
-use serde::{Deserialize, Serialize};
-use serde_json::{Reader, Value};
+use serde::{Deserialize, Reader, Serialize, Value};
 use std::sync::OnceLock;
 use yoco_sweep::api::{
     CellOutcome, CellStatus, EvalRequest, EvalResponse, Request, Response, Shard, StatusReport,
@@ -647,6 +646,7 @@ proptest! {
         agree(&request, &mutations)?;
         agree(&frame, &mutations)?;
         agree(&report, &mutations)?;
-        agree(&real_replies()[reply], &mutations)?;
+        let replies = real_replies();
+        agree(&replies[reply % replies.len()], &mutations)?;
     }
 }
