@@ -15,7 +15,7 @@ use yoco::YocoConfig;
 use yoco_arch::workload::{LayerKind, MatmulWorkload};
 
 /// Which accelerator model evaluates the cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum AcceleratorKind {
     /// The paper's chip (the only one that honors [`DesignPoint`]).
     Yoco,
@@ -71,23 +71,6 @@ pub struct DesignPoint {
     pub tiles: Option<usize>,
     /// MCC activation probability.
     pub activity: Option<f64>,
-}
-
-/// Destructured in full, so a new knob breaks the build here instead of
-/// silently sharing hashes; the float knob hashes by bit pattern.
-impl std::hash::Hash for DesignPoint {
-    fn hash<H: std::hash::Hasher>(&self, h: &mut H) {
-        let DesignPoint {
-            ima_stack,
-            ima_width,
-            dimas_per_tile,
-            simas_per_tile,
-            tiles,
-            activity,
-        } = self;
-        (ima_stack, ima_width, dimas_per_tile, simas_per_tile, tiles).hash(h);
-        activity.map(f64::to_bits).hash(h);
-    }
 }
 
 impl DesignPoint {
@@ -160,7 +143,7 @@ impl DesignPoint {
 }
 
 /// Which workload a GEMM cell evaluates.
-#[derive(Debug, Clone, PartialEq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum WorkloadSpec {
     /// A model from the Fig 8 zoo, by name (all its GEMM layers).
     Zoo {
@@ -222,7 +205,7 @@ impl WorkloadSpec {
 
 /// Named single-shot studies: every figure/table computation that is not a
 /// (accelerator × workload) grid. Each is pure and therefore cacheable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum StudyId {
     /// Fig 1(c): throughput-vs-efficiency scatter of recent IMC macros.
     Fig1c,
@@ -316,7 +299,7 @@ impl StudyId {
 }
 
 /// What one cell computes.
-#[derive(Debug, Clone, PartialEq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ScenarioKind {
     /// Evaluate a GEMM workload on an accelerator: the Fig 8 cell shape.
     Gemm {
@@ -344,7 +327,7 @@ pub enum ScenarioKind {
 }
 
 /// One unit of work for the engine.
-#[derive(Debug, Clone, PartialEq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Scenario {
     /// Display identifier (not part of the cache key).
     pub id: String,

@@ -23,11 +23,14 @@
 //!   completion order via [`Engine::run_with`], then `Done`), so large
 //!   grids report progress instead of going silent.
 //! * **Warm-path memoization** — a bounded in-memory memo holds each
-//!   completed cell's pre-serialized wire forms, keyed by the scenario's
-//!   structural fingerprint and checked against the stored scenario on
-//!   every hit, so a warm repeat of any batch whose cells were all served
-//!   before skips both the per-cell cache re-reads and the re-serialization
-//!   that bounded throughput before.
+//!   completed cell's pre-serialized wire forms, keyed by the cell's
+//!   canonical wire text (its scenario as `serde_json::to_string` writes
+//!   it), so a warm repeat of any batch whose cells were all served
+//!   before skips both the per-cell cache re-reads and the
+//!   re-serialization that bounded throughput before. A line whose every
+//!   cell is spelled exactly as the serializer spells it is answered on
+//!   the reactor thread from its text alone ([`Runtime::try_handle_warm`]);
+//!   any other spelling decodes on a worker and still hits.
 //! * **Observability** — a `"Status"` control line answers a
 //!   [`StatusReport`] (occupancy, queue depth, jobs, service counters)
 //!   without touching the gate, so an operator or a load balancer can
@@ -55,8 +58,8 @@ use crate::engine::Engine;
 use crate::executor;
 use crate::scenario::Scenario;
 use crate::telemetry::{trace, Registry};
+use serde::Deserialize;
 use std::collections::{HashMap, VecDeque};
-use std::hash::{Hash, Hasher};
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -371,21 +374,22 @@ impl Served {
     }
 }
 
-/// One memoized cell (status already rewritten to `Hit`): the scenario
-/// it answers, as requested, and its pre-serialized v2 `Cell` frame
-/// line, whose inner outcome object is also what buffered v1 `cells`
-/// arrays splice ([`MemoCell::outcome_json`]).
+/// One memoized cell (status already rewritten to `Hit`): its display
+/// id, which trace records name a warm batch by, and its pre-serialized
+/// v2 `Cell` frame line, whose inner outcome object is also what
+/// buffered v1 `cells` arrays splice ([`MemoCell::outcome_json`]).
 #[derive(Debug)]
 pub(crate) struct MemoCell {
-    scenario: Scenario,
+    id: String,
     line: String,
 }
 
 impl MemoCell {
-    fn new(scenario: Scenario, outcome: CellOutcome) -> Self {
+    fn new(outcome: CellOutcome) -> Self {
+        let id = outcome.id.clone();
         let line = serde_json::to_string(&Response::Cell(outcome))
             .expect("frame serialization is infallible");
-        Self { scenario, line }
+        Self { id, line }
     }
 
     /// The standalone outcome object: the frame line `{"Cell":…}`
@@ -395,20 +399,22 @@ impl MemoCell {
     }
 }
 
-/// The warm memo: scenario fingerprint ([`CellMemo::fingerprint`]) →
+/// The warm memo: a cell's canonical wire text ([`memo_key`]) →
 /// memoized cell. Keyed per cell rather than per batch so overlapping
 /// grids share entries — a batch warmed by *any* combination of earlier
-/// requests replays without touching the cache. A hit also requires the
-/// stored scenario to equal the requested one, field for field, so a
-/// 64-bit collision is a miss, never another scenario's frame. Bounded
-/// FIFO: inserting past `cap` evicts the oldest keys.
+/// requests replays without touching the cache. The key is the
+/// scenario's serialization, so it covers every scenario field by
+/// construction, the display id that `Cell` frames embed included, and
+/// a hit is text byte-equal to a key, which decodes to exactly the
+/// scenario that key was written from. Bounded FIFO: inserting past
+/// `cap` evicts the oldest keys.
 #[derive(Debug)]
 struct CellMemo {
-    entries: HashMap<u64, Arc<MemoCell>>,
+    entries: HashMap<Arc<str>, Arc<MemoCell>>,
     /// Insertion order of `entries` keys (no duplicates: re-inserting
     /// an existing key replaces the value in place), the FIFO eviction
     /// queue.
-    order: VecDeque<u64>,
+    order: VecDeque<Arc<str>>,
     cap: usize,
 }
 
@@ -421,35 +427,20 @@ impl CellMemo {
         }
     }
 
-    /// The memo key of one scenario: its derived [`Hash`] under the
-    /// fixed-key `DefaultHasher`, so every scenario field is covered by
-    /// construction. That includes the display id, which `Cell` frames
-    /// embed verbatim, so two scenarios with identical content and
-    /// different labels never share a memoized frame.
-    fn fingerprint(scenario: &Scenario) -> u64 {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        scenario.hash(&mut h);
-        h.finish()
-    }
-
-    /// All-or-nothing lookup: the memoized cells of `scenarios` in
-    /// request order, or `None` if any cell is missing (the engine run
+    /// All-or-nothing lookup: the memoized cells of `keys` (cell texts)
+    /// in request order, or `None` if any cell is missing (the engine run
     /// then recomputes only what the result cache cannot answer).
-    fn lookup_all(&self, scenarios: &[Scenario]) -> Option<Vec<Arc<MemoCell>>> {
-        scenarios
-            .iter()
-            .map(|s| {
-                self.entries
-                    .get(&Self::fingerprint(s))
-                    .filter(|cell| cell.scenario == *s)
-                    .cloned()
-            })
+    fn lookup_all<'k>(
+        &self,
+        keys: impl IntoIterator<Item = &'k str>,
+    ) -> Option<Vec<Arc<MemoCell>>> {
+        keys.into_iter()
+            .map(|key| self.entries.get(key).cloned())
             .collect()
     }
 
-    fn insert(&mut self, cell: MemoCell) {
-        let key = Self::fingerprint(&cell.scenario);
-        if let Some(slot) = self.entries.get_mut(&key) {
+    fn insert(&mut self, key: String, cell: MemoCell) {
+        if let Some(slot) = self.entries.get_mut(key.as_str()) {
             *slot = Arc::new(cell);
             return;
         }
@@ -461,7 +452,8 @@ impl CellMemo {
                 None => break,
             }
         }
-        self.order.push_back(key);
+        let key: Arc<str> = key.into();
+        self.order.push_back(Arc::clone(&key));
         self.entries.insert(key, Arc::new(cell));
     }
 
@@ -469,6 +461,59 @@ impl CellMemo {
     fn len(&self) -> usize {
         self.entries.len()
     }
+}
+
+/// A cell's memo key: its scenario's canonical wire text, the bytes
+/// `sweep client`, `sweep loadgen` and a coordinator's sub-requests send
+/// for it.
+fn memo_key(scenario: &Scenario) -> String {
+    serde_json::to_string(scenario).expect("scenario serialization is infallible")
+}
+
+/// Reads a line as the reactor's warm path does: the `{"Eval":{…}}`
+/// envelope's fields by the derived decoder's key rules (any order,
+/// unknown keys skipped, the last of a repeated key wins), and each
+/// `scenarios` element as its raw text, neither parsed nor checked (the
+/// memo lookup checks it, by byte equality with a key). The request
+/// comes back with no scenarios. Any other shape is an error, a repeated
+/// `scenarios` key included.
+fn warm_envelope(line: &str) -> Result<(EvalRequest, Vec<&str>), serde::Error> {
+    const TY: &str = "EvalRequest";
+    let mut r = serde::Reader::new(line);
+    r.skip_ws();
+    if r.first_key()?.as_deref() != Some("Eval") {
+        return Err(serde::Error::ty("Request", "Eval"));
+    }
+    let (mut version, mut id, mut force, mut deadline_ms) = (None, None, None, None);
+    let mut spans = None;
+    let mut key = r.first_key()?;
+    while let Some(k) = key {
+        match &*k {
+            "version" => version = Some(u32::from_json(&mut r)?),
+            "id" => id = Some(String::from_json(&mut r)?),
+            "scenarios" if spans.is_none() => spans = Some(r.array_spans()?),
+            "scenarios" => return Err(serde::Error::custom("repeated `scenarios`")),
+            "force" => force = Some(bool::from_json(&mut r)?),
+            "deadline_ms" => deadline_ms = Some(Option::<u64>::from_json(&mut r)?),
+            _ => r.skip_value()?,
+        }
+        key = r.next_key()?;
+    }
+    if r.next_key()?.is_some() {
+        return Err(serde::Error::ty("Request", "object with one key"));
+    }
+    r.end()?;
+    // A field added to `EvalRequest` breaks this literal: the envelope
+    // must read it before a warm line may skip the decoder.
+    let request = EvalRequest {
+        version: serde::take_field(version, TY, "version")?,
+        id: serde::take_field(id, TY, "id")?,
+        scenarios: Vec::new(),
+        force: serde::take_field(force, TY, "force")?,
+        deadline_ms: serde::take_field(deadline_ms, TY, "deadline_ms")?,
+    };
+    let spans = spans.ok_or_else(|| serde::Error::missing(TY, "scenarios"))?;
+    Ok((request, spans))
 }
 
 /// Where a backend hands each finished cell: its position in the batch,
@@ -689,19 +734,24 @@ impl Runtime {
         }
     }
 
-    /// Answers `line` on the calling thread iff it can be served
-    /// without compute: an eval request whose every cell the memo holds
-    /// under that exact scenario (one fingerprint probe and one equality
-    /// check per cell). The line is decoded straight into a [`Request`]
-    /// by `serde_json::from_str`'s typed path, with no `Value` tree in
-    /// between; a line that path refuses is decoded through the tree
-    /// instead, to the same value or error. Admission still applies, so
-    /// the answer may be `Busy`. `None` defers to
-    /// [`Runtime::handle_line_at`] with no frames emitted; a coordinator
-    /// keeps no memo, so it defers every line without parsing it. The
-    /// reactor calls this from its event thread, sparing warm repeats
-    /// the worker handoff — two context switches per request, which is
-    /// most of a warm request's latency on a loaded box.
+    /// Answers `line` on the calling thread iff it can be served from
+    /// its text alone: a v1 or v2 eval request, not forced, to a server
+    /// with a cache, whose every `scenarios` element is byte for byte a
+    /// memo key — the serializer's spelling of a memoized cell. Only the
+    /// envelope (`version`, `id`, `force`, `deadline_ms`) is decoded;
+    /// each cell is a raw span of the line, looked up as it stands, so a
+    /// hit costs a bracket scan and one hash probe per cell. Admission
+    /// still applies, so the answer may be `Busy`. `None` defers to
+    /// [`Runtime::handle_line_at`] with no frames emitted: a miss, any
+    /// other spelling (whitespace, key order, escapes, number forms,
+    /// unknown or repeated keys), `force`, no cache, a control line or
+    /// a decode error. The worker then decodes the line in full and
+    /// answers it as it always has, from the memo when the decoded
+    /// cells are there. A coordinator keeps no memo, so it defers every
+    /// line without reading it. The reactor calls this from its event
+    /// thread, sparing warm repeats the worker handoff — two context
+    /// switches per request, which is most of a warm request's latency
+    /// on a loaded box.
     pub fn try_handle_warm(
         &self,
         line: &str,
@@ -711,17 +761,17 @@ impl Runtime {
         let Backend::Local(local) = &self.backend else {
             return None;
         };
-        let Ok(Request::Eval(req)) = serde_json::from_str::<Request>(line) else {
-            return None;
-        };
-        if req.version != API_V1 && req.version != API_V2 {
+        // The memo mirrors the result cache, so it is off without one.
+        local.engine.cache()?;
+        let (req, spans) = warm_envelope(line).ok()?;
+        if req.force || (req.version != API_V1 && req.version != API_V2) {
             return None;
         }
         // The memo probe comes before admission: it holds no slot, and
         // on a miss the line is re-dispatched untouched (the worker
         // repeats the admission verdict, so rejection bytes are
         // identical either way).
-        let cells = local.lookup(&req)?;
+        let cells = local.memo.lock().expect("memo lock").lookup_all(spans)?;
         // This request is handled here for good — it never reaches
         // `Runtime::handle_line_at` — so it joins `requests_total` now.
         self.metrics.note_request();
@@ -765,8 +815,9 @@ impl Runtime {
         };
         let queued = received.elapsed();
         self.metrics.observe_queue_wait(queued);
-        let span = trace::span_for_request(&req.id);
-        record_stage(span.as_deref(), &req, "queued", queued);
+        let traced =
+            trace::span_for_request(&req.id).map(|span| Traced::new(span, &req, warm.as_deref()));
+        record_stage(traced.as_ref(), &req.id, "queued", queued);
         if streamed {
             sink.send(&Response::Accepted {
                 id: req.id.clone(),
@@ -782,7 +833,8 @@ impl Runtime {
         let eval_started = Instant::now();
         let latch = LatchSink::new(sink);
         let buffered = Mutex::new(Vec::new());
-        let ran = self.call_backend(&req, warm, span.as_deref(), &|i, cell, line| {
+        let span = traced.as_ref().map(|t| t.span.as_str());
+        let ran = self.call_backend(&req, warm, span, &|i, cell, line| {
             if !streamed {
                 buffered.lock().expect("buffer lock").push((i, cell));
             } else if let Some(line) = line {
@@ -799,7 +851,7 @@ impl Runtime {
         if !matches!(ran, Ok(Ran::Memo(_))) {
             let evaled = flush_started - eval_started;
             self.metrics.observe_eval(evaled);
-            record_stage(span.as_deref(), &req, "eval", evaled);
+            record_stage(traced.as_ref(), &req.id, "eval", evaled);
         }
         let done = |hits, misses| {
             frame_line(&Response::Done {
@@ -848,7 +900,7 @@ impl Runtime {
             .note_served(cells as u64, hits as u64, misses as u64);
         let flushed = flush_started.elapsed();
         self.metrics.observe_flush(flushed);
-        record_stage(span.as_deref(), &req, "flush", flushed);
+        record_stage(traced.as_ref(), &req.id, "flush", flushed);
         sink.send_raw(&terminal)?;
         Ok(Served::Eval {
             id: req.id,
@@ -859,9 +911,8 @@ impl Runtime {
         })
     }
 
-    /// Step 3, the backend call. A single box replays `warm`, or the
-    /// memo when a lookup after admission finds every cell, and
-    /// otherwise runs the engine. A coordinator fans the batch out.
+    /// Step 3, the backend call. A single box replays `warm`, or else
+    /// runs [`Local::run`]. A coordinator fans the batch out.
     fn call_backend(
         &self,
         req: &EvalRequest,
@@ -870,9 +921,9 @@ impl Runtime {
         emit: &Emit,
     ) -> Result<Ran, Busy> {
         match &self.backend {
-            Backend::Local(local) => Ok(match warm.or_else(|| local.lookup(req)) {
+            Backend::Local(local) => Ok(match warm {
                 Some(cells) => Ran::Memo(cells),
-                None => local.evaluate(req, self.gate.occupancy(), emit),
+                None => local.run(req, self.gate.occupancy(), emit),
             }),
             Backend::Cluster {
                 pool,
@@ -919,31 +970,44 @@ struct Local {
 }
 
 impl Local {
-    /// The memoized cells answering a request, if the warm path
+    /// A decoded request after admission. The memo answers it when it
     /// applies: the memo mirrors the result cache, so it is only
     /// consulted when a cache is attached (without one, a repeat
     /// request genuinely recomputes and must report misses), never
     /// under `force`, and only when *every* cell of the batch is
     /// memoized (cells memoized by any earlier batch count — the keys
-    /// are per cell, so overlapping grids share).
-    fn lookup(&self, req: &EvalRequest) -> Option<Vec<Arc<MemoCell>>> {
-        if req.force || self.engine.cache().is_none() {
-            return None;
+    /// are per cell, so overlapping grids share). Otherwise the engine
+    /// runs the batch. Each cell's key is serialized once, for this
+    /// lookup and for the inserts after the run.
+    fn run(&self, req: &EvalRequest, in_flight: usize, emit: &Emit) -> Ran {
+        let keys: Option<Vec<String>> = self
+            .engine
+            .cache()
+            .is_some()
+            .then(|| req.scenarios.iter().map(memo_key).collect());
+        if let Some(keys) = keys.as_ref().filter(|_| !req.force) {
+            let memo = self.memo.lock().expect("memo lock");
+            if let Some(cells) = memo.lookup_all(keys.iter().map(String::as_str)) {
+                return Ran::Memo(cells);
+            }
         }
-        self.memo
-            .lock()
-            .expect("memo lock")
-            .lookup_all(&req.scenarios)
+        self.evaluate(req, keys, in_flight, emit)
     }
 
     /// A memo miss: the engine runs the batch (cache hits still count
     /// as hits) under the request's `force` flag, on its share of the
     /// worker budget split across the `in_flight` admitted requests.
-    /// The finished cells then refresh the memo. Failed cells are never
-    /// memoized (a retry should re-attempt them, and a replay must not
-    /// resurrect stale failures), and without a cache the memo stays
-    /// off entirely.
-    fn evaluate(&self, req: &EvalRequest, in_flight: usize, emit: &Emit) -> Ran {
+    /// The finished cells then refresh the memo under their `keys`.
+    /// Failed cells are never memoized (a retry should re-attempt them,
+    /// and a replay must not resurrect stale failures), and without a
+    /// cache (no keys) the memo stays off entirely.
+    fn evaluate(
+        &self,
+        req: &EvalRequest,
+        keys: Option<Vec<String>>,
+        in_flight: usize,
+        emit: &Emit,
+    ) -> Ran {
         let report = self
             .engine
             .clone()
@@ -952,12 +1016,14 @@ impl Local {
             .run_with(&req.scenarios, |i, cell| {
                 emit(i, CellOutcome::from_cell(cell), None);
             });
-        if self.engine.cache().is_some() {
+        if let Some(keys) = keys {
             let mut memo = self.memo.lock().expect("memo lock");
-            for cell in report.cells.iter().filter(|c| c.error.is_none()) {
-                let mut outcome = CellOutcome::from_cell(cell);
-                outcome.status = CellStatus::Hit;
-                memo.insert(MemoCell::new(cell.scenario.clone(), outcome));
+            for (cell, key) in report.cells.iter().zip(keys) {
+                if cell.error.is_none() {
+                    let mut outcome = CellOutcome::from_cell(cell);
+                    outcome.status = CellStatus::Hit;
+                    memo.insert(key, MemoCell::new(outcome));
+                }
             }
         }
         Ran::Cells {
@@ -967,13 +1033,38 @@ impl Local {
     }
 }
 
-/// Appends one stage record for a traced request. Records aggregate
-/// under the batch's first scenario id (requests built from the
-/// named-grid CLI are homogeneous, so one id names the whole batch).
-fn record_stage(span: Option<&str>, req: &EvalRequest, stage: &str, dur: Duration) {
-    if let Some(span) = span {
-        let grid = req.scenarios.first().map_or("empty", |s| s.id.as_str());
-        trace::record(span, &req.id, grid, stage, dur, req.scenarios.len());
+/// A traced request's span, and how its stage records name the batch:
+/// by its first cell's id (requests built from the named-grid CLI are
+/// homogeneous, so one id names the whole batch) and its cell count.
+struct Traced {
+    span: String,
+    grid: String,
+    cells: usize,
+}
+
+impl Traced {
+    /// The batch is `warm`'s cells when the reactor found them, else the
+    /// request's decoded scenarios.
+    fn new(span: String, req: &EvalRequest, warm: Option<&[Arc<MemoCell>]>) -> Self {
+        let (first, cells) = match warm {
+            Some(cells) => (cells.first().map(|c| c.id.as_str()), cells.len()),
+            None => (
+                req.scenarios.first().map(|s| s.id.as_str()),
+                req.scenarios.len(),
+            ),
+        };
+        Self {
+            span,
+            grid: first.unwrap_or("empty").to_owned(),
+            cells,
+        }
+    }
+}
+
+/// Appends one stage record for a traced request.
+fn record_stage(traced: Option<&Traced>, id: &str, stage: &str, dur: Duration) {
+    if let Some(t) = traced {
+        trace::record(&t.span, id, &t.grid, stage, dur, t.cells);
     }
 }
 
@@ -1836,6 +1927,19 @@ pub(crate) mod tests {
         }
     }
 
+    /// A memo cell whose frame line is just `line`.
+    fn memo_cell(scenario: &Scenario, line: &str) -> MemoCell {
+        MemoCell {
+            id: scenario.id.clone(),
+            line: line.into(),
+        }
+    }
+
+    /// Looks `keys` up as the warm path does, by text.
+    fn lookup(memo: &CellMemo, keys: &[String]) -> Option<Vec<Arc<MemoCell>>> {
+        memo.lookup_all(keys.iter().map(String::as_str))
+    }
+
     #[test]
     fn cell_memo_evicts_oldest_entries_at_cap() {
         let mut memo = CellMemo::new(2);
@@ -1844,41 +1948,34 @@ pub(crate) mod tests {
             Scenario::study(StudyId::Table2),
             Scenario::study(StudyId::Fig7),
         ];
-        for s in &scenarios {
-            memo.insert(MemoCell {
-                scenario: s.clone(),
-                line: format!("frame-{}", s.id),
-            });
+        let keys: Vec<String> = scenarios.iter().map(memo_key).collect();
+        for (s, key) in scenarios.iter().zip(&keys) {
+            memo.insert(key.clone(), memo_cell(s, &format!("frame-{}", s.id)));
         }
         assert_eq!(memo.len(), 2, "cap bounds the entry count");
         assert!(
-            memo.lookup_all(&scenarios[1..]).is_some(),
+            lookup(&memo, &keys[1..]).is_some(),
             "the two newest entries survive"
         );
         assert!(
-            memo.lookup_all(&scenarios[..1]).is_none(),
+            lookup(&memo, &keys[..1]).is_none(),
             "the oldest entry was evicted first"
         );
 
         // Re-inserting a live key replaces in place: nothing else is
         // evicted and the count stays at cap.
-        memo.insert(MemoCell {
-            scenario: scenarios[1].clone(),
-            line: "frame-refreshed".into(),
-        });
+        memo.insert(keys[1].clone(), memo_cell(&scenarios[1], "frame-refreshed"));
         assert_eq!(memo.len(), 2);
-        let cells = memo
-            .lookup_all(&scenarios[1..2])
-            .expect("refreshed key still present");
+        let cells = lookup(&memo, &keys[1..2]).expect("refreshed key still present");
         assert_eq!(cells[0].line, "frame-refreshed");
         assert!(
-            memo.lookup_all(&scenarios[2..]).is_some(),
+            lookup(&memo, &keys[2..]).is_some(),
             "replacing a live key must not evict its neighbour"
         );
     }
 
     #[test]
-    fn every_scenario_field_moves_the_fingerprint() {
+    fn every_scenario_field_moves_the_memo_key() {
         use crate::scenario::{AcceleratorKind, DesignPoint, ScenarioKind, WorkloadSpec};
         use yoco::pipeline::AttentionDims;
         use yoco_arch::workload::LayerKind;
@@ -1968,34 +2065,81 @@ pub(crate) mod tests {
             id: "relabelled".into(),
             ..scenarios[0].clone()
         });
-        // `DefaultHasher::new()` is fixed-key, so this is deterministic.
-        let fingerprints: std::collections::HashSet<u64> =
-            scenarios.iter().map(CellMemo::fingerprint).collect();
-        assert_eq!(fingerprints.len(), scenarios.len());
+        let keys: std::collections::HashSet<String> = scenarios.iter().map(memo_key).collect();
+        assert_eq!(keys.len(), scenarios.len());
     }
 
     #[test]
-    fn a_fingerprint_collision_is_a_miss_not_another_scenarios_frame() {
+    fn a_span_one_byte_off_a_key_is_a_miss_not_another_cells_frame() {
         let (fig9a, table2) = (
             Scenario::study(StudyId::Fig9a),
             Scenario::study(StudyId::Table2),
         );
-        // Table2's cell filed under Fig9a's fingerprint: what a 64-bit
-        // collision between the two would leave in the memo.
         let mut memo = CellMemo::new(4);
-        let key = CellMemo::fingerprint(&fig9a);
-        memo.entries.insert(
-            key,
-            Arc::new(MemoCell {
-                scenario: table2,
-                line: "frame-table2".into(),
-            }),
-        );
-        memo.order.push_back(key);
+        let key = memo_key(&table2);
+        memo.insert(key.clone(), memo_cell(&table2, "frame-table2"));
         assert!(
-            memo.lookup_all(std::slice::from_ref(&fig9a)).is_none(),
-            "a hit must answer the scenario it was asked for"
+            lookup(&memo, &[memo_key(&fig9a)]).is_none(),
+            "Fig9a's text must not answer Table2's cell"
         );
+        // Every one-byte edit of the key: each byte changed, each byte
+        // dropped, and one more byte at each end.
+        let mut near: Vec<String> = Vec::new();
+        for at in 0..key.len() {
+            let mut changed = key.clone().into_bytes();
+            changed[at] ^= 0x01;
+            near.extend(String::from_utf8(changed).ok());
+            let mut dropped = key.clone();
+            dropped.remove(at);
+            near.push(dropped);
+        }
+        near.push(format!(" {key}"));
+        near.push(format!("{key} "));
+        for span in &near {
+            assert!(
+                lookup(&memo, std::slice::from_ref(span)).is_none(),
+                "{span}"
+            );
+        }
+        let cells = lookup(&memo, &[key]).expect("the key itself hits");
+        assert_eq!(cells[0].line, "frame-table2");
+    }
+
+    #[test]
+    fn a_line_nested_past_the_depth_cap_gets_one_error_frame() {
+        // Under `MAX_LINE_BYTES`, and deep enough to overflow any stack
+        // a recursive parser would run it on.
+        let line = format!(r#"{{"Eval":{}"#, "[".repeat(300_000));
+        let cache = temp_cache("deep");
+        let rt = Runtime::new(
+            Engine::ephemeral().with_cache(cache.clone()),
+            ServeConfig {
+                queue_depth: 2,
+                jobs: 2,
+            },
+        );
+        let mut lines = RawLines::default();
+        assert!(rt
+            .try_handle_warm(&line, Instant::now(), &mut lines)
+            .is_none());
+        assert!(lines.0.is_empty(), "nothing answered inline");
+        assert_eq!(
+            rt.handle_line(&line, &mut lines).unwrap(),
+            Served::Malformed
+        );
+        assert_eq!(
+            lines.0,
+            [
+                r#"{"Error":{"SchemaMismatch":{"context":"request line","reason":"recursion limit exceeded at byte 136"}}}"#
+            ]
+        );
+        let mut frames: Vec<Response> = Vec::new();
+        assert_eq!(
+            rt.handle_line("\"Ping\"", &mut frames).unwrap(),
+            Served::Ping
+        );
+        assert_eq!(frames, [Response::Pong]);
+        let _ = std::fs::remove_dir_all(cache.dir());
     }
 
     #[test]
@@ -2228,9 +2372,10 @@ pub(crate) mod tests {
 /// shape (the fig8 and fig9a v1 lines and an 8-cell `dse-full` v2
 /// subset) it times the two halves of the `Value` path, text → `Value`
 /// and `Value` → `Request`, against the typed decode that
-/// `serde_json::from_str` runs and a `skip_value` walk of the line (the
-/// lexer alone); the memo lookup (per-cell fingerprints plus equality
-/// checks) must stay far below the decode.
+/// `serde_json::from_str` runs on a worker and a `skip_value` walk of
+/// the line (the lexer alone), and then the two steps of the reactor's
+/// warm path: the span scan (the envelope decoded, each cell's text
+/// found) and the text lookup of those spans in the memo.
 #[cfg(test)]
 mod microbench {
     use super::*;
@@ -2274,6 +2419,7 @@ mod microbench {
             ("dse-full/8", EvalRequest::streaming("bench", subset)),
         ];
         for (label, req) in shapes {
+            let scenarios = req.scenarios.clone();
             let request = Request::Eval(req);
             let line = serde_json::to_string(&request).unwrap();
             eprintln!("{label} request line bytes: {}", line.len());
@@ -2302,19 +2448,26 @@ mod microbench {
                 r.skip_value().expect("valid line");
                 r.end().expect("one value");
             });
-        }
-        time("fig8", "per-cell fingerprints", || {
-            black_box(fig8.iter().map(CellMemo::fingerprint).collect::<Vec<_>>());
-        });
-        let mut memo = CellMemo::new(MEMO_CAP);
-        for s in &fig8 {
-            memo.insert(MemoCell {
-                scenario: s.clone(),
-                line: String::new(),
+            time(label, "span scan", || {
+                black_box(warm_envelope(black_box(&line)).expect("warm line"));
+            });
+            let mut memo = CellMemo::new(MEMO_CAP);
+            for s in &scenarios {
+                memo.insert(
+                    memo_key(s),
+                    MemoCell {
+                        id: s.id.clone(),
+                        line: String::new(),
+                    },
+                );
+            }
+            let (_, spans) = warm_envelope(&line).expect("warm line");
+            time(label, "text lookup", || {
+                black_box(
+                    memo.lookup_all(spans.iter().copied())
+                        .expect("all memoized"),
+                );
             });
         }
-        time("fig8", "memo lookup", || {
-            black_box(memo.lookup_all(&fig8).expect("all memoized"));
-        });
     }
 }

@@ -146,7 +146,7 @@ impl LineBuf {
     /// Invalid UTF-8 is replaced rather than fatal — the dispatch
     /// answers such lines as malformed requests.
     pub(crate) fn next_line(&mut self) -> Option<String> {
-        match self.buf[self.scanned..].iter().position(|&b| b == b'\n') {
+        match find_newline(&self.buf[self.scanned..]) {
             Some(offset) => {
                 let end = self.scanned + offset;
                 let line = &self.buf[self.start..end];
@@ -162,6 +162,28 @@ impl LineBuf {
             }
         }
     }
+}
+
+/// The offset of the first `\n` in `bytes`, found a word at a time: in
+/// each eight-byte word XORed with eight newlines, a newline is a zero
+/// byte, and `(w - 0x01…01) & !w & 0x80…80` sets the top bit of every
+/// zero byte. A borrow can also set it in a byte above a zero byte, never
+/// below one, so the lowest set bit is the first newline.
+fn find_newline(bytes: &[u8]) -> Option<usize> {
+    const ONES: u64 = u64::from_le_bytes([0x01; 8]);
+    const TOPS: u64 = u64::from_le_bytes([0x80; 8]);
+    const NEWLINES: u64 = u64::from_le_bytes([b'\n'; 8]);
+    let mut words = bytes.chunks_exact(8);
+    for (i, word) in words.by_ref().enumerate() {
+        let w = u64::from_le_bytes(word.try_into().expect("eight bytes")) ^ NEWLINES;
+        let zeros = w.wrapping_sub(ONES) & !w & TOPS;
+        if zeros != 0 {
+            return Some(i * 8 + zeros.trailing_zeros() as usize / 8);
+        }
+    }
+    let tail = words.remainder();
+    let at = bytes.len() - tail.len();
+    tail.iter().position(|&b| b == b'\n').map(|p| at + p)
 }
 
 /// One connection's bounded, partially flushed response bytes.
@@ -850,7 +872,7 @@ impl Reactor {
 
 #[cfg(test)]
 mod tests {
-    use super::{LineBuf, OutBuf};
+    use super::{find_newline, LineBuf, OutBuf};
     use std::io::{self, Write};
     use std::time::{Duration, Instant};
 
@@ -921,6 +943,57 @@ mod tests {
         assert!(popped.iter().enumerate().all(|(i, got)| *got == line(i)));
         buf.feed(b"tail\n");
         assert_eq!(buf.next_line().as_deref(), Some("tail"), "compacts on feed");
+    }
+
+    #[test]
+    fn linebuf_word_search_finds_the_first_newline_at_every_offset() {
+        // Fillers around the newline: ASCII, its neighbours 0x09 and
+        // 0x0b, and bytes >= 0x80, whose top bit a has-zero borrow could
+        // be mistaken for. `\r` before the newline makes a CRLF line.
+        let fillers = [b'a', 0x09, 0x0b, b'\r', 0x80, 0x8a, 0xff];
+        for len in 0..=64usize {
+            for &fill in &fillers {
+                let mut bytes = vec![fill; len];
+                assert_eq!(find_newline(&bytes), None, "len {len} fill {fill:#x}");
+                for at in 0..len {
+                    bytes.fill(fill);
+                    bytes[at] = b'\n';
+                    // A second newline after the first must not win.
+                    if at + 3 < len {
+                        bytes[at + 3] = b'\n';
+                    }
+                    // High bytes right before and after the newline.
+                    if at > 0 {
+                        bytes[at - 1] = 0xff - (at % 2) as u8 * 0x75;
+                    }
+                    if at + 1 < len {
+                        bytes[at + 1] = 0x80;
+                    }
+                    let want = bytes.iter().position(|&b| b == b'\n');
+                    assert_eq!(
+                        find_newline(&bytes),
+                        want,
+                        "len {len} fill {fill:#x} at {at}"
+                    );
+                }
+            }
+        }
+        // Through `next_line`: a CRLF line of every length up to 64, its
+        // newline at every offset of the read, next to bytes >= 0x80.
+        for len in 0..=64usize {
+            let mut buf = LineBuf::default();
+            let mut line = vec![b'x'; len];
+            if len > 0 {
+                line[len - 1] = 0xc3;
+                line.push(0xa9);
+            }
+            let text = String::from_utf8_lossy(&line).into_owned();
+            line.extend_from_slice(b"\r\n\xff");
+            buf.feed(&line);
+            assert_eq!(buf.next_line().as_deref(), Some(text.as_str()), "len {len}");
+            assert_eq!(buf.next_line(), None);
+            assert_eq!(buf.pending(), 1);
+        }
     }
 
     /// A writer accepting a fixed number of bytes per call, then

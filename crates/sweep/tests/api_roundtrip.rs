@@ -1,16 +1,21 @@
 //! Property tests for the API layer: wire envelopes and errors survive
 //! serde round trips for arbitrary well-formed inputs, the typed decode
-//! agrees with the `Value` path on valid and mutated lines, and shard
-//! selection partitions any grid.
+//! agrees with the `Value` path on valid and mutated lines, the reactor's
+//! warm path answers a line exactly as the full dispatch does or not at
+//! all, and shard selection partitions any grid.
 
 use proptest::prelude::*;
 use serde::{Deserialize, Reader, Serialize, Value};
+use std::io;
 use std::sync::OnceLock;
+use std::time::Instant;
 use yoco_sweep::api::{
     CellOutcome, CellStatus, EvalRequest, EvalResponse, Request, Response, Shard, StatusReport,
 };
+use yoco_sweep::serve::{FrameSink, Served};
 use yoco_sweep::{
-    grids, AcceleratorKind, DesignPoint, Engine, Scenario, StudyId, SweepError, WorkloadSpec,
+    grids, AcceleratorKind, DesignPoint, Engine, ResultCache, Runtime, Scenario, ServeConfig,
+    StudyId, SweepError, WorkloadSpec,
 };
 
 /// Lowercase-ASCII identifier-ish strings.
@@ -360,29 +365,36 @@ fn request_strategy() -> impl Strategy<Value = Request> {
         })
 }
 
+/// Cells that evaluate in milliseconds: a GEMM, an attention and four
+/// study cells.
+fn cheap_cells() -> Vec<Scenario> {
+    let mut scenarios = vec![
+        Scenario::gemm(
+            AcceleratorKind::Yoco,
+            DesignPoint::default(),
+            WorkloadSpec::Zoo {
+                model: "resnet18".into(),
+            },
+        ),
+        grids::resolve("fig10").expect("grid")[0].clone(),
+    ];
+    for study in [
+        StudyId::Fig9a,
+        StudyId::Table2,
+        StudyId::Fig7,
+        StudyId::Table1,
+    ] {
+        scenarios.push(Scenario::study(study));
+    }
+    scenarios
+}
+
 /// Buffered v1 replies with real metrics payloads: one engine run over
-/// a GEMM, an attention and four study cells, cut into every prefix.
+/// [`cheap_cells`], cut into every prefix.
 fn real_replies() -> &'static [Response] {
     static REPLIES: OnceLock<Vec<Response>> = OnceLock::new();
     REPLIES.get_or_init(|| {
-        let mut scenarios = vec![
-            Scenario::gemm(
-                AcceleratorKind::Yoco,
-                DesignPoint::default(),
-                WorkloadSpec::Zoo {
-                    model: "resnet18".into(),
-                },
-            ),
-            grids::resolve("fig10").expect("grid")[0].clone(),
-        ];
-        for study in [
-            StudyId::Fig9a,
-            StudyId::Table2,
-            StudyId::Fig7,
-            StudyId::Table1,
-        ] {
-            scenarios.push(Scenario::study(study));
-        }
+        let scenarios = cheap_cells();
         let report = Engine::ephemeral().run(&scenarios);
         let full = EvalResponse::from_report("real", &report);
         assert!(full.is_ok(), "cheap cells evaluate");
@@ -649,4 +661,243 @@ proptest! {
         let replies = real_replies();
         agree(&replies[reply % replies.len()], &mutations)?;
     }
+}
+
+/// A sink keeping each frame's wire line: typed frames serialized as the
+/// reactor's connection sink writes them, raw lines as they come.
+#[derive(Default)]
+struct RawLines(Vec<String>);
+
+impl FrameSink for RawLines {
+    fn send(&mut self, frame: &Response) -> io::Result<()> {
+        self.0
+            .push(serde_json::to_string(frame).expect("frame serializes"));
+        Ok(())
+    }
+
+    fn send_raw(&mut self, line: &str) -> io::Result<()> {
+        self.0.push(line.to_owned());
+        Ok(())
+    }
+}
+
+/// The cells both warm runtimes memoize: [`cheap_cells`] and a small
+/// Yoco GEMM whose `4`s and accelerator name the spelling test rewrites.
+fn memoized_cells() -> Vec<Scenario> {
+    let mut cells = cheap_cells();
+    cells.push(Scenario::gemm(
+        AcceleratorKind::Yoco,
+        DesignPoint {
+            tiles: Some(4),
+            ..DesignPoint::default()
+        },
+        WorkloadSpec::Gemm {
+            name: "g4".into(),
+            m: 4,
+            k: 8,
+            n: 8,
+            kind: yoco_arch::workload::LayerKind::Linear,
+        },
+    ));
+    cells
+}
+
+/// A runtime whose memo holds [`memoized_cells`]. The admission depth
+/// is so large that a `Busy` hint is always the 1 ms floor, whatever
+/// service times priming fed the gate.
+fn primed_runtime(tag: &str) -> Runtime {
+    let dir =
+        std::env::temp_dir().join(format!("yoco-warm-agreement-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let rt = Runtime::new(
+        Engine::ephemeral().with_cache(ResultCache::at(&dir)),
+        ServeConfig {
+            queue_depth: 1 << 20,
+            jobs: 2,
+        },
+    );
+    let line = serde_json::to_string(&Request::Eval(EvalRequest::new("prime", memoized_cells())))
+        .expect("serializes");
+    let served = rt.handle_line(&line, &mut RawLines::default());
+    assert!(
+        matches!(served, Ok(Served::Eval { misses: 7, .. })),
+        "{served:?}"
+    );
+    // The memo is on while a cache is attached. Its directory is not
+    // read again: every line the tests send either hits the memo or is
+    // declined without evaluating anything.
+    let _ = std::fs::remove_dir_all(&dir);
+    rt
+}
+
+/// Two primed runtimes: `inline` is only ever asked through
+/// `try_handle_warm`, which never adds to its memo, and `dispatch`
+/// through `handle_line` on the lines `inline` answered, which its memo
+/// answers too, so the two memos stay the same.
+fn warm_runtimes() -> &'static (Runtime, Runtime) {
+    static RUNTIMES: OnceLock<(Runtime, Runtime)> = OnceLock::new();
+    RUNTIMES.get_or_init(|| (primed_runtime("inline"), primed_runtime("dispatch")))
+}
+
+/// The counters a served line moves: requests, cells, cache hits and
+/// memo-served requests.
+fn counters(rt: &Runtime) -> [u64; 4] {
+    let m = rt.metrics().snapshot();
+    [
+        "requests_total",
+        "cells_total",
+        "cache_hits_total",
+        "memo_served_total",
+    ]
+    .map(|name| m.counter(name).expect("counter"))
+}
+
+/// A line `try_handle_warm` may answer, and whether it must: either
+/// version, cells drawn from the memoized ones (repeats allowed) or, now
+/// and then, one that may not be memoized, sometimes forced, sometimes
+/// with a deadline that has already passed. An unforced line of
+/// memoized cells, as serialized, must be answered inline.
+fn warm_line_strategy() -> impl Strategy<Value = (String, bool)> {
+    (
+        0u8..2,
+        string_strategy(),
+        prop::collection::vec(0usize..8, 0..6),
+        scenario_strategy(),
+        0u8..8,
+    )
+        .prop_map(|(streamed, id, picks, stranger, flags)| {
+            let pool = memoized_cells();
+            let scenarios: Vec<Scenario> = picks
+                .iter()
+                .map(|&i| pool.get(i).cloned().unwrap_or_else(|| stranger.clone()))
+                .collect();
+            let memoized = scenarios.iter().all(|s| pool.contains(s));
+            let mut req = if streamed == 1 {
+                EvalRequest::streaming(id, scenarios)
+            } else {
+                EvalRequest::new(id, scenarios)
+            };
+            req.force = flags == 0;
+            req.deadline_ms = match flags {
+                1 => Some(0),
+                2 => Some(60_000),
+                _ => None,
+            };
+            let line = serde_json::to_string(&Request::Eval(req)).expect("serializes");
+            (line, memoized && flags != 0)
+        })
+}
+
+/// Asks `inline` to answer `line` from its text. It either declines and
+/// emits nothing, or emits exactly the lines `dispatch`'s full decode
+/// emits for it, with the same counter moves. Returns whether it
+/// answered.
+fn answers_alike(line: &str) -> Result<bool, TestCaseError> {
+    let (inline, dispatch) = warm_runtimes();
+    let before = counters(inline);
+    let mut fast = RawLines::default();
+    let Some(served) = inline.try_handle_warm(line, Instant::now(), &mut fast) else {
+        prop_assert!(fast.0.is_empty(), "{line}: declined after {:?}", fast.0);
+        prop_assert_eq!(counters(inline), before, "{} declined", line);
+        return Ok(false);
+    };
+    let fast_moves = moves(before, counters(inline));
+    let before = counters(dispatch);
+    let mut full = RawLines::default();
+    let reference = dispatch
+        .handle_line(line, &mut full)
+        .expect("sink never fails");
+    prop_assert_eq!(served.expect("sink never fails"), reference, "{}", line);
+    prop_assert_eq!(&fast.0, &full.0, "{}", line);
+    prop_assert_eq!(fast_moves, moves(before, counters(dispatch)), "{}", line);
+    Ok(true)
+}
+
+fn moves(before: [u64; 4], after: [u64; 4]) -> [u64; 4] {
+    std::array::from_fn(|i| after[i] - before[i])
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn warm_path_answers_as_the_full_decode_does_or_not_at_all(
+        (line, inline) in warm_line_strategy(),
+        mutations in prop::collection::vec(mutation_strategy(), 6),
+    ) {
+        prop_assert_eq!(answers_alike(&line)?, inline, "{}", line);
+        for &m in &mutations {
+            answers_alike(&mutate(&line, m).0)?;
+        }
+    }
+}
+
+#[test]
+fn non_canonical_spellings_decode_on_a_worker_and_still_hit() {
+    let rt = primed_runtime("spelling");
+    let cells = memoized_cells();
+    let g4 = cells.last().expect("the small GEMM");
+    let g4_text = serde_json::to_string(g4).expect("serializes");
+    let reordered = format!(
+        r#"{{"kind":{},"id":{}}}"#,
+        serde_json::to_string(&g4.kind).expect("serializes"),
+        serde_json::to_string(&g4.id).expect("serializes")
+    );
+    for req in [
+        EvalRequest::new("spelled", cells.clone()),
+        EvalRequest::streaming("spelled", cells.clone()),
+    ] {
+        let request = Request::Eval(req);
+        let canonical = serde_json::to_string(&request).expect("serializes");
+        let mut want = RawLines::default();
+        assert!(rt
+            .try_handle_warm(&canonical, Instant::now(), &mut want)
+            .is_some());
+        let spellings = [
+            canonical.replacen(r#"{"id":"#, r#"{ "id" :"#, 1),
+            canonical.replace(&g4_text, &reordered),
+            canonical.replace(&g4_text, &g4_text.replacen('{', r#"{"note":null,"#, 1)),
+            canonical.replacen(r#""Yoco""#, r#""\u0059oco""#, 1),
+            canonical.replace(r#""m":4,"#, r#""m":4.0,"#),
+            canonical.replacen(r#""scenarios":"#, r#""scenarios":[],"scenarios":"#, 1),
+        ];
+        for line in spellings {
+            assert_ne!(line, canonical);
+            assert_eq!(
+                serde_json::from_str::<Request>(&line).expect("decodes"),
+                request,
+                "{line}"
+            );
+            let mut inline = RawLines::default();
+            assert!(
+                rt.try_handle_warm(&line, Instant::now(), &mut inline)
+                    .is_none(),
+                "{line}"
+            );
+            assert!(inline.0.is_empty(), "{line}");
+            let memo_served = counters(&rt)[3];
+            let mut got = RawLines::default();
+            rt.handle_line(&line, &mut got).expect("sink never fails");
+            assert_eq!(counters(&rt)[3], memo_served + 1, "{line}");
+            assert_eq!(got.0, want.0, "{line}");
+        }
+    }
+}
+
+#[test]
+fn the_warm_envelope_reads_every_eval_request_field() {
+    // `Runtime::try_handle_warm` decodes these fields of an eval line
+    // and takes `scenarios` as raw text. A field added to `EvalRequest`
+    // has to be read there before it joins this list.
+    let request = serde_json::to_value(&EvalRequest::new("x", Vec::new()));
+    let fields: Vec<&str> = request
+        .as_object()
+        .expect("an object")
+        .iter()
+        .map(|(k, _)| k.as_str())
+        .collect();
+    assert_eq!(
+        fields,
+        ["version", "id", "scenarios", "force", "deadline_ms"]
+    );
 }
