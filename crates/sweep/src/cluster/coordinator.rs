@@ -273,9 +273,9 @@ pub fn report_from_outcomes(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{Request, Response, API_V1};
+    use crate::api::{EvalResponse, Request, Response, API_V1};
     use crate::scenario::StudyId;
-    use crate::serve::tests::TerminalProbe;
+    use crate::serve::tests::{RawLines, TerminalProbe};
     use crate::serve::{Runtime, Served};
     use std::collections::HashMap;
     use std::sync::{Arc, Condvar};
@@ -285,6 +285,9 @@ mod tests {
     enum Behavior {
         /// Completes every dispatched cell (status `Computed`).
         Healthy,
+        /// Like `Healthy`, but spells each frame `{"Cell": {…}}`, with a
+        /// space the serializer never writes.
+        Respaced,
         /// Like `Healthy`, but only once the test calls
         /// [`FakePool::release`]: until then the sub-request is held in
         /// flight.
@@ -303,6 +306,8 @@ mod tests {
     struct FakePool {
         behaviors: HashMap<String, Behavior>,
         dispatched: Arc<Mutex<Vec<String>>>,
+        /// Every `Cell` line the workers sent, in sending order.
+        sent: Arc<Mutex<Vec<String>>>,
         released: (Mutex<bool>, Condvar),
     }
 
@@ -311,6 +316,7 @@ mod tests {
             Self {
                 behaviors: hosts.iter().map(|(h, b)| ((*h).to_owned(), *b)).collect(),
                 dispatched: Arc::new(Mutex::new(Vec::new())),
+                sent: Arc::new(Mutex::new(Vec::new())),
                 released: (Mutex::new(false), Condvar::new()),
             }
         }
@@ -326,8 +332,10 @@ mod tests {
         }
 
         fn complete(
+            &self,
             request: &EvalRequest,
             cells: usize,
+            respaced: bool,
             on_cell: &mut dyn FnMut(CellOutcome, &str),
         ) {
             for s in request.scenarios.iter().take(cells) {
@@ -338,7 +346,12 @@ mod tests {
                     metrics: None,
                     error: None,
                 };
-                let raw = serde_json::to_string(&Response::Cell(cell.clone())).unwrap();
+                let raw = if respaced {
+                    format!("{{\"Cell\": {}}}", serde_json::to_string(&cell).unwrap())
+                } else {
+                    serde_json::to_string(&Response::Cell(cell.clone())).unwrap()
+                };
+                self.sent.lock().unwrap().push(raw.clone());
                 on_cell(cell, &raw);
             }
         }
@@ -360,8 +373,9 @@ mod tests {
                 misses: n,
             };
             match self.behaviors.get(addr).copied() {
-                Some(Behavior::Healthy) => {
-                    Self::complete(&request, n, on_cell);
+                Some(behavior @ (Behavior::Healthy | Behavior::Respaced)) => {
+                    let respaced = matches!(behavior, Behavior::Respaced);
+                    self.complete(&request, n, respaced, on_cell);
                     Ok(done)
                 }
                 Some(Behavior::Held) => {
@@ -369,11 +383,11 @@ mod tests {
                     let _open = wake
                         .wait_while(released.lock().unwrap(), |open| !*open)
                         .unwrap();
-                    Self::complete(&request, n, on_cell);
+                    self.complete(&request, n, false, on_cell);
                     Ok(done)
                 }
                 Some(Behavior::DiesAfter(cells)) => {
-                    Self::complete(&request, cells, on_cell);
+                    self.complete(&request, cells, false, on_cell);
                     Err(io::Error::new(
                         io::ErrorKind::ConnectionReset,
                         "worker died mid-stream",
@@ -777,6 +791,78 @@ mod tests {
         let ids: Vec<&str> = response.cells.iter().map(|c| c.id.as_str()).collect();
         assert_eq!(ids, ["cell-0", "cell-1", "cell-2", "cell-3", "cell-4"]);
         assert_eq!((response.hits, response.misses), (0, 5));
+    }
+
+    /// The one line a v1 exchange answers, checked to read back as an
+    /// `Eval` reply the serializer writes byte for byte.
+    fn v1_reply(c: &Runtime, id: &str, scenarios: Vec<Scenario>) -> (String, EvalResponse) {
+        let mut lines = RawLines::default();
+        c.handle_line(
+            &line(&Request::Eval(EvalRequest::new(id, scenarios))),
+            &mut lines,
+        )
+        .unwrap();
+        let [reply] = &lines.0[..] else {
+            panic!("one v1 line, got {:?}", lines.0);
+        };
+        let Ok(Response::Eval(decoded)) = serde_json::from_str::<Response>(reply) else {
+            panic!("the reply does not read back as an Eval: {reply}");
+        };
+        let rebuilt = serde_json::to_string(&Response::Eval(decoded.clone())).unwrap();
+        assert_eq!(*reply, rebuilt, "the serializer's bytes");
+        (reply.clone(), decoded)
+    }
+
+    #[test]
+    fn coordinator_passes_worker_cell_lines_on_and_merges_v1_as_the_serializer_does() {
+        let pool = FakePool::new(&[("a", Behavior::Healthy), ("b", Behavior::Healthy)]);
+        let sent = Arc::clone(&pool.sent);
+        let c = coordinator(pool, &["a", "b"], 2);
+
+        // v2: every `Cell` line the client reads is a line a worker sent.
+        let mut v2 = RawLines::default();
+        c.handle_line(
+            &line(&Request::Eval(EvalRequest::streaming("cl-lines", grid(5)))),
+            &mut v2,
+        )
+        .unwrap();
+        let mut forwarded: Vec<String> =
+            v2.0.iter()
+                .filter(|l| l.starts_with(r#"{"Cell":"#))
+                .cloned()
+                .collect();
+        let mut worker_lines = std::mem::take(&mut *sent.lock().unwrap());
+        forwarded.sort_unstable();
+        worker_lines.sort_unstable();
+        assert_eq!(forwarded.len(), 5);
+        assert_eq!(forwarded, worker_lines);
+
+        // v1: the merge is one line in request order, every cell a miss.
+        let (_, decoded) = v1_reply(&c, "cl-merge", grid(5));
+        let ids: Vec<&str> = decoded.cells.iter().map(|c| c.id.as_str()).collect();
+        assert_eq!(ids, ["cell-0", "cell-1", "cell-2", "cell-3", "cell-4"]);
+        assert_eq!((decoded.hits, decoded.misses), (0, 5));
+    }
+
+    #[test]
+    fn a_respaced_worker_line_still_yields_the_canonical_v1_line() {
+        let reply = |behavior| {
+            let pool = FakePool::new(&[("w", behavior)]);
+            let sent = Arc::clone(&pool.sent);
+            let c = coordinator(pool, &["w"], 2);
+            let (reply, decoded) = v1_reply(&c, "cl-space", grid(3));
+            assert_eq!((decoded.hits, decoded.misses), (0, 3), "{reply}");
+            let sent = sent.lock().unwrap().clone();
+            (reply, sent)
+        };
+        let (canonical, _) = reply(Behavior::Healthy);
+        let (respaced, sent) = reply(Behavior::Respaced);
+        assert_eq!(sent.len(), 3);
+        assert!(
+            sent.iter().all(|l| l.starts_with(r#"{"Cell": {"#)),
+            "{sent:?}"
+        );
+        assert_eq!(respaced, canonical);
     }
 
     #[test]

@@ -1807,7 +1807,7 @@ pub(crate) mod tests {
     /// as the reactor's connection sink does, raw lines pass through
     /// untouched.
     #[derive(Default)]
-    struct RawLines(Vec<String>);
+    pub(crate) struct RawLines(pub(crate) Vec<String>);
 
     impl FrameSink for RawLines {
         fn send(&mut self, frame: &Response) -> io::Result<()> {
@@ -1867,6 +1867,58 @@ pub(crate) mod tests {
             "spliced warm line must match serde byte-for-byte"
         );
         let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    #[test]
+    fn engine_v1_replies_are_the_serializers_bytes() {
+        use crate::scenario::{AcceleratorKind, DesignPoint, WorkloadSpec};
+        // The `api` doctest's invalid cell: design overrides only apply
+        // to the YOCO chip, so this one comes back `Failed`.
+        let isaac = Scenario::gemm(
+            AcceleratorKind::Isaac,
+            DesignPoint {
+                tiles: Some(2),
+                ..Default::default()
+            },
+            WorkloadSpec::Zoo {
+                model: "resnet18".into(),
+            },
+        );
+        let mut failing = tiny_batch();
+        failing.push(isaac);
+        let cases = [
+            ("e-failed", failing, 1),
+            ("e-esc \"quoted\" \\ ünïcode", tiny_batch(), 0),
+            ("e-empty", Vec::new(), 0),
+        ];
+        // No cache, so every batch is cold and the engine answers it.
+        let rt = runtime(2);
+        for (id, batch, failed) in cases {
+            let n = batch.len();
+            let mut lines = RawLines::default();
+            rt.handle_line(
+                &line(&Request::Eval(EvalRequest::new(id, batch))),
+                &mut lines,
+            )
+            .unwrap();
+            let [reply] = &lines.0[..] else {
+                panic!("one v1 line for {id}, got {:?}", lines.0);
+            };
+            let Ok(Response::Eval(decoded)) = serde_json::from_str::<Response>(reply) else {
+                panic!("{id}: the reply does not read back as an Eval: {reply}");
+            };
+            assert_eq!(decoded.id, id);
+            assert_eq!((decoded.hits, decoded.misses), (0, n), "{reply}");
+            assert_eq!(decoded.cells.len(), n, "{reply}");
+            let failures = decoded
+                .cells
+                .iter()
+                .filter(|c| c.status == CellStatus::Failed)
+                .count();
+            assert_eq!(failures, failed, "{reply}");
+            let rebuilt = serde_json::to_string(&Response::Eval(decoded)).unwrap();
+            assert_eq!(*reply, rebuilt, "{id}");
+        }
     }
 
     #[test]
