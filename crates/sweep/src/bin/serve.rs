@@ -162,8 +162,7 @@ fn serve(args: &[String]) -> Result<ExitCode, String> {
         }
     }
     let _ = std::io::stdout().flush();
-    let reactor_config = ReactorConfig::for_queue_depth(config.queue_depth);
-    serve_reactor(listener, Arc::new(runtime), quiet, reactor_config)
+    serve_reactor(listener, Arc::new(runtime), quiet, ReactorConfig::default())
         .map_err(|e| format!("reactor failed: {e}"))?;
     if !quiet {
         println!("yoco-serve shutting down");

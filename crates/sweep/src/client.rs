@@ -43,33 +43,16 @@ pub enum StreamOutcome {
 
 /// How `Busy` answers are retried inside one logical exchange:
 /// exponential backoff with jitter, seeded from the server's own EWMA
-/// `retry_after_ms` hint.
-///
-/// The k-th backoff is `max(hint, base_ms) · 2^k`, capped at `cap_ms`,
-/// then jittered by a uniform factor in `[0.5, 1.5)` so a fleet of
-/// rejected clients doesn't re-arrive in lockstep. Deterministic per
-/// `seed` (the vendored SplitMix64), so tests can pin the exact sleep
-/// sequence.
+/// `retry_after_ms` hint ([`backoff_ms`]).
 #[derive(Debug, Clone)]
 pub struct RetryPolicy {
     /// Total tries, including the first (1 = no retry).
     pub attempts: u32,
-    /// Backoff floor in milliseconds when the server's hint is smaller.
-    pub base_ms: u64,
-    /// Backoff ceiling in milliseconds (pre-jitter).
-    pub cap_ms: u64,
-    /// Jitter seed.
-    pub seed: u64,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        Self {
-            attempts: 4,
-            base_ms: 25,
-            cap_ms: 2_000,
-            seed: 0x59C0,
-        }
+        Self { attempts: 4 }
     }
 }
 
@@ -77,22 +60,30 @@ impl RetryPolicy {
     /// A policy that never retries: the raw-measurement escape hatch
     /// (`--no-retry`) the load generator uses to observe Busy rates.
     pub fn none() -> Self {
-        Self {
-            attempts: 1,
-            ..Self::default()
-        }
+        Self { attempts: 1 }
     }
+}
 
-    /// The jittered backoff before retry number `attempt` (0-based),
-    /// honoring the server's `retry_after_ms` hint.
-    pub fn backoff_ms(&self, attempt: u32, hint_ms: u64, rng: &mut SplitMix64) -> u64 {
-        let floor = hint_ms.max(self.base_ms).max(1);
-        let exp = floor
-            .saturating_mul(1u64 << attempt.min(20))
-            .min(self.cap_ms);
-        let jitter: f64 = 0.5 + rng.gen::<f64>();
-        ((exp as f64 * jitter) as u64).max(1)
-    }
+/// Backoff floor in milliseconds when the server's hint is smaller.
+const BACKOFF_BASE_MS: u64 = 25;
+/// Backoff ceiling in milliseconds (pre-jitter).
+const BACKOFF_CAP_MS: u64 = 2_000;
+/// Seed of each exchange's jitter stream.
+const JITTER_SEED: u64 = 0x59C0;
+
+/// The jittered backoff before retry number `attempt` (0-based),
+/// honoring the server's `retry_after_ms` hint: `max(hint,
+/// BACKOFF_BASE_MS) · 2^attempt`, capped at [`BACKOFF_CAP_MS`], then
+/// jittered by a uniform factor in `[0.5, 1.5)` so a fleet of rejected
+/// clients doesn't re-arrive in lockstep. Deterministic per `rng` seed
+/// (the vendored SplitMix64).
+fn backoff_ms(attempt: u32, hint_ms: u64, rng: &mut SplitMix64) -> u64 {
+    let floor = hint_ms.max(BACKOFF_BASE_MS);
+    let exp = floor
+        .saturating_mul(1u64 << attempt.min(20))
+        .min(BACKOFF_CAP_MS);
+    let jitter: f64 = 0.5 + rng.gen::<f64>();
+    ((exp as f64 * jitter) as u64).max(1)
 }
 
 /// One connection to a `yoco-serve` instance.
@@ -356,13 +347,13 @@ impl ServeClient {
         mut exchange: impl FnMut(&mut Self) -> io::Result<T>,
         busy_hint: impl Fn(&T) -> Option<u64>,
     ) -> io::Result<T> {
-        let mut rng = SplitMix64::new(policy.seed);
+        let mut rng = SplitMix64::new(JITTER_SEED);
         for attempt in 0..policy.attempts.saturating_sub(1) {
             let answer = exchange(self)?;
             let Some(hint) = busy_hint(&answer) else {
                 return Ok(answer);
             };
-            let backoff = policy.backoff_ms(attempt, hint, &mut rng);
+            let backoff = backoff_ms(attempt, hint, &mut rng);
             std::thread::sleep(Duration::from_millis(backoff));
         }
         exchange(self)
@@ -375,17 +366,13 @@ mod tests {
 
     #[test]
     fn backoff_honors_hint_doubles_caps_and_jitters_within_bounds() {
-        let policy = RetryPolicy {
-            attempts: 4,
-            base_ms: 25,
-            cap_ms: 400,
-            seed: 1,
-        };
-        let mut rng = SplitMix64::new(policy.seed);
-        // Server hint above the base floors the schedule; each step
-        // doubles pre-jitter, capped, with jitter in [0.5, 1.5).
-        for (attempt, expected) in [(0u32, 100u64), (1, 200), (2, 400), (3, 400)] {
-            let ms = policy.backoff_ms(attempt, 100, &mut rng);
+        let mut rng = SplitMix64::new(JITTER_SEED);
+        // A server hint above the 25 ms base floors the schedule; each
+        // step doubles pre-jitter up to the 2 s cap, with jitter in
+        // [0.5, 1.5).
+        let schedule = [100u64, 200, 400, 800, 1_600, 2_000, 2_000];
+        for (attempt, expected) in (0u32..).zip(schedule) {
+            let ms = backoff_ms(attempt, 100, &mut rng);
             let lo = expected / 2;
             let hi = expected * 3 / 2;
             assert!(
@@ -394,16 +381,13 @@ mod tests {
             );
         }
         // A tiny hint falls back to the base floor.
-        let mut rng = SplitMix64::new(policy.seed);
-        let ms = policy.backoff_ms(0, 1, &mut rng);
+        let mut rng = SplitMix64::new(JITTER_SEED);
+        let ms = backoff_ms(0, 1, &mut rng);
         assert!((12..=38).contains(&ms), "floored backoff {ms}");
         // Deterministic per seed.
         let mut a = SplitMix64::new(7);
         let mut b = SplitMix64::new(7);
-        assert_eq!(
-            policy.backoff_ms(1, 50, &mut a),
-            policy.backoff_ms(1, 50, &mut b)
-        );
+        assert_eq!(backoff_ms(1, 50, &mut a), backoff_ms(1, 50, &mut b));
     }
 
     #[test]
@@ -428,19 +412,16 @@ mod tests {
                 jobs: 1,
             },
         ));
-        let config = ReactorConfig::for_queue_depth(0);
+        let config = ReactorConfig::default();
         let reactor = std::thread::spawn(move || serve_reactor(listener, runtime, true, config));
         let mut client = ServeClient::connect(&local.to_string()).expect("connects");
         client
             .set_read_timeout(Some(Duration::from_secs(60)))
             .expect("timeout set");
 
-        let policy = RetryPolicy {
-            attempts: 3,
-            base_ms: 1,
-            cap_ms: 1,
-            seed: 1,
-        };
+        // The real backoff: a zero-depth gate hints 250 ms, so each
+        // exchange sleeps at most 375 + 750 ms before its last try.
+        let policy = RetryPolicy { attempts: 3 };
         let batch = vec![Scenario::study(StudyId::Fig9a)];
         let mut busy_frames = 0;
         let outcome = client

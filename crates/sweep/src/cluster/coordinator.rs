@@ -15,7 +15,7 @@ use crate::client::StreamOutcome;
 use crate::cluster::pool::WorkerPool;
 use crate::engine::{CellResult, SweepReport};
 use crate::scenario::Scenario;
-use crate::serve::{Busy, Emit, Ran, RETRY_QUANTUM_MS};
+use crate::serve::{cell_line, splices, Busy, Emit, Ran, RETRY_QUANTUM_MS};
 use crate::telemetry::Registry;
 use std::io;
 use std::sync::Mutex;
@@ -53,13 +53,14 @@ struct FanState {
 }
 
 /// Fans `req`'s batch out over `workers` and merges the streamed cells
-/// back, calling `emit(index, cell, raw_line)` exactly once per
-/// scenario as its outcome arrives (`index` is the scenario's position;
-/// worker frames are forwarded with their original bytes). `emit` runs
-/// on the dispatch threads *outside* the merge lock and may be called
-/// concurrently — callers serialize their own sink. Requeued cells and
-/// per-worker dispatch latency are recorded in `metrics`, and `span`
-/// travels to the workers inside the sub-request ids.
+/// back, calling `emit(index, line)` exactly once per scenario as its
+/// outcome arrives (`index` is the scenario's position). The decoded
+/// cell only claims its scenario; the line is the worker's bytes, for
+/// v2 and v1 alike, unless they fail [`splices`] and are re-serialized.
+/// `emit` runs on the dispatch threads *outside* the merge lock and may
+/// be called concurrently — callers serialize their own sink. Requeued
+/// cells and per-worker dispatch latency are recorded in `metrics`, and
+/// `span` travels to the workers inside the sub-request ids.
 ///
 /// Partitioning reuses the `--shard i/n` round-robin rule
 /// ([`Shard::select_indices`]). Shards are dealt to the live workers
@@ -163,15 +164,17 @@ pub(crate) fn fan_out(
                             // (emit callees do their own serialization).
                             let claimed = {
                                 let mut st = state.lock().expect("fan-out state");
-                                let idx = claim(&mut st.pending[k], scenarios, keys, &cell);
+                                let idx = claim(&mut st.pending[k], scenarios, keys, cell);
                                 if let Some(idx) = idx {
                                     st.delivered[idx] = true;
                                     st.hits += usize::from(cell.status == CellStatus::Hit);
                                 }
                                 idx
                             };
-                            if let Some(idx) = claimed {
-                                emit(idx, cell, Some(raw));
+                            match claimed {
+                                Some(idx) if splices(raw) => emit(idx, raw),
+                                Some(idx) => emit(idx, &cell_line(cell.clone())),
+                                None => {}
                             }
                         });
                         in_flight.lock().expect("worker load")[w] -= 1;
@@ -226,7 +229,7 @@ pub(crate) fn fan_out(
                     "cluster: no live worker completed this cell",
                 )),
             };
-            emit(idx, cell, None);
+            emit(idx, &cell_line(cell));
         }
     }
     Ok(Ran::Cells {
@@ -336,7 +339,7 @@ mod tests {
             request: &EvalRequest,
             cells: usize,
             respaced: bool,
-            on_cell: &mut dyn FnMut(CellOutcome, &str),
+            on_cell: &mut dyn FnMut(&CellOutcome, &str),
         ) {
             for s in request.scenarios.iter().take(cells) {
                 let cell = CellOutcome {
@@ -352,7 +355,7 @@ mod tests {
                     serde_json::to_string(&Response::Cell(cell.clone())).unwrap()
                 };
                 self.sent.lock().unwrap().push(raw.clone());
-                on_cell(cell, &raw);
+                on_cell(&cell, &raw);
             }
         }
     }
@@ -362,7 +365,7 @@ mod tests {
             &self,
             addr: &str,
             request: EvalRequest,
-            on_cell: &mut dyn FnMut(CellOutcome, &str),
+            on_cell: &mut dyn FnMut(&CellOutcome, &str),
         ) -> io::Result<StreamOutcome> {
             self.dispatched.lock().unwrap().push(addr.to_owned());
             let n = request.scenarios.len();
@@ -425,8 +428,8 @@ mod tests {
     }
 
     /// What one fan-out answered: the backend's verdict and every emit
-    /// as `(index, cell, raw line)`, sorted by index.
-    type Fanned = (Result<Ran, Busy>, Vec<(usize, CellOutcome, Option<String>)>);
+    /// as `(index, decoded cell, line)`, sorted by index.
+    type Fanned = (Result<Ran, Busy>, Vec<(usize, CellOutcome, String)>);
 
     impl<'p> Fan<'p> {
         fn new(pool: &'p FakePool, workers: &[&str]) -> Self {
@@ -446,9 +449,11 @@ mod tests {
                 &EvalRequest::streaming(id, scenarios),
                 None,
                 &Registry::default(),
-                &|i, cell, raw| {
-                    let raw = raw.map(str::to_owned);
-                    emitted.lock().unwrap().push((i, cell, raw));
+                &|i, line| {
+                    let Ok(Response::Cell(cell)) = serde_json::from_str(line) else {
+                        panic!("emitted a line that is no Cell frame: {line}");
+                    };
+                    emitted.lock().unwrap().push((i, cell, line.to_owned()));
                 },
             );
             let mut emitted = emitted.into_inner().unwrap();
@@ -559,10 +564,11 @@ mod tests {
             ],
             "one emit per cell, at its scenario's position"
         );
-        assert!(
-            emitted.iter().all(|(_, _, raw)| raw.is_some()),
-            "worker bytes forwarded"
-        );
+        let mut lines: Vec<&str> = emitted.iter().map(|(_, _, line)| line.as_str()).collect();
+        lines.sort_unstable();
+        let mut sent = pool.sent.lock().unwrap().clone();
+        sent.sort_unstable();
+        assert_eq!(lines, sent, "worker bytes forwarded");
         // Round-robin split: a gets indices 0,2,4; b gets 1,3. Shards
         // dispatch on parallel threads, so log order within a round is
         // unspecified — compare sorted.

@@ -40,6 +40,9 @@
 //!   the failed host — round after round until the batch completes or
 //!   no workers remain (`fan_out`). A request no worker delivered a
 //!   cell of answers a retryable `Busy`.
+//! * **Worker bytes pass on**: a worker's `Cell` line is decoded only to
+//!   claim its scenario; v2 and v1 clients get the worker's bytes, as an
+//!   event builder assembles raw fragments instead of re-encoding them.
 //! * **Determinism**: workers share the evaluator and cache-key code,
 //!   so a cluster run and a single-box run of the same grid produce
 //!   identical canonical reports ([`report_from_outcomes`] feeds the

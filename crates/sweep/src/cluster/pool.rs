@@ -13,17 +13,17 @@ use std::io;
 use std::time::Duration;
 
 /// The transport to worker hosts. `dispatch` must call `on_cell` once
-/// per `Cell` frame *as it arrives* (decoded frame plus the raw line,
-/// so the coordinator can forward worker bytes verbatim), and an `Err`
-/// means the worker is unreachable or gone mid-shard — the caller
-/// requeues whatever `on_cell` has not delivered.
+/// per `Cell` frame *as it arrives*, with the decoded cell (which only
+/// claims its scenario) and the worker's line (which travels on), and
+/// an `Err` means the worker is unreachable or gone mid-shard — the
+/// caller requeues whatever `on_cell` has not delivered.
 pub trait WorkerPool: Sync {
     /// Runs one streamed sub-request on one worker.
     fn dispatch(
         &self,
         addr: &str,
         request: EvalRequest,
-        on_cell: &mut dyn FnMut(CellOutcome, &str),
+        on_cell: &mut dyn FnMut(&CellOutcome, &str),
     ) -> io::Result<StreamOutcome>;
 }
 
@@ -46,13 +46,13 @@ impl WorkerPool for TcpPool {
         &self,
         addr: &str,
         request: EvalRequest,
-        on_cell: &mut dyn FnMut(CellOutcome, &str),
+        on_cell: &mut dyn FnMut(&CellOutcome, &str),
     ) -> io::Result<StreamOutcome> {
         let mut client = ServeClient::connect_timeout(addr, CONNECT_TIMEOUT)?;
         client.set_read_timeout(Some(READ_TIMEOUT))?;
         client.eval_streaming(request, |raw, frame| {
             if let Response::Cell(cell) = frame {
-                on_cell(cell.clone(), raw);
+                on_cell(cell, raw);
             }
         })
     }

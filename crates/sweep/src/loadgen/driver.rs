@@ -396,9 +396,8 @@ mod tests {
                     jobs: 2,
                 },
             );
-            let config = ReactorConfig::for_queue_depth(queue_depth);
             let reactor = std::thread::spawn(move || {
-                serve_reactor(listener, Arc::new(runtime), true, config)
+                serve_reactor(listener, Arc::new(runtime), true, ReactorConfig::default())
             });
             Self {
                 addr: local.to_string(),

@@ -138,9 +138,8 @@ pub struct LoadgenRecord {
     pub mean_ms: f64,
     /// Unix timestamp of the run.
     pub recorded_at_unix_s: u64,
-    /// Per-mix-entry breakdown, in mix order. `None` for rows recorded
-    /// before the breakdown existed (older history files still parse).
-    pub entries: Option<Vec<EntryRecord>>,
+    /// Per-mix-entry breakdown, in mix order.
+    pub entries: Vec<EntryRecord>,
 }
 
 /// One mix entry's persisted slice of a run.
@@ -207,22 +206,20 @@ impl LoadgenRecord {
             max_ms: summary.latency.max_ms(),
             mean_ms: summary.latency.mean_ms(),
             recorded_at_unix_s,
-            entries: Some(
-                summary
-                    .entries
-                    .iter()
-                    .map(|e| EntryRecord {
-                        label: e.label.clone(),
-                        sent: e.sent,
-                        completed: e.completed,
-                        busy: e.busy,
-                        errors: e.errors,
-                        p50_ms: e.latency.quantile_ms(0.50),
-                        p99_ms: e.latency.quantile_ms(0.99),
-                        p999_ms: e.latency.quantile_ms(0.999),
-                    })
-                    .collect(),
-            ),
+            entries: summary
+                .entries
+                .iter()
+                .map(|e| EntryRecord {
+                    label: e.label.clone(),
+                    sent: e.sent,
+                    completed: e.completed,
+                    busy: e.busy,
+                    errors: e.errors,
+                    p50_ms: e.latency.quantile_ms(0.50),
+                    p99_ms: e.latency.quantile_ms(0.99),
+                    p999_ms: e.latency.quantile_ms(0.999),
+                })
+                .collect(),
         }
     }
 
@@ -303,8 +300,8 @@ pub fn render_table(runs: &[LoadgenRecord]) -> String {
         ));
         // Per-mix-entry sub-rows: only worth a line when the mix has
         // more than one entry (a single entry repeats the run row).
-        if let Some(entries) = r.entries.as_deref().filter(|e| e.len() > 1) {
-            for e in entries {
+        if r.entries.len() > 1 {
+            for e in &r.entries {
                 let busy_pct = if e.sent > 0 {
                     e.busy as f64 * 100.0 / e.sent as f64
                 } else {
@@ -409,7 +406,7 @@ mod tests {
             max_ms: p99 * 1.5,
             mean_ms: p99 / 2.0,
             recorded_at_unix_s: at,
-            entries: None,
+            entries: Vec::new(),
         }
     }
 
@@ -469,27 +466,15 @@ mod tests {
         };
         let mut run = row("serve", 2.0, 1);
         run.mix = "fig9a=9,fig9a:v1=1".into();
-        run.entries = Some(vec![entry("fig9a=9", 90, 1.8), entry("fig9a:v1", 10, 4.2)]);
+        run.entries = vec![entry("fig9a=9", 90, 1.8), entry("fig9a:v1", 10, 4.2)];
         let table = render_table(std::slice::from_ref(&run));
         assert!(table.contains("| | ↳ fig9a=9 |"), "{table}");
         assert!(table.contains("| | ↳ fig9a:v1 |"), "{table}");
         assert!(table.contains("90/90 ok"), "{table}");
 
         // A single-entry mix keeps the table to one row per run.
-        run.entries = Some(vec![entry("fig9a", 100, 2.0)]);
+        run.entries = vec![entry("fig9a", 100, 2.0)];
         let table = render_table(std::slice::from_ref(&run));
         assert!(!table.contains('↳'), "{table}");
-
-        // Legacy rows (no `entries` key at all) still parse.
-        let serde_json::Value::Object(full) = serde_json::to_value(&row("serve", 2.0, 1)) else {
-            panic!("a record serializes as an object");
-        };
-        let mut legacy = serde_json::Map::new();
-        for (key, value) in full.iter().filter(|(k, _)| k.as_str() != "entries") {
-            legacy.insert(key.clone(), value.clone());
-        }
-        let back: LoadgenRecord =
-            serde_json::from_value(&serde_json::Value::Object(legacy)).unwrap();
-        assert!(back.entries.is_none());
     }
 }

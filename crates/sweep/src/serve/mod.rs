@@ -22,8 +22,11 @@
 //!   (`Accepted` at admission, one `Cell` frame per scenario in
 //!   completion order via [`Engine::run_with`], then `Done`), so large
 //!   grids report progress instead of going silent.
+//! * **One form per cell** — a finished cell crosses this server only
+//!   as its `{"Cell":…}` line, which v2 streams as it stands and the one
+//!   v1 writer ([`eval_line`]) splices, whatever the line's source.
 //! * **Warm-path memoization** — a bounded in-memory memo holds each
-//!   completed cell's pre-serialized wire forms, keyed by the cell's
+//!   completed cell's line, keyed by the cell's
 //!   canonical wire text (its scenario as `serde_json::to_string` writes
 //!   it), so a warm repeat of any batch whose cells were all served
 //!   before skips both the per-cell cache re-reads and the
@@ -285,10 +288,10 @@ pub trait FrameSink: Send {
     fn send(&mut self, frame: &Response) -> io::Result<()>;
 
     /// Delivers one already-serialized frame line (no trailing newline).
-    /// The warm-path memo and the cluster coordinator forward frames as
-    /// raw bytes through this, skipping re-serialization; the default
-    /// decodes and falls back to [`FrameSink::send`] so in-process
-    /// collector sinks still see typed frames.
+    /// Every `Cell` frame and every successful v1 reply leaves through
+    /// this as the line it already is; the default decodes and falls
+    /// back to [`FrameSink::send`] so in-process collector sinks still
+    /// see typed frames.
     fn send_raw(&mut self, line: &str) -> io::Result<()> {
         let frame = serde_json::from_str::<Response>(line)
             .map_err(|e| io::Error::other(format!("undecodable raw frame {line:?}: {e}")))?;
@@ -375,9 +378,8 @@ impl Served {
 }
 
 /// One memoized cell (status already rewritten to `Hit`): its display
-/// id, which trace records name a warm batch by, and its pre-serialized
-/// v2 `Cell` frame line, whose inner outcome object is also what
-/// buffered v1 `cells` arrays splice ([`MemoCell::outcome_json`]).
+/// id, which trace records name a warm batch by, and its [`cell_line`],
+/// which v2 replays as it stands and [`eval_line`] splices into v1.
 #[derive(Debug)]
 pub(crate) struct MemoCell {
     id: String,
@@ -386,16 +388,10 @@ pub(crate) struct MemoCell {
 
 impl MemoCell {
     fn new(outcome: CellOutcome) -> Self {
-        let id = outcome.id.clone();
-        let line = serde_json::to_string(&Response::Cell(outcome))
-            .expect("frame serialization is infallible");
-        Self { id, line }
-    }
-
-    /// The standalone outcome object: the frame line `{"Cell":…}`
-    /// without its envelope.
-    fn outcome_json(&self) -> &str {
-        &self.line[r#"{"Cell":"#.len()..self.line.len() - 1]
+        Self {
+            id: outcome.id.clone(),
+            line: cell_line(outcome),
+        }
     }
 }
 
@@ -516,10 +512,11 @@ fn warm_envelope(line: &str) -> Result<(EvalRequest, Vec<&str>), serde::Error> {
     Ok((request, spans))
 }
 
-/// Where a backend hands each finished cell: its position in the batch,
-/// its outcome, and its frame line when the backend already holds one
-/// (a worker's forwarded bytes). Called from several threads at once.
-pub(crate) type Emit<'a> = dyn Fn(usize, CellOutcome, Option<&str>) + Sync + 'a;
+/// Where a backend hands each finished cell: its position in the batch
+/// and its `{"Cell":…}` line ([`cell_line`], or a worker's bytes that
+/// [`splices`]), the only form in which a cell crosses this server.
+/// Called from several threads at once.
+pub(crate) type Emit<'a> = dyn Fn(usize, &str) + Sync + 'a;
 
 /// What one backend call produced.
 #[derive(Debug)]
@@ -825,22 +822,20 @@ impl Runtime {
             })?;
         }
 
-        // Cells arrive on several threads (engine workers, dispatch
+        // Cell lines arrive on several threads (engine workers, dispatch
         // threads). v2 forwards each through the latch, which serializes
         // the sends and, past the first transport error, stops writing
         // but lets the backend finish (caches still fill, so the
-        // client's retry is warm); v1 buffers them for its one line.
+        // client's retry is warm); v1 keeps them for its one line.
         let eval_started = Instant::now();
         let latch = LatchSink::new(sink);
-        let buffered = Mutex::new(Vec::new());
+        let lines = Mutex::new(Vec::new());
         let span = traced.as_ref().map(|t| t.span.as_str());
-        let ran = self.call_backend(&req, warm, span, &|i, cell, line| {
-            if !streamed {
-                buffered.lock().expect("buffer lock").push((i, cell));
-            } else if let Some(line) = line {
+        let ran = self.call_backend(&req, warm, span, &|i, line| {
+            if streamed {
                 latch.send_raw(line);
             } else {
-                latch.send(&Response::Cell(cell));
+                lines.lock().expect("lines lock").push((i, line.to_owned()));
             }
         });
         let (sink, error) = latch.finish();
@@ -854,11 +849,9 @@ impl Runtime {
             record_stage(traced.as_ref(), &req.id, "eval", evaled);
         }
         let done = |hits, misses| {
-            frame_line(&Response::Done {
-                id: req.id.clone(),
-                hits,
-                misses,
-            })
+            let id = req.id.clone();
+            serde_json::to_string(&Response::Done { id, hits, misses })
+                .expect("frame serialization is infallible")
         };
         let (hits, misses, terminal) = match ran {
             // A refusal's duration (refused connections, workers
@@ -868,10 +861,12 @@ impl Runtime {
                 ticket.skip_service_record();
                 return self.reject(sink, req.id, streamed, busy);
             }
-            Ok(Ran::Cells { hits, misses }) if streamed => (hits, misses, done(hits, misses)?),
+            Ok(Ran::Cells { hits, misses }) if streamed => (hits, misses, done(hits, misses)),
             Ok(Ran::Cells { hits, misses }) => {
-                let cells = buffered.into_inner().expect("buffer lock");
-                (hits, misses, buffered_line(&req.id, cells, hits, misses)?)
+                let mut lines = lines.into_inner().expect("lines lock");
+                lines.sort_unstable_by_key(|&(i, _)| i);
+                let cells = lines.iter().map(|(_, line)| line.as_str());
+                (hits, misses, eval_line(&req.id, cells, hits, misses))
             }
             // Memo replays finish in microseconds and never queue
             // anyone; folding them into the service-time EWMA would
@@ -881,12 +876,13 @@ impl Runtime {
                 self.metrics.note_memo_served();
                 let n = cells.len();
                 if !streamed {
-                    (n, 0, warm_eval_line(&req.id, &cells))
+                    let lines = cells.iter().map(|cell| cell.line.as_str());
+                    (n, 0, eval_line(&req.id, lines, n, 0))
                 } else {
                     for cell in &cells {
                         sink.send_raw(&cell.line)?;
                     }
-                    (n, 0, done(n, 0)?)
+                    (n, 0, done(n, 0))
                 }
             }
         };
@@ -1014,7 +1010,7 @@ impl Local {
             .jobs(split_jobs(self.jobs_budget, in_flight))
             .force(req.force)
             .run_with(&req.scenarios, |i, cell| {
-                emit(i, CellOutcome::from_cell(cell), None);
+                emit(i, &cell_line(CellOutcome::from_cell(cell)));
             });
         if let Some(keys) = keys {
             let mut memo = self.memo.lock().expect("memo lock");
@@ -1068,38 +1064,43 @@ fn record_stage(traced: Option<&Traced>, id: &str, stage: &str, dur: Duration) {
     }
 }
 
-/// The v1 response line over the cells a backend emitted, in any order.
-fn buffered_line(
+/// A finished cell's `{"Cell":…}` line, serialized on the engine thread
+/// that computed the cell, or for the memo.
+pub(crate) fn cell_line(cell: CellOutcome) -> String {
+    serde_json::to_string(&Response::Cell(cell)).expect("frame serialization is infallible")
+}
+
+/// The envelope [`cell_line`] writes around a cell's outcome object.
+const CELL_OPEN: &str = r#"{"Cell":"#;
+
+/// Whether a `Cell` line from outside this process can be passed on as
+/// it stands: one object inside exactly the envelope [`cell_line`]
+/// writes, so [`eval_line`] splices that object and nothing else.
+pub(crate) fn splices(line: &str) -> bool {
+    let outcome = line
+        .strip_prefix(CELL_OPEN)
+        .and_then(|l| l.strip_suffix('}'));
+    outcome.is_some_and(|o| {
+        let mut r = serde::Reader::new(o);
+        o.ends_with('}') && r.skip_value().is_ok() && r.end().is_ok()
+    })
+}
+
+/// The one writer of every successful v1 reply: the `Eval` line around
+/// `cell_lines`, the batch's `Cell` lines in request order, each spliced
+/// in without its envelope. Byte-identical to serializing the equivalent
+/// [`Response::Eval`] (unit tests pin this for the engine, the memo and
+/// the coordinator), so no source is distinguishable on the wire.
+fn eval_line<'a>(
     id: &str,
-    mut cells: Vec<(usize, CellOutcome)>,
+    cell_lines: impl Iterator<Item = &'a str> + Clone,
     hits: usize,
     misses: usize,
-) -> io::Result<String> {
-    cells.sort_unstable_by_key(|&(i, _)| i);
-    frame_line(&Response::Eval(EvalResponse {
-        version: API_V1,
-        id: id.to_owned(),
-        cells: cells.into_iter().map(|(_, cell)| cell).collect(),
-        hits,
-        misses,
-        error: None,
-    }))
-}
-
-/// One frame's wire line.
-fn frame_line(frame: &Response) -> io::Result<String> {
-    serde_json::to_string(frame).map_err(|e| io::Error::other(e.to_string()))
-}
-
-/// Assembles the buffered v1 warm response line around the memoized
-/// cells' pre-serialized outcome objects — splicing cached bytes instead
-/// of cloning and re-serializing every outcome. Byte-identical to
-/// serializing the equivalent [`Response::Eval`] (a unit test pins
-/// this): the fast path must not be distinguishable on the wire.
-fn warm_eval_line(id: &str, cells: &[Arc<MemoCell>]) -> String {
+) -> String {
     use std::fmt::Write as _;
     let id_json = serde_json::to_string(id).expect("string serialization is infallible");
-    let cells_len: usize = cells.iter().map(|c| c.outcome_json().len() + 1).sum();
+    let outcomes = cell_lines.map(|line| &line[CELL_OPEN.len()..line.len() - 1]);
+    let cells_len: usize = outcomes.clone().map(|o| o.len() + 1).sum();
     // The envelope around the id and the cells is under 128 bytes, so
     // the line is built without a reallocation.
     let mut line = String::with_capacity(cells_len + id_json.len() + 128);
@@ -1107,16 +1108,15 @@ fn warm_eval_line(id: &str, cells: &[Arc<MemoCell>]) -> String {
         line,
         "{{\"Eval\":{{\"version\":{API_V1},\"id\":{id_json},\"cells\":["
     );
-    for (i, cell) in cells.iter().enumerate() {
+    for (i, outcome) in outcomes.enumerate() {
         if i > 0 {
             line.push(',');
         }
-        line.push_str(cell.outcome_json());
+        line.push_str(outcome);
     }
     let _ = write!(
         line,
-        "],\"hits\":{},\"misses\":0,\"error\":null}}}}",
-        cells.len()
+        "],\"hits\":{hits},\"misses\":{misses},\"error\":null}}}}"
     );
     line
 }
@@ -1139,25 +1139,14 @@ impl<'a> LatchSink<'a> {
         }
     }
 
-    fn dispatch(&self, send: impl FnOnce(&mut dyn FrameSink) -> io::Result<()>) {
-        let mut guard = self.inner.lock().expect("sink lock");
-        if guard.1.is_some() {
-            return;
-        }
-        if let Err(e) = send(guard.0) {
-            guard.1 = Some(e);
-        }
-    }
-
-    /// Sends one typed frame (no-op once an error is latched).
-    fn send(&self, frame: &Response) {
-        self.dispatch(|sink| sink.send(frame));
-    }
-
-    /// Forwards one already-serialized frame line (no-op once an error
-    /// is latched).
+    /// Forwards one frame line (no-op once an error is latched).
     fn send_raw(&self, line: &str) {
-        self.dispatch(|sink| sink.send_raw(line));
+        let mut guard = self.inner.lock().expect("sink lock");
+        if guard.1.is_none() {
+            if let Err(e) = guard.0.send_raw(line) {
+                guard.1 = Some(e);
+            }
+        }
     }
 
     /// Hands the sink back along with the first error, if any.

@@ -72,6 +72,11 @@ pub const DEFAULT_OUTBUF_CAP: usize = 16 * 1024 * 1024;
 /// grid's request (`dse-full`) is about 32 KiB.
 pub const MAX_LINE_BYTES: usize = 1024 * 1024;
 
+/// The most bytes one pass reads from one connection (readiness is
+/// level-triggered, so the rest fires the next pass): a client writing
+/// as fast as the loop reads cannot hold the loop in its read.
+const READ_BUDGET: usize = 256 * 1024;
+
 /// How long a shutdown drain may wait on unflushed outbufs before
 /// force-closing them — the reactor's analogue of a per-connection
 /// 60 s write timeout.
@@ -81,31 +86,19 @@ const LISTENER: Token = Token(0);
 const WAKER: Token = Token(1);
 const FIRST_CONN: usize = 2;
 
-/// Sizing of the reactor: handler workers and the outbuf bound.
+/// The reactor's one setting: the outbuf bound.
 #[derive(Debug, Clone, Copy)]
 pub struct ReactorConfig {
-    /// Threads executing request lines. More than the admission depth,
-    /// so control frames (`Ping`/`Status`) and fast rejections keep
-    /// flowing while every slot runs an evaluation.
-    pub workers: usize,
     /// Per-connection bound on buffered response bytes; exceeding it
     /// disconnects the (slow-reading) client.
     pub outbuf_cap: usize,
 }
 
-impl ReactorConfig {
-    /// The sizing for a runtime admitting `queue_depth` evaluations.
-    pub fn for_queue_depth(queue_depth: usize) -> Self {
-        Self {
-            workers: queue_depth.saturating_add(2).clamp(2, 32),
-            outbuf_cap: DEFAULT_OUTBUF_CAP,
-        }
-    }
-}
-
 impl Default for ReactorConfig {
     fn default() -> Self {
-        Self::for_queue_depth(super::DEFAULT_QUEUE_DEPTH)
+        Self {
+            outbuf_cap: DEFAULT_OUTBUF_CAP,
+        }
     }
 }
 
@@ -288,12 +281,6 @@ impl OutBuf {
     }
 }
 
-/// The cross-thread state of one connection's output side.
-#[derive(Debug)]
-struct ConnOut {
-    buf: Mutex<OutBuf>,
-}
-
 /// What reactor and workers share: the wakeup channel back into the
 /// poll loop and the queues it drains.
 struct Shared {
@@ -321,7 +308,7 @@ struct Job {
     conn: usize,
     line: String,
     received: Instant,
-    out: Arc<ConnOut>,
+    out: Arc<Mutex<OutBuf>>,
 }
 
 /// One finished handler call.
@@ -339,7 +326,7 @@ struct DoneMsg {
 /// so a warm request costs no waker round trip.
 struct ConnSink<'a> {
     conn: usize,
-    out: &'a ConnOut,
+    out: &'a Mutex<OutBuf>,
     metrics: &'a Registry,
     wake: Option<&'a Shared>,
 }
@@ -352,7 +339,7 @@ impl FrameSink for ConnSink<'_> {
 
     fn send_raw(&mut self, line: &str) -> io::Result<()> {
         let depth = {
-            let mut out = self.out.buf.lock().expect("outbuf lock");
+            let mut out = self.out.lock().expect("outbuf lock");
             out.push(line)?;
             out.len()
         };
@@ -369,7 +356,8 @@ struct Conn {
     stream: TcpStream,
     peer: String,
     inbuf: LineBuf,
-    out: Arc<ConnOut>,
+    /// The output side, shared with the worker answering a line.
+    out: Arc<Mutex<OutBuf>>,
     /// Parsed request lines (with their receipt stamp) waiting behind
     /// the in-flight one. Responses must come back in request order —
     /// a sequential per-connection loop gets that for free, so the
@@ -393,13 +381,16 @@ struct Conn {
 
 impl Conn {
     fn outbuf_is_empty(&self) -> bool {
-        self.out.buf.lock().expect("outbuf lock").is_empty()
+        self.out.lock().expect("outbuf lock").is_empty()
     }
 }
 
 /// Runs the event-driven accept loop until a `Shutdown` request
 /// drains it: serve every connection through `runtime`, log one line
-/// per served request unless `quiet`.
+/// per served request unless `quiet`. The pool executing request lines
+/// holds two threads more than the runtime's admission depth (2 to 32),
+/// so control frames (`Ping`/`Status`) and fast rejections keep flowing
+/// while every slot runs an evaluation.
 pub fn serve_reactor(
     listener: TcpListener,
     runtime: Arc<Runtime>,
@@ -419,7 +410,8 @@ pub fn serve_reactor(
 
     let (job_tx, job_rx) = mpsc::channel::<Job>();
     let job_rx = Arc::new(Mutex::new(job_rx));
-    let worker_handles: Vec<_> = (0..config.workers.max(1))
+    let workers = runtime.gate().depth().saturating_add(2).clamp(2, 32);
+    let worker_handles: Vec<_> = (0..workers)
         .map(|n| {
             let rx = Arc::clone(&job_rx);
             let runtime = Arc::clone(&runtime);
@@ -641,9 +633,7 @@ impl Reactor {
                 stream,
                 peer,
                 inbuf: LineBuf::default(),
-                out: Arc::new(ConnOut {
-                    buf: Mutex::new(OutBuf::new(self.outbuf_cap)),
-                }),
+                out: Arc::new(Mutex::new(OutBuf::new(self.outbuf_cap))),
                 queued: VecDeque::new(),
                 pending: 0,
                 read_closed: false,
@@ -655,8 +645,8 @@ impl Reactor {
         Ok(())
     }
 
-    /// Drains the socket to EAGAIN, queueing every complete line, or
-    /// until a line outgrows [`MAX_LINE_BYTES`].
+    /// Reads the socket to EAGAIN or [`READ_BUDGET`] bytes, queueing
+    /// every complete line, or until a line outgrows [`MAX_LINE_BYTES`].
     fn read_ready(&mut self, id: usize) {
         let read_started = Instant::now();
         let Some(conn) = self.conns.get_mut(&id) else {
@@ -666,6 +656,7 @@ impl Reactor {
             return;
         }
         let mut chunk = [0u8; 16 * 1024];
+        let mut budget = READ_BUDGET;
         loop {
             match conn.stream.read(&mut chunk) {
                 Ok(0) => {
@@ -687,6 +678,10 @@ impl Reactor {
                         conn.inbuf = LineBuf::default();
                         conn.read_closed = true;
                         conn.overlong = true;
+                        break;
+                    }
+                    budget = budget.saturating_sub(n);
+                    if budget == 0 {
                         break;
                     }
                 }
@@ -738,7 +733,7 @@ impl Reactor {
                     let line = serde_json::to_string(&frame).expect("frame serializes");
                     // A full or closed outbuf refuses the frame, and
                     // `refresh` disconnects the connection either way.
-                    let _ = conn.out.buf.lock().expect("outbuf lock").push(&line);
+                    let _ = conn.out.lock().expect("outbuf lock").push(&line);
                 }
                 return;
             };
@@ -787,7 +782,7 @@ impl Reactor {
             return;
         };
         {
-            let mut out = conn.out.buf.lock().expect("outbuf lock");
+            let mut out = conn.out.lock().expect("outbuf lock");
             if out.overflowed() {
                 drop(out);
                 self.runtime.metrics().note_slow_reader_disconnect();
@@ -855,7 +850,7 @@ impl Reactor {
         let Some(conn) = self.conns.remove(&id) else {
             return;
         };
-        conn.out.buf.lock().expect("outbuf lock").close();
+        conn.out.lock().expect("outbuf lock").close();
         if conn.registered.is_some() {
             let fd = conn.stream.as_raw_fd();
             let _ = self.poll.registry().deregister(&mut SourceFd(&fd));

@@ -227,10 +227,7 @@ fn slow_reader_overflowing_the_outbuf_is_disconnected() {
             listener,
             Arc::new(runtime),
             true,
-            ReactorConfig {
-                workers: 2,
-                outbuf_cap: 2048,
-            },
+            ReactorConfig { outbuf_cap: 2048 },
         )
     });
 
