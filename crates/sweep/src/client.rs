@@ -43,7 +43,7 @@ pub enum StreamOutcome {
 
 /// How `Busy` answers are retried inside one logical exchange:
 /// exponential backoff with jitter, seeded from the server's own EWMA
-/// `retry_after_ms` hint ([`backoff_ms`]).
+/// `retry_after_ms` hint (see `backoff_ms`).
 #[derive(Debug, Clone)]
 pub struct RetryPolicy {
     /// Total tries, including the first (1 = no retry).

@@ -24,7 +24,7 @@
 //!   grids report progress instead of going silent.
 //! * **One form per cell** — a finished cell crosses this server only
 //!   as its `{"Cell":…}` line, which v2 streams as it stands and the one
-//!   v1 writer ([`eval_line`]) splices, whatever the line's source.
+//!   v1 writer (`eval_line`) splices, whatever the line's source.
 //! * **Warm-path memoization** — a bounded in-memory memo holds each
 //!   completed cell's line, keyed by the cell's
 //!   canonical wire text (its scenario as `serde_json::to_string` writes
