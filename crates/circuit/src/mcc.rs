@@ -144,24 +144,9 @@ impl Mcc {
         }
     }
 
-    /// The memory cluster.
-    pub fn cluster(&self) -> &MemoryCluster {
-        &self.cluster
-    }
-
-    /// Mutable access to the memory cluster.
-    pub fn cluster_mut(&mut self) -> &mut MemoryCluster {
-        &mut self.cluster
-    }
-
     /// Actual capacitance of the unit capacitor, in farads.
     pub fn capacitance(&self) -> crate::units::Farad {
         crate::units::Farad::new(crate::UNIT_CAP * self.cap_multiplier)
-    }
-
-    /// The 1-bit weight currently multiplying the row voltage.
-    pub fn weight_bit(&self) -> bool {
-        self.cluster.active_bit()
     }
 }
 

@@ -95,11 +95,6 @@ impl FunctionalAttentionFlow {
         })
     }
 
-    /// The float projections (for the reference path).
-    pub fn reference_projections(&self) -> (&Matrix, &Matrix, &Matrix) {
-        (&self.wq, &self.wk, &self.wv)
-    }
-
     /// One array VMM: signed weights (stored offset-encoded), signed inputs
     /// (split into positive/negative passes), analog readout.
     ///

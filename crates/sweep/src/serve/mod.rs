@@ -377,22 +377,13 @@ impl Served {
     }
 }
 
-/// One memoized cell (status already rewritten to `Hit`): its display
-/// id, which trace records name a warm batch by, and its [`cell_line`],
-/// which v2 replays as it stands and [`eval_line`] splices into v1.
+/// One memoized cell (its status `Hit`): its display id, which trace
+/// records name a warm batch by, and its [`cell_line`], which v2
+/// replays as it stands and [`eval_line`] splices into v1.
 #[derive(Debug)]
 pub(crate) struct MemoCell {
     id: String,
     line: String,
-}
-
-impl MemoCell {
-    fn new(outcome: CellOutcome) -> Self {
-        Self {
-            id: outcome.id.clone(),
-            line: cell_line(outcome),
-        }
-    }
 }
 
 /// The warm memo: a cell's canonical wire text ([`memo_key`]) →
@@ -993,10 +984,12 @@ impl Local {
     /// A memo miss: the engine runs the batch (cache hits still count
     /// as hits) under the request's `force` flag, on its share of the
     /// worker budget split across the `in_flight` admitted requests.
-    /// The finished cells then refresh the memo under their `keys`.
-    /// Failed cells are never memoized (a retry should re-attempt them,
-    /// and a replay must not resurrect stale failures), and without a
-    /// cache (no keys) the memo stays off entirely.
+    /// The finished cells then refresh the memo under their `keys`: a
+    /// cache hit's emitted line already says `Hit` and goes in as it
+    /// stands, and only a computed cell is written again. Failed cells
+    /// are never memoized (a retry should re-attempt them, and a replay
+    /// must not resurrect stale failures), and without a cache (no
+    /// keys) the memo stays off entirely.
     fn evaluate(
         &self,
         req: &EvalRequest,
@@ -1004,21 +997,31 @@ impl Local {
         in_flight: usize,
         emit: &Emit,
     ) -> Ran {
+        let hit_lines = Mutex::new(vec![None; req.scenarios.len()]);
         let report = self
             .engine
             .clone()
             .jobs(split_jobs(self.jobs_budget, in_flight))
             .force(req.force)
             .run_with(&req.scenarios, |i, cell| {
-                emit(i, &cell_line(CellOutcome::from_cell(cell)));
+                let line = cell_line(CellOutcome::from_cell(cell));
+                emit(i, &line);
+                if cell.cached {
+                    hit_lines.lock().expect("hit lines lock")[i] = Some(line);
+                }
             });
         if let Some(keys) = keys {
+            let hit_lines = hit_lines.into_inner().expect("hit lines lock");
             let mut memo = self.memo.lock().expect("memo lock");
-            for (cell, key) in report.cells.iter().zip(keys) {
+            for ((cell, key), hit_line) in report.cells.iter().zip(keys).zip(hit_lines) {
                 if cell.error.is_none() {
-                    let mut outcome = CellOutcome::from_cell(cell);
-                    outcome.status = CellStatus::Hit;
-                    memo.insert(key, MemoCell::new(outcome));
+                    let line = hit_line.unwrap_or_else(|| {
+                        let mut outcome = CellOutcome::from_cell(cell);
+                        outcome.status = CellStatus::Hit;
+                        cell_line(outcome)
+                    });
+                    let id = cell.scenario.id.clone();
+                    memo.insert(key, MemoCell { id, line });
                 }
             }
         }

@@ -26,27 +26,32 @@
 //! ```
 //!
 //! * **Pipelining** — a client may write any number of request lines
-//!   without waiting for responses; the reactor parses them all out of
-//!   the shared read buffer and answers each exactly once, **in
-//!   request order**. At most one line per connection is in flight at
-//!   a time (the rest wait in the connection's queue), because frames
-//!   of concurrently-served requests would interleave — a v2 `Cell`
-//!   carries no request id, so ordering *is* the framing. Distinct
-//!   connections still run fully in parallel.
+//!   without waiting for responses; the reactor answers each exactly
+//!   once, **in request order**. At most one line per connection is in
+//!   flight at a time, because frames of concurrently-served requests
+//!   would interleave — a v2 `Cell` carries no request id, so ordering
+//!   *is* the framing. Distinct connections still run fully in
+//!   parallel.
+//! * **The read rule** — a connection is read only while none of its
+//!   lines is in flight or waiting in its [`LineBuf`], and a read ends
+//!   at the first complete line. Lines pipelined behind the one in
+//!   flight wait in the kernel's socket buffer, whose bound TCP pushes
+//!   back on the client with, and one pass answers inline only the
+//!   lines one read completed on each connection.
 //! * **Backpressure** — frames are appended to a bounded
 //!   per-connection [`OutBuf`]; a partial write keeps the remainder
 //!   and arms `WRITABLE` interest (EAGAIN requeues the flush), and a
 //!   client that stops reading until the buffer hits its cap is
 //!   disconnected instead of holding server memory hostage.
 //! * **Bounded lines** — past [`MAX_LINE_BYTES`] without a newline, a
-//!   connection is not read further: its earlier lines are answered,
-//!   then one `Error` frame, and it is closed.
+//!   connection gets one `Error` frame at once (its earlier lines were
+//!   answered before that read) and is closed.
 //! * **Deadlines** — each line is stamped with its receipt
 //!   [`Instant`]; the admission gate answers `Busy` for requests whose
 //!   `deadline_ms` expired while queued, instead of occupying a slot.
 //! * **Shutdown** — on a served `Shutdown` the reactor stops
-//!   accepting and stops reading, then drains: every dispatched line
-//!   finishes and every outbuf flushes (the `Bye` reaches its client)
+//!   accepting and stops reading, then drains: every line already read
+//!   is answered and every outbuf flushes (the `Bye` reaches its client)
 //!   before the loop exits, bounded by a grace period mirroring the
 //!   60 s per-connection write timeout.
 
@@ -55,7 +60,7 @@ use crate::api::{Response, SweepError};
 use crate::telemetry::Registry;
 use mio::unix::SourceFd;
 use mio::{Events, Interest, Poll, Token, Waker};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -71,11 +76,6 @@ pub const DEFAULT_OUTBUF_CAP: usize = 16 * 1024 * 1024;
 /// The longest request line a connection may send; the largest named
 /// grid's request (`dse-full`) is about 32 KiB.
 pub const MAX_LINE_BYTES: usize = 1024 * 1024;
-
-/// The most bytes one pass reads from one connection (readiness is
-/// level-triggered, so the rest fires the next pass): a client writing
-/// as fast as the loop reads cannot hold the loop in its read.
-const READ_BUDGET: usize = 256 * 1024;
 
 /// How long a shutdown drain may wait on unflushed outbufs before
 /// force-closing them — the reactor's analogue of a per-connection
@@ -112,8 +112,8 @@ pub(crate) struct LineBuf {
     /// cursor; shifting the rest of the buffer per line would make a
     /// pipelined burst cost quadratic time.
     start: usize,
-    /// How far the buffer has been scanned for a newline, so repeated
-    /// partial reads do not rescan the same prefix.
+    /// How far the buffer has been scanned for a newline (at the newline
+    /// once one is found), so repeated reads do not rescan a prefix.
     scanned: usize,
 }
 
@@ -135,31 +135,40 @@ impl LineBuf {
         self.buf.len() - self.start
     }
 
+    /// Whether a complete line is waiting. The search resumes where the
+    /// last one stopped and stops at the newline it finds.
+    pub(crate) fn has_line(&mut self) -> bool {
+        match find_newline(&self.buf[self.scanned..]) {
+            Some(offset) => {
+                self.scanned += offset;
+                true
+            }
+            None => {
+                self.scanned = self.buf.len();
+                false
+            }
+        }
+    }
+
     /// Pops the next complete line (newline stripped, CRLF tolerated).
     /// Invalid UTF-8 is replaced rather than fatal — the dispatch
     /// answers such lines as malformed requests.
     pub(crate) fn next_line(&mut self) -> Option<String> {
-        match find_newline(&self.buf[self.scanned..]) {
-            Some(offset) => {
-                let end = self.scanned + offset;
-                let line = &self.buf[self.start..end];
-                let line = line.strip_suffix(b"\r").unwrap_or(line);
-                // The checked copy first: on valid text it is several
-                // times faster than the lossy walk, which only lines with
-                // invalid bytes need.
-                let line = match std::str::from_utf8(line) {
-                    Ok(line) => line.to_owned(),
-                    Err(_) => String::from_utf8_lossy(line).into_owned(),
-                };
-                self.start = end + 1;
-                self.scanned = self.start;
-                Some(line)
-            }
-            None => {
-                self.scanned = self.buf.len();
-                None
-            }
+        if !self.has_line() {
+            return None;
         }
+        let line = &self.buf[self.start..self.scanned];
+        let line = line.strip_suffix(b"\r").unwrap_or(line);
+        // The checked copy first: on valid text it is several times
+        // faster than the lossy walk, which only lines with invalid
+        // bytes need.
+        let line = match std::str::from_utf8(line) {
+            Ok(line) => line.to_owned(),
+            Err(_) => String::from_utf8_lossy(line).into_owned(),
+        };
+        self.start = self.scanned + 1;
+        self.scanned = self.start;
+        Some(line)
     }
 }
 
@@ -355,26 +364,21 @@ impl FrameSink for ConnSink<'_> {
 struct Conn {
     stream: TcpStream,
     peer: String,
+    /// Bytes read and not popped: the lines one read completed, waiting
+    /// behind the one in flight, and at most one partial line.
     inbuf: LineBuf,
+    /// When the read that completed the waiting lines returned.
+    received: Instant,
     /// The output side, shared with the worker answering a line.
     out: Arc<Mutex<OutBuf>>,
-    /// Parsed request lines (with their receipt stamp) waiting behind
-    /// the in-flight one. Responses must come back in request order —
-    /// a sequential per-connection loop gets that for free, so the
-    /// reactor keeps at most ONE line per connection in flight and
-    /// queues the rest here; [`Reactor::advance`] drains it.
-    queued: VecDeque<(String, Instant)>,
-    /// Lines dispatched to workers and not yet reported done (0 or 1).
+    /// Lines dispatched to workers and not yet reported done: 0 or 1,
+    /// since responses must come back in request order.
     pending: usize,
-    /// EOF observed (or reads stopped by shutdown); no more dispatch.
+    /// EOF observed, or a line outgrew [`MAX_LINE_BYTES`]: no more reads.
     read_closed: bool,
     /// Close once pending work and the outbuf drain (a served
     /// `Shutdown`'s connection stops reading further requests).
     closing: bool,
-    /// A line outgrew [`MAX_LINE_BYTES`]: reads stopped, and the
-    /// `Error` frame answering it is owed once the lines before it are
-    /// answered.
-    overlong: bool,
     /// The current epoll registration, `None` when deregistered.
     registered: Option<(bool, bool)>,
 }
@@ -382,6 +386,12 @@ struct Conn {
 impl Conn {
     fn outbuf_is_empty(&self) -> bool {
         self.out.lock().expect("outbuf lock").is_empty()
+    }
+
+    /// The read rule: read only while none of this connection's lines
+    /// is in flight or waiting, so the socket is its only queue.
+    fn wants_read(&mut self) -> bool {
+        !self.read_closed && !self.closing && self.pending == 0 && !self.inbuf.has_line()
     }
 }
 
@@ -514,7 +524,7 @@ impl Reactor {
                 }
             }
             // Handler completions: bookkeeping, logging, shutdown —
-            // then the connection's next queued line, if any.
+            // then the connection's next waiting line, if any.
             let done = std::mem::take(&mut *self.shared.done.lock().expect("done lock"));
             for msg in done {
                 touched.push(msg.conn);
@@ -554,8 +564,8 @@ impl Reactor {
             if let Some(since) = self.shutdown {
                 let drained = self
                     .conns
-                    .values()
-                    .all(|c| c.pending == 0 && c.queued.is_empty() && c.outbuf_is_empty());
+                    .values_mut()
+                    .all(|c| c.pending == 0 && !c.inbuf.has_line() && c.outbuf_is_empty());
                 if drained || since.elapsed() >= SHUTDOWN_GRACE {
                     break;
                 }
@@ -633,30 +643,31 @@ impl Reactor {
                 stream,
                 peer,
                 inbuf: LineBuf::default(),
+                received: Instant::now(),
                 out: Arc::new(Mutex::new(OutBuf::new(self.outbuf_cap))),
-                queued: VecDeque::new(),
                 pending: 0,
                 read_closed: false,
                 closing: false,
-                overlong: false,
                 registered: Some((true, false)),
             },
         );
         Ok(())
     }
 
-    /// Reads the socket to EAGAIN or [`READ_BUDGET`] bytes, queueing
-    /// every complete line, or until a line outgrows [`MAX_LINE_BYTES`].
+    /// Reads the socket up to the first complete line, EAGAIN or EOF,
+    /// then serves the lines read. A line past [`MAX_LINE_BYTES`] gets
+    /// its `Error` frame at once: nothing else of the connection is in
+    /// flight or waiting.
     fn read_ready(&mut self, id: usize) {
         let read_started = Instant::now();
         let Some(conn) = self.conns.get_mut(&id) else {
             return;
         };
-        if conn.read_closed {
+        // Hangups report readable whatever the registration asked for.
+        if self.shutdown.is_some() || !conn.wants_read() {
             return;
         }
         let mut chunk = [0u8; 16 * 1024];
-        let mut budget = READ_BUDGET;
         loop {
             match conn.stream.read(&mut chunk) {
                 Ok(0) => {
@@ -665,23 +676,25 @@ impl Reactor {
                 }
                 Ok(n) => {
                     conn.inbuf.feed(&chunk[..n]);
-                    let received = Instant::now();
-                    while let Some(line) = conn.inbuf.next_line() {
-                        // Blank lines are skipped, and lines parsed after
-                        // a shutdown dropped: the drain covers work in
-                        // flight (queued included), not new work.
-                        if !line.trim().is_empty() && self.shutdown.is_none() {
-                            conn.queued.push_back((line, received));
-                        }
+                    if conn.inbuf.has_line() {
+                        conn.received = Instant::now();
+                        break;
                     }
                     if conn.inbuf.pending() > MAX_LINE_BYTES {
                         conn.inbuf = LineBuf::default();
                         conn.read_closed = true;
-                        conn.overlong = true;
-                        break;
-                    }
-                    budget = budget.saturating_sub(n);
-                    if budget == 0 {
+                        eprintln!(
+                            "warning: [{}] request line over {MAX_LINE_BYTES} bytes — disconnecting",
+                            conn.peer
+                        );
+                        let frame = Response::Error(SweepError::schema(
+                            "request line",
+                            format!("no newline within {MAX_LINE_BYTES} bytes"),
+                        ));
+                        let line = serde_json::to_string(&frame).expect("frame serializes");
+                        // A full or closed outbuf refuses the frame, and
+                        // `refresh` disconnects the connection either way.
+                        let _ = conn.out.lock().expect("outbuf lock").push(&line);
                         break;
                     }
                 }
@@ -700,17 +713,16 @@ impl Reactor {
         self.advance(id);
     }
 
-    /// Serves the connection's queued lines in request order: warm
+    /// Serves the connection's waiting lines in request order: warm
     /// lines ([`Runtime::try_handle_warm`]) are answered right on
     /// this thread — no worker handoff, no waker round trip; the
     /// response bytes flush in this same event-loop pass — and the
     /// first line needing compute is dispatched to the worker pool.
     /// At most one line per connection is ever in flight, so responses
     /// come back in request order even under pipelining (a warm line
-    /// never jumps ahead of a queued cold one, and two cold streams
-    /// can't interleave their frames). An overlong line's `Error` frame
-    /// goes out once the queue is empty. Called again on each job
-    /// completion to keep the queue moving.
+    /// never jumps ahead of a waiting cold one, and two cold streams
+    /// can't interleave their frames). Called again on each job
+    /// completion to keep the lines moving.
     fn advance(&mut self, id: usize) {
         let runtime = Arc::clone(&self.runtime);
         loop {
@@ -720,23 +732,13 @@ impl Reactor {
             if conn.pending > 0 {
                 return;
             }
-            let Some((line, received)) = conn.queued.pop_front() else {
-                if std::mem::take(&mut conn.overlong) {
-                    eprintln!(
-                        "warning: [{}] request line over {MAX_LINE_BYTES} bytes — disconnecting",
-                        conn.peer
-                    );
-                    let frame = Response::Error(SweepError::schema(
-                        "request line",
-                        format!("no newline within {MAX_LINE_BYTES} bytes"),
-                    ));
-                    let line = serde_json::to_string(&frame).expect("frame serializes");
-                    // A full or closed outbuf refuses the frame, and
-                    // `refresh` disconnects the connection either way.
-                    let _ = conn.out.lock().expect("outbuf lock").push(&line);
-                }
+            let Some(line) = conn.inbuf.next_line() else {
                 return;
             };
+            if line.trim().is_empty() {
+                continue;
+            }
+            let received = conn.received;
             let out = Arc::clone(&conn.out);
             let peer = conn.peer.clone();
             let mut sink = ConnSink {
@@ -806,13 +808,13 @@ impl Reactor {
         let conn = self.conns.get_mut(&id).expect("conn still present");
         let done = (conn.read_closed || conn.closing)
             && conn.pending == 0
-            && conn.queued.is_empty()
+            && !conn.inbuf.has_line()
             && conn.outbuf_is_empty();
         if done {
             self.close_conn(id);
             return;
         }
-        let want_read = !conn.read_closed && !conn.closing && self.shutdown.is_none();
+        let want_read = self.shutdown.is_none() && conn.wants_read();
         let want_write = !conn.outbuf_is_empty();
         let desired = (want_read, want_write);
         if conn.registered == Some(desired) {

@@ -3,21 +3,27 @@
 //! arbitrary write boundaries, slow-reader disconnects under a tiny
 //! output budget, a 1024-connection concurrency smoke (guarded by the
 //! process fd limit), byte parity between the single-box runtime and
-//! the cluster coordinator's merge, and the bound on a request line.
+//! the cluster coordinator's merge, the bound on a request line, and
+//! what the reactor reads and drains while a request is held in flight
+//! by a [`HeldPool`].
 //!
 //! Readiness is the server's announce line ("yoco-serve listening on
-//! …") — never a sleep.
+//! …") or a channel the fixture signals — never a sleep.
 
 mod common;
 
 use common::{client, spawn_coordinator, spawn_server, temp_dir};
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{Shutdown, TcpStream};
-use std::sync::Arc;
+use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::sync::{mpsc, Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use yoco_sweep::api::{EvalRequest, Request, Response};
+use yoco_sweep::api::{CellOutcome, EvalRequest, Request, Response};
+use yoco_sweep::cluster::WorkerPool;
 use yoco_sweep::serve::{listen, serve_reactor, ReactorConfig, ServeConfig, MAX_LINE_BYTES};
-use yoco_sweep::{Engine, ResultCache, Runtime, Scenario, ServeClient, StreamOutcome, StudyId};
+use yoco_sweep::{
+    Engine, ResultCache, Runtime, Scenario, ServeClient, StreamOutcome, StudyId, SweepError,
+};
 
 fn batch() -> Vec<Scenario> {
     vec![
@@ -471,4 +477,135 @@ fn a_flood_without_newlines_leaves_the_server_small() {
     );
     client(port).ping().expect("the server is still healthy");
     let _ = std::fs::remove_dir_all(cache);
+}
+
+/// A coordinator's one worker, held: `dispatch` reports on `started`,
+/// then blocks until the test drops the sender of `hold`, and fails as a
+/// worker that went away, so the request it carried is refused `Busy`.
+/// Every dispatch after the release fails at once.
+struct HeldPool {
+    started: mpsc::Sender<()>,
+    hold: Mutex<mpsc::Receiver<()>>,
+}
+
+impl WorkerPool for HeldPool {
+    fn dispatch(
+        &self,
+        _addr: &str,
+        _request: EvalRequest,
+        _on_cell: &mut dyn FnMut(&CellOutcome, &str),
+    ) -> io::Result<StreamOutcome> {
+        let _ = self.started.send(());
+        let _ = self.hold.lock().expect("hold lock").recv();
+        Err(io::Error::new(
+            io::ErrorKind::ConnectionRefused,
+            "held worker released",
+        ))
+    }
+}
+
+/// An in-process coordinator reactor over a [`HeldPool`]: its address,
+/// the receiver `dispatch` reports starts on, the sender whose drop
+/// releases the hold, and the reactor thread.
+fn held_reactor() -> (
+    SocketAddr,
+    mpsc::Receiver<()>,
+    mpsc::Sender<()>,
+    JoinHandle<io::Result<()>>,
+) {
+    let (listener, local) = listen("127.0.0.1:0").expect("binds");
+    let (started_tx, started) = mpsc::channel();
+    let (hold, hold_rx) = mpsc::channel();
+    let pool = HeldPool {
+        started: started_tx,
+        hold: Mutex::new(hold_rx),
+    };
+    let runtime = Runtime::with_pool(Box::new(pool), vec!["held".into()], 4);
+    let reactor = std::thread::spawn(move || {
+        serve_reactor(listener, Arc::new(runtime), true, ReactorConfig::default())
+    });
+    (local, started, hold, reactor)
+}
+
+fn eval_line(id: &str) -> String {
+    request_line(&Request::Eval(EvalRequest::new(id, batch())))
+}
+
+#[test]
+fn lines_pipelined_behind_a_held_request_stay_in_the_socket() {
+    let (addr, started, hold, reactor) = held_reactor();
+    let mut stream = TcpStream::connect(addr).expect("connects");
+    stream
+        .write_all(eval_line("held").as_bytes())
+        .expect("held line sends");
+    started.recv().expect("the held request reaches the pool");
+
+    // 4 KiB eval lines behind it, until a write stalls for 500 ms or
+    // 64 MiB went out. A reactor that keeps reading holds every line;
+    // one that stops leaves them to the socket buffers, which fill.
+    let pad = 4096 - eval_line("").len();
+    let line = eval_line(&"x".repeat(pad));
+    assert_eq!(line.len(), 4096);
+    stream
+        .set_write_timeout(Some(Duration::from_millis(500)))
+        .expect("timeout set");
+    let mut sent = 0usize;
+    while sent < 64 << 20 && stream.write_all(line.as_bytes()).is_ok() {
+        sent += line.len();
+    }
+    assert!(
+        sent < 32 << 20,
+        "{} KiB of lines got in behind a held request",
+        sent >> 10
+    );
+
+    drop(stream);
+    drop(hold);
+    let mut c = ServeClient::connect(&addr.to_string()).expect("connects");
+    c.set_read_timeout(Some(Duration::from_secs(120)))
+        .expect("timeout set");
+    c.shutdown().expect("clean shutdown");
+    reactor
+        .join()
+        .expect("reactor thread joins")
+        .expect("reactor exits cleanly");
+}
+
+#[test]
+fn a_shutdown_drains_a_held_request_and_the_line_read_behind_it() {
+    let (addr, started, hold, reactor) = held_reactor();
+    let mut stream = TcpStream::connect(addr).expect("connects");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(120)))
+        .expect("timeout set");
+    // One write, so one read takes both lines.
+    let mut wire = eval_line("held");
+    wire.push_str(&request_line(&Request::Ping));
+    stream.write_all(wire.as_bytes()).expect("lines send");
+    started.recv().expect("the held request reaches the pool");
+
+    let mut c = ServeClient::connect(&addr.to_string()).expect("connects");
+    c.set_read_timeout(Some(Duration::from_secs(120)))
+        .expect("timeout set");
+    c.shutdown().expect("Shutdown gets Bye");
+    drop(hold);
+
+    let mut reply = String::new();
+    stream.read_to_string(&mut reply).expect("reads to EOF");
+    let frames: Vec<Response> = reply
+        .lines()
+        .map(|line| serde_json::from_str(line).expect("frame parses"))
+        .collect();
+    assert!(
+        matches!(
+            frames.as_slice(),
+            [Response::Eval(held), Response::Pong]
+                if held.id == "held" && matches!(held.error, Some(SweepError::Busy { .. }))
+        ),
+        "{reply}"
+    );
+    reactor
+        .join()
+        .expect("reactor thread joins")
+        .expect("reactor exits cleanly");
 }
