@@ -36,15 +36,16 @@
 //! The bound address is printed as the first stdout line — the ready
 //! line — (`yoco-serve listening on 127.0.0.1:PORT`), so callers bind
 //! port `0`, wait for the line, and parse the ephemeral port instead of
-//! sleeping. A `"Shutdown"` request answers `"Bye"`, stops accepting,
-//! drains in-flight work (streamed responses finish their frames), and
-//! exits 0.
+//! sleeping. The control lines `"Ping"`, `"Status"`, `"Metrics"` and
+//! `"Shutdown"` bypass admission. A `"Shutdown"` answers `"Bye"`, stops
+//! accepting, drains in-flight work (streamed responses finish their
+//! frames) for at most 60 s, and exits 0.
 
 use std::io::Write;
 use std::process::ExitCode;
 use std::sync::Arc;
 use yoco_sweep::cli::{positive, Args};
-use yoco_sweep::serve::{listen, serve_reactor, ReactorConfig, Runtime, ServeConfig};
+use yoco_sweep::serve::{listen, serve_reactor, Runtime, ServeConfig};
 use yoco_sweep::{Engine, ResultCache};
 
 fn usage() -> &'static str {
@@ -60,7 +61,7 @@ fn usage() -> &'static str {
      {\"Eval\": {\"version\": 1, ...}}  -> one buffered EvalResponse line\n  \
      {\"Eval\": {\"version\": 2, ...}}  -> Accepted, Cell... (completion order), Done\n                                     \
      (or Busy when --queue-depth is exceeded)\n  \
-     \"Ping\" | \"Status\" | \"Shutdown\"\n\n\
+     \"Ping\" | \"Status\" | \"Metrics\" | \"Shutdown\"\n\n\
      with --coordinator, evaluations fan out over the --worker hosts\n  \
      (each a stock yoco-serve) and merge back into one exchange; when no\n  \
      worker delivers a cell (unreachable, lost, or busy), the answer is Busy"
@@ -162,7 +163,7 @@ fn serve(args: &[String]) -> Result<ExitCode, String> {
         }
     }
     let _ = std::io::stdout().flush();
-    serve_reactor(listener, Arc::new(runtime), quiet, ReactorConfig::default())
+    serve_reactor(listener, Arc::new(runtime), quiet)
         .map_err(|e| format!("reactor failed: {e}"))?;
     if !quiet {
         println!("yoco-serve shutting down");

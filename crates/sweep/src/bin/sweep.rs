@@ -285,12 +285,7 @@ fn take_addr(args: &[String]) -> Result<(&str, Vec<String>), String> {
 }
 
 fn connect(addr: &str) -> Result<ServeClient, String> {
-    let mut client =
-        ServeClient::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
-    client
-        .set_read_timeout(Some(Duration::from_secs(600)))
-        .map_err(|e| format!("cannot set read timeout: {e}"))?;
-    Ok(client)
+    ServeClient::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))
 }
 
 /// `sweep client …` — drive a running `yoco-serve` over the versioned
@@ -637,6 +632,11 @@ fn loadgen_cmd(args: &[String]) -> Outcome {
     }
 }
 
+/// The most arrivals one `loadgen` run schedules: about 0.5 GiB of
+/// offsets, assignments and samples, and ~7,800 times the largest run CI
+/// makes (1,280 arrivals).
+const MAX_ARRIVALS: usize = 10_000_000;
+
 fn loadgen_run(args: &[String]) -> Outcome {
     let mut addr = DEFAULT_ADDR;
     let mut target = "serve";
@@ -673,6 +673,18 @@ fn loadgen_run(args: &[String]) -> Outcome {
             "--no-out" => out = None,
             other => return Err(format!("unknown loadgen flag `{other}`")),
         }
+    }
+    // Refused before the schedule, whose offsets alone take 16 bytes an
+    // arrival, is allocated.
+    match loadgen::offered_count(rate, duration) {
+        0 => return Err("rate × duration offers zero arrivals — raise one of them".into()),
+        n if n > MAX_ARRIVALS => {
+            return Err(format!(
+                "rate × duration offers {n} arrivals, over the {MAX_ARRIVALS} a run may \
+                 hold — lower one of them"
+            ));
+        }
+        _ => {}
     }
     let mix = loadgen::Mix::parse(mix_spec)?;
 
@@ -712,9 +724,6 @@ fn loadgen_run(args: &[String]) -> Outcome {
     }
 
     let plan = loadgen::schedule(arrivals, rate, duration, seed);
-    if plan.is_empty() {
-        return Err("rate × duration offers zero arrivals — raise one of them".into());
-    }
     let assignment = mix.assign(plan.len(), seed);
     let mut issuers: Vec<Box<dyn loadgen::Issuer>> = Vec::with_capacity(connections);
     for _ in 0..connections {

@@ -20,6 +20,18 @@ use std::time::Duration;
 /// syscall into a whole batch of frames.
 const READ_CHUNK: usize = 64 * 1024;
 
+/// Bound on connecting to each address a server name resolves to. Kept
+/// short: a host that blackholes SYNs (powered off, firewalled) must
+/// cost a bounded wait — a coordinator requeues the shard after it — not
+/// the OS default of minutes.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Bound on every read. Generous: one exchange can hold multi-second
+/// Monte-Carlo studies. Past it a wedged server fails the exchange
+/// instead of hanging its caller (a coordinator's silent worker stalls
+/// only its own shard, which then requeues).
+const READ_TIMEOUT: Duration = Duration::from_secs(600);
+
 /// How a streamed (protocol-v2) exchange ended.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StreamOutcome {
@@ -98,23 +110,15 @@ pub struct ServeClient {
 }
 
 impl ServeClient {
-    /// Connects to `addr` (`HOST:PORT`) with the OS default connect
-    /// timeout.
-    pub fn connect(addr: &str) -> io::Result<Self> {
-        Self::from_stream(TcpStream::connect(addr)?)
-    }
-
     /// Connects to `addr` (`HOST:PORT`), giving up on each resolved
-    /// address after `timeout` (like `TcpStream::connect`, every
-    /// address is tried — a dual-stack hostname whose first record is
-    /// unreachable still connects via the next; worst case is one
-    /// timeout per address). The cluster coordinator dispatches to its
-    /// workers through this: a host that blackholes SYNs must cost a
-    /// bounded wait, not the OS default of minutes.
-    pub fn connect_timeout(addr: &str, timeout: Duration) -> io::Result<Self> {
+    /// address after 2 s (like `TcpStream::connect`, every address is
+    /// tried — a dual-stack hostname whose first record is unreachable
+    /// still connects via the next; worst case is one timeout per
+    /// address). Each read then waits at most 600 s.
+    pub fn connect(addr: &str) -> io::Result<Self> {
         let mut last_err = None;
         for target in addr.to_socket_addrs()? {
-            match TcpStream::connect_timeout(&target, timeout) {
+            match TcpStream::connect_timeout(&target, CONNECT_TIMEOUT) {
                 Ok(stream) => return Self::from_stream(stream),
                 Err(e) => last_err = Some(e),
             }
@@ -133,13 +137,15 @@ impl ServeClient {
         // (~40 ms) per exchange, which used to dominate warm-path
         // latency end to end.
         stream.set_nodelay(true)?;
+        stream.set_read_timeout(Some(READ_TIMEOUT))?;
         Ok(Self {
             stream,
             lines: LineBuf::default(),
         })
     }
 
-    /// Bounds every subsequent read (`None` blocks forever).
+    /// Bounds every subsequent read in place of the 600 s default
+    /// (`None` blocks forever).
     pub fn set_read_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()> {
         self.stream.set_read_timeout(timeout)
     }
@@ -400,7 +406,7 @@ mod tests {
         use crate::api::SweepError;
         use crate::engine::Engine;
         use crate::scenario::{Scenario, StudyId};
-        use crate::serve::{listen, serve_reactor, ReactorConfig, Runtime, ServeConfig};
+        use crate::serve::{listen, serve_reactor, Runtime, ServeConfig};
         use std::sync::Arc;
 
         // A runtime admitting nothing, served on an ephemeral port.
@@ -412,8 +418,7 @@ mod tests {
                 jobs: 1,
             },
         ));
-        let config = ReactorConfig::default();
-        let reactor = std::thread::spawn(move || serve_reactor(listener, runtime, true, config));
+        let reactor = std::thread::spawn(move || serve_reactor(listener, runtime, true));
         let mut client = ServeClient::connect(&local.to_string()).expect("connects");
         client
             .set_read_timeout(Some(Duration::from_secs(60)))

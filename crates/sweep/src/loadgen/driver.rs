@@ -55,11 +55,8 @@ impl TcpIssuer {
     /// client that stopped caring — the loadgen then *measures* that
     /// shedding as the deadline/Busy rate).
     pub fn connect(addr: &str, deadline_ms: Option<u64>) -> io::Result<Self> {
-        let mut client = ServeClient::connect(addr)?;
-        // A wedged server must fail the request, not hang the run.
-        client.set_read_timeout(Some(Duration::from_secs(600)))?;
         Ok(Self {
-            client,
+            client: ServeClient::connect(addr)?,
             deadline_ms,
             lines: Vec::new(),
         })
@@ -247,7 +244,7 @@ mod tests {
     use crate::loadgen::arrivals::{schedule, ArrivalKind};
     use crate::loadgen::mix::Mix;
     use crate::scenario::{AcceleratorKind, DesignPoint, Scenario, StudyId, WorkloadSpec};
-    use crate::serve::{listen, serve_reactor, ReactorConfig, Runtime, ServeConfig};
+    use crate::serve::{listen, serve_reactor, Runtime, ServeConfig};
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
@@ -396,9 +393,8 @@ mod tests {
                     jobs: 2,
                 },
             );
-            let reactor = std::thread::spawn(move || {
-                serve_reactor(listener, Arc::new(runtime), true, ReactorConfig::default())
-            });
+            let reactor =
+                std::thread::spawn(move || serve_reactor(listener, Arc::new(runtime), true));
             Self {
                 addr: local.to_string(),
                 reactor,

@@ -1,9 +1,6 @@
 //! The server runtime behind `yoco-serve`: one shared engine and cache
-//! for every connection, fronted by admission control.
-//!
-//! The PR-2 frontend ran one engine per connection and accepted
-//! unbounded work; this module is the piece that turns the NDJSON
-//! protocol into a real service:
+//! for every connection, fronted by admission control. It answers each
+//! NDJSON request line with the frames of its reply:
 //!
 //! * **Admission control** — a [`Gate`] bounds the number of evaluation
 //!   requests in flight (`--queue-depth`). Requests beyond the bound are
@@ -71,7 +68,7 @@ use std::time::{Duration, Instant};
 
 pub mod reactor;
 
-pub use reactor::{serve_reactor, ReactorConfig, DEFAULT_OUTBUF_CAP, MAX_LINE_BYTES};
+pub use reactor::{serve_reactor, MAX_LINE_BYTES};
 
 /// Default bound on concurrently admitted evaluation requests.
 pub const DEFAULT_QUEUE_DEPTH: usize = 4;

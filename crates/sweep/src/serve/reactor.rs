@@ -52,8 +52,10 @@
 //! * **Shutdown** — on a served `Shutdown` the reactor stops
 //!   accepting and stops reading, then drains: every line already read
 //!   is answered and every outbuf flushes (the `Bye` reaches its client)
-//!   before the loop exits, bounded by a grace period mirroring the
-//!   60 s per-connection write timeout.
+//!   before the loop exits. A 60 s grace bounds the drain and with it
+//!   the whole shutdown: [`serve_reactor`] returns when the loop does,
+//!   and a worker still inside a call finishes on its own (its frames
+//!   hit closed outbufs and fail fast) or ends with the process.
 
 use super::{FrameSink, Runtime, Served};
 use crate::api::{Response, SweepError};
@@ -68,39 +70,23 @@ use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Default bound on one connection's pending response bytes. Generous —
-/// a full `fig8` v1 response is tens of kilobytes — but finite: past
-/// it the client is deemed a slow reader and disconnected.
-pub const DEFAULT_OUTBUF_CAP: usize = 16 * 1024 * 1024;
+/// Bound on one connection's pending response bytes. Generous — a full
+/// `fig8` v1 response is tens of kilobytes — but finite: past it the
+/// client is deemed a slow reader and disconnected.
+const OUTBUF_CAP: usize = 16 * 1024 * 1024;
 
 /// The longest request line a connection may send; the largest named
 /// grid's request (`dse-full`) is about 32 KiB.
 pub const MAX_LINE_BYTES: usize = 1024 * 1024;
 
-/// How long a shutdown drain may wait on unflushed outbufs before
-/// force-closing them — the reactor's analogue of a per-connection
-/// 60 s write timeout.
+/// How long a shutdown may take from the served `Shutdown`: the drain
+/// answers and flushes until then, force-closes what is left, and
+/// [`serve_reactor`] returns whatever its workers are still inside.
 const SHUTDOWN_GRACE: Duration = Duration::from_secs(60);
 
 const LISTENER: Token = Token(0);
 const WAKER: Token = Token(1);
 const FIRST_CONN: usize = 2;
-
-/// The reactor's one setting: the outbuf bound.
-#[derive(Debug, Clone, Copy)]
-pub struct ReactorConfig {
-    /// Per-connection bound on buffered response bytes; exceeding it
-    /// disconnects the (slow-reading) client.
-    pub outbuf_cap: usize,
-}
-
-impl Default for ReactorConfig {
-    fn default() -> Self {
-        Self {
-            outbuf_cap: DEFAULT_OUTBUF_CAP,
-        }
-    }
-}
 
 /// An incremental NDJSON line parser over a growing byte buffer:
 /// `feed` appends whatever the socket delivered (any framing — bytes
@@ -396,17 +382,13 @@ impl Conn {
 }
 
 /// Runs the event-driven accept loop until a `Shutdown` request
-/// drains it: serve every connection through `runtime`, log one line
-/// per served request unless `quiet`. The pool executing request lines
-/// holds two threads more than the runtime's admission depth (2 to 32),
-/// so control frames (`Ping`/`Status`) and fast rejections keep flowing
-/// while every slot runs an evaluation.
-pub fn serve_reactor(
-    listener: TcpListener,
-    runtime: Arc<Runtime>,
-    quiet: bool,
-    config: ReactorConfig,
-) -> io::Result<()> {
+/// drains it or its 60 s grace runs out: serve every connection
+/// through `runtime`, log one line per served request unless `quiet`.
+/// The pool executing request lines holds two threads more than the
+/// runtime's admission depth (2 to 32), so control frames
+/// (`Ping`/`Status`) and fast rejections keep flowing while every slot
+/// runs an evaluation.
+pub fn serve_reactor(listener: TcpListener, runtime: Arc<Runtime>, quiet: bool) -> io::Result<()> {
     let poll = Poll::new()?;
     listener.set_nonblocking(true)?;
     let listener_fd = listener.as_raw_fd();
@@ -421,17 +403,17 @@ pub fn serve_reactor(
     let (job_tx, job_rx) = mpsc::channel::<Job>();
     let job_rx = Arc::new(Mutex::new(job_rx));
     let workers = runtime.gate().depth().saturating_add(2).clamp(2, 32);
-    let worker_handles: Vec<_> = (0..workers)
-        .map(|n| {
-            let rx = Arc::clone(&job_rx);
-            let runtime = Arc::clone(&runtime);
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name(format!("reactor-worker-{n}"))
-                .spawn(move || worker_loop(rx, runtime, shared))
-                .expect("spawn reactor worker")
-        })
-        .collect();
+    for n in 0..workers {
+        let rx = Arc::clone(&job_rx);
+        let runtime = Arc::clone(&runtime);
+        let shared = Arc::clone(&shared);
+        // Detached, so the grace bounds the shutdown: closing the job
+        // channel ends an idle worker, and one inside a call outlives the
+        // loop (a coordinator dispatch can wait minutes on a silent host).
+        std::thread::Builder::new()
+            .name(format!("reactor-worker-{n}"))
+            .spawn(move || worker_loop(rx, runtime, shared))?;
+    }
 
     let mut reactor = Reactor {
         poll,
@@ -441,20 +423,11 @@ pub fn serve_reactor(
         shared,
         runtime,
         job_tx: Some(job_tx),
-        outbuf_cap: config.outbuf_cap,
         quiet,
         shutdown: None,
         fd_reserve: std::fs::File::open("/dev/null").ok(),
     };
-    let result = reactor.run();
-
-    // Closing the job channel ends the workers once the queue drains
-    // (any stragglers write into closed outbufs and fail fast).
-    drop(reactor);
-    for handle in worker_handles {
-        let _ = handle.join();
-    }
-    result
+    reactor.run()
 }
 
 fn worker_loop(rx: Arc<Mutex<mpsc::Receiver<Job>>>, runtime: Arc<Runtime>, shared: Arc<Shared>) {
@@ -488,7 +461,6 @@ struct Reactor {
     shared: Arc<Shared>,
     runtime: Arc<Runtime>,
     job_tx: Option<mpsc::Sender<Job>>,
-    outbuf_cap: usize,
     quiet: bool,
     /// When a `Shutdown` was served — the drain deadline's anchor.
     shutdown: Option<Instant>,
@@ -644,7 +616,7 @@ impl Reactor {
                 peer,
                 inbuf: LineBuf::default(),
                 received: Instant::now(),
-                out: Arc::new(Mutex::new(OutBuf::new(self.outbuf_cap))),
+                out: Arc::new(Mutex::new(OutBuf::new(OUTBUF_CAP))),
                 pending: 0,
                 read_closed: false,
                 closing: false,

@@ -298,6 +298,21 @@ const SWEEP: &[Case] = &[
         "error: unknown loadgen flag `--bogus`",
     ),
     (
+        &[
+            "loadgen",
+            "--mix",
+            "fig9a:cold",
+            "--rate",
+            "1e12",
+            "--duration",
+            "10s",
+            "--no-out",
+        ],
+        1,
+        "error: rate × duration offers 10000000000000 arrivals, over the 10000000 a run may \
+         hold — lower one of them",
+    ),
+    (
         &["loadgen", "report", "--out"],
         1,
         "error: --out needs a path",

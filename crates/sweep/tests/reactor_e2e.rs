@@ -1,7 +1,7 @@
 //! End-to-end tests of the epoll reactor serve core: pipelined
 //! requests multiplexed on one connection, frames split across
-//! arbitrary write boundaries, slow-reader disconnects under a tiny
-//! output budget, a 1024-connection concurrency smoke (guarded by the
+//! arbitrary write boundaries, slow-reader disconnects at the 16 MiB
+//! output cap, a 1024-connection concurrency smoke (guarded by the
 //! process fd limit), byte parity between the single-box runtime and
 //! the cluster coordinator's merge, the bound on a request line, and
 //! what the reactor reads and drains while a request is held in flight
@@ -20,7 +20,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use yoco_sweep::api::{CellOutcome, EvalRequest, Request, Response};
 use yoco_sweep::cluster::WorkerPool;
-use yoco_sweep::serve::{listen, serve_reactor, ReactorConfig, ServeConfig, MAX_LINE_BYTES};
+use yoco_sweep::serve::{listen, serve_reactor, ServeConfig, MAX_LINE_BYTES};
 use yoco_sweep::{
     Engine, ResultCache, Runtime, Scenario, ServeClient, StreamOutcome, StudyId, SweepError,
 };
@@ -217,8 +217,8 @@ fn frames_split_across_arbitrary_write_boundaries_reassemble() {
 
 #[test]
 fn slow_reader_overflowing_the_outbuf_is_disconnected() {
-    // In-process reactor with a deliberately tiny per-connection
-    // output budget, so a reader that never drains trips the cap.
+    // In-process reactor: a reader that never drains trips the 16 MiB
+    // per-connection output cap.
     let cache_dir = temp_dir("slow-reader");
     let (listener, local) = listen("127.0.0.1:0").expect("binds");
     let runtime = Runtime::new(
@@ -228,14 +228,7 @@ fn slow_reader_overflowing_the_outbuf_is_disconnected() {
             jobs: 2,
         },
     );
-    let reactor = std::thread::spawn(move || {
-        serve_reactor(
-            listener,
-            Arc::new(runtime),
-            true,
-            ReactorConfig { outbuf_cap: 2048 },
-        )
-    });
+    let reactor = std::thread::spawn(move || serve_reactor(listener, Arc::new(runtime), true));
 
     // Prime through a well-behaved connection.
     let mut well_behaved = ServeClient::connect(&local.to_string()).expect("connects");
@@ -250,7 +243,7 @@ fn slow_reader_overflowing_the_outbuf_is_disconnected() {
     // The slow reader: pour warm requests in at full speed, never
     // read a byte. Responses outweigh requests several-fold, so once
     // the kernel's socket buffers fill, the server's writes hit
-    // EAGAIN, the 2 KiB budget overflows within one more answer, and
+    // EAGAIN, about 16 MiB of ~700-byte answers overflow the cap, and
     // the server must cut the connection (a stalled write would
     // otherwise wedge the whole event loop).
     let mut slow = TcpStream::connect(local).expect("connects");
@@ -521,9 +514,7 @@ fn held_reactor() -> (
         hold: Mutex::new(hold_rx),
     };
     let runtime = Runtime::with_pool(Box::new(pool), vec!["held".into()], 4);
-    let reactor = std::thread::spawn(move || {
-        serve_reactor(listener, Arc::new(runtime), true, ReactorConfig::default())
-    });
+    let reactor = std::thread::spawn(move || serve_reactor(listener, Arc::new(runtime), true));
     (local, started, hold, reactor)
 }
 
