@@ -27,11 +27,13 @@
 //!            [--addr HOST:PORT] [--queue-depth N] [--trace-dir PATH] [--quiet]
 //! ```
 //!
-//! `--trace-dir PATH` turns on request tracing: every admitted request
+//! `--trace-dir PATH` turns on request tracing: the runtime's registry
+//! is a traced one ([`Registry::traced`]), so every admitted request
 //! gets a span id and per-stage (`queued`/`eval`/`flush`) records are
 //! appended to `PATH/spans-<pid>.ndjson`. Aggregate them with
 //! `sweep trace report --dir PATH`. Tracing never changes response
-//! bytes — span ids travel only in worker-bound sub-request ids.
+//! bytes — span ids travel only in worker-bound sub-request ids. One
+//! process runs one server, so the span file is named by the pid.
 //!
 //! The bound address is printed as the first stdout line — the ready
 //! line — (`yoco-serve listening on 127.0.0.1:PORT`), so callers bind
@@ -46,6 +48,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use yoco_sweep::cli::{positive, Args};
 use yoco_sweep::serve::{listen, serve_reactor, Runtime, ServeConfig};
+use yoco_sweep::telemetry::Registry;
 use yoco_sweep::{Engine, ResultCache};
 
 fn usage() -> &'static str {
@@ -128,36 +131,37 @@ fn serve(args: &[String]) -> Result<ExitCode, String> {
     }
 
     // Before binding: the ready line must stay the first stdout line.
-    if let Some(dir) = &trace_dir {
-        yoco_sweep::telemetry::trace::init(dir)
-            .map_err(|e| format!("cannot open trace dir {}: {e}", dir.display()))?;
-    }
+    let registry = match &trace_dir {
+        Some(dir) => Registry::traced(dir)
+            .map_err(|e| format!("cannot open trace dir {}: {e}", dir.display()))?,
+        None => Registry::default(),
+    };
+    let (runtime, notes) = if coordinator {
+        let notes = format!(
+            "coordinator over {} workers: {}\nqueue depth {}",
+            workers.len(),
+            workers.join(", "),
+            config.queue_depth
+        );
+        (Runtime::coordinator(workers, config.queue_depth), notes)
+    } else {
+        let cache = engine
+            .cache()
+            .map(|c| format!("cache: {}\n", c.dir().display()));
+        let notes = format!(
+            "{}queue depth {}, jobs budget {}",
+            cache.unwrap_or_default(),
+            config.queue_depth,
+            config.jobs
+        );
+        (Runtime::new(engine, config), notes)
+    };
+    let runtime = runtime.with_registry(registry);
 
     let (listener, local) = listen(addr).map_err(|e| format!("cannot bind {addr}: {e}"))?;
     println!("yoco-serve listening on {local}");
-    let runtime = if coordinator {
-        if !quiet {
-            println!(
-                "coordinator over {} workers: {}",
-                workers.len(),
-                workers.join(", ")
-            );
-            println!("queue depth {}", config.queue_depth);
-        }
-        Runtime::coordinator(workers, config.queue_depth)
-    } else {
-        if !quiet {
-            if let Some(cache) = engine.cache() {
-                println!("cache: {}", cache.dir().display());
-            }
-            println!(
-                "queue depth {}, jobs budget {}",
-                config.queue_depth, config.jobs
-            );
-        }
-        Runtime::new(engine, config)
-    };
     if !quiet {
+        println!("{notes}");
         if let Some(dir) = &trace_dir {
             println!("tracing spans to {}", dir.display());
         }

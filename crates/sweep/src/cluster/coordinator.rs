@@ -277,9 +277,12 @@ pub fn report_from_outcomes(
 mod tests {
     use super::*;
     use crate::api::{EvalResponse, Request, Response, API_V1};
+    use crate::engine::Engine;
     use crate::scenario::StudyId;
     use crate::serve::tests::{RawLines, TerminalProbe};
-    use crate::serve::{Runtime, Served};
+    use crate::serve::{Runtime, ServeConfig, Served};
+    use crate::telemetry::trace::read_spans;
+    use crate::telemetry::SpanRecord;
     use std::collections::HashMap;
     use std::sync::{Arc, Condvar};
 
@@ -1037,5 +1040,101 @@ mod tests {
                 retry_after_ms: 123
             }
         );
+    }
+
+    /// A pool whose one worker is an in-process runtime: each
+    /// sub-request reaches its `handle_line` as the line `TcpPool` sends.
+    struct InProcessPool(Runtime);
+
+    impl WorkerPool for InProcessPool {
+        fn dispatch(
+            &self,
+            _addr: &str,
+            request: EvalRequest,
+            on_cell: &mut dyn FnMut(&CellOutcome, &str),
+        ) -> io::Result<StreamOutcome> {
+            let mut lines = RawLines::default();
+            self.0
+                .handle_line(&line(&Request::Eval(request)), &mut lines)?;
+            let mut cells = 0;
+            for raw in &lines.0 {
+                match serde_json::from_str(raw).expect("worker frame parses") {
+                    Response::Cell(cell) => {
+                        cells += 1;
+                        on_cell(&cell, raw);
+                    }
+                    Response::Done { hits, misses, .. } => {
+                        return Ok(StreamOutcome::Done {
+                            position: 0,
+                            cells,
+                            hits,
+                            misses,
+                        })
+                    }
+                    _ => {}
+                }
+            }
+            Err(io::Error::other("the worker sent no Done"))
+        }
+    }
+
+    #[test]
+    fn a_worker_adopts_its_coordinators_span() {
+        let dir = |side: &str| {
+            let dir =
+                std::env::temp_dir().join(format!("yoco-stitch-{side}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            dir
+        };
+        let (co_dir, worker_dir) = (dir("coordinator"), dir("worker"));
+        let worker = Runtime::new(
+            Engine::ephemeral(),
+            ServeConfig {
+                queue_depth: 2,
+                jobs: 1,
+            },
+        )
+        .with_registry(Registry::traced(&worker_dir).expect("worker trace dir opens"));
+        // The worker mints a span of its own first, so a span it adopts
+        // cannot pass for one it minted.
+        let own = EvalRequest::new("own-1", vec![Scenario::study(StudyId::Fig9a)]);
+        worker
+            .handle_line(&line(&Request::Eval(own)), &mut RawLines::default())
+            .unwrap();
+        let c = Runtime::with_pool(Box::new(InProcessPool(worker)), vec!["w".into()], 2)
+            .with_registry(Registry::traced(&co_dir).expect("coordinator trace dir opens"));
+        let request = EvalRequest::new("stitch-1", vec![Scenario::study(StudyId::Fig9a)]);
+        let mut frames: Vec<Response> = Vec::new();
+        c.handle_line(&line(&Request::Eval(request)), &mut frames)
+            .unwrap();
+        assert!(
+            matches!(&frames[..], [Response::Eval(r)] if r.is_ok()),
+            "{frames:?}"
+        );
+
+        let stages = |records: &[SpanRecord]| -> Vec<String> {
+            records.iter().map(|r| r.stage.clone()).collect()
+        };
+        let co = read_spans(&co_dir).expect("coordinator spans parse");
+        assert_eq!(stages(&co), ["queued", "eval", "flush"]);
+        let span = co[0].span.clone();
+        assert!(
+            co.iter().all(|r| r.id == "stitch-1" && r.span == span),
+            "{co:?}"
+        );
+        let mut worker = read_spans(&worker_dir).expect("worker spans parse");
+        worker.retain(|r| r.id != "own-1");
+        assert_eq!(stages(&worker), ["queued", "eval", "flush"]);
+        let sub_id = format!("stitch-1#t{span}#r0w0");
+        assert!(
+            worker.iter().all(|r| r.id == sub_id && r.span == span),
+            "the worker adopts span {span} from {sub_id}: {worker:?}"
+        );
+        assert!(worker
+            .iter()
+            .chain(&co)
+            .all(|r| r.grid == "study/fig9a" && r.cells == 1));
+        let _ = std::fs::remove_dir_all(co_dir);
+        let _ = std::fs::remove_dir_all(worker_dir);
     }
 }

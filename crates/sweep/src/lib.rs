@@ -42,8 +42,8 @@
 //!   metrics [`telemetry::Registry`] (counters, gauges, and the shared
 //!   log-linear [`LatencyHistogram`]), owned by its [`Runtime`] and
 //!   exposed through the gate-bypassing `Metrics` control frame and
-//!   Prometheus-style text, plus request-scoped stage tracing
-//!   (`--trace-dir`) aggregated by `sweep trace report`;
+//!   Prometheus-style text, plus request-scoped stage tracing into the
+//!   same registry (`--trace-dir`) aggregated by `sweep trace report`;
 //! * [`cache`] — a content-addressed result cache under `results/cache/`,
 //!   keyed by a stable hash of the scenario plus the evaluator version
 //!   ([`hash`]), with age/size garbage collection ([`cache::GcBudget`]);

@@ -57,7 +57,7 @@ use crate::cluster::{fan_out, TcpPool, WorkerPool};
 use crate::engine::Engine;
 use crate::executor;
 use crate::scenario::Scenario;
-use crate::telemetry::{trace, Registry};
+use crate::telemetry::{Registry, Stage};
 use serde::Deserialize;
 use std::collections::{HashMap, VecDeque};
 use std::io;
@@ -374,27 +374,19 @@ impl Served {
     }
 }
 
-/// One memoized cell (its status `Hit`): its display id, which trace
-/// records name a warm batch by, and its [`cell_line`], which v2
-/// replays as it stands and [`eval_line`] splices into v1.
-#[derive(Debug)]
-pub(crate) struct MemoCell {
-    id: String,
-    line: String,
-}
-
-/// The warm memo: a cell's canonical wire text ([`memo_key`]) →
-/// memoized cell. Keyed per cell rather than per batch so overlapping
-/// grids share entries — a batch warmed by *any* combination of earlier
-/// requests replays without touching the cache. The key is the
-/// scenario's serialization, so it covers every scenario field by
-/// construction, the display id that `Cell` frames embed included, and
-/// a hit is text byte-equal to a key, which decodes to exactly the
-/// scenario that key was written from. Bounded FIFO: inserting past
-/// `cap` evicts the oldest keys.
+/// The warm memo: a cell's canonical wire text ([`memo_key`]) → its
+/// [`cell_line`] with status `Hit`, which v2 replays as it stands and
+/// [`eval_line`] splices into v1. Keyed per cell rather than per batch
+/// so overlapping grids share entries — a batch warmed by *any*
+/// combination of earlier requests replays without touching the cache.
+/// The key is the scenario's serialization, so it covers every scenario
+/// field by construction, the display id that `Cell` frames embed
+/// included, and a hit is text byte-equal to a key, which decodes to
+/// exactly the scenario that key was written from. Bounded FIFO:
+/// inserting past `cap` evicts the oldest keys.
 #[derive(Debug)]
 struct CellMemo {
-    entries: HashMap<Arc<str>, Arc<MemoCell>>,
+    entries: HashMap<Arc<str>, Arc<str>>,
     /// Insertion order of `entries` keys (no duplicates: re-inserting
     /// an existing key replaces the value in place), the FIFO eviction
     /// queue.
@@ -411,21 +403,18 @@ impl CellMemo {
         }
     }
 
-    /// All-or-nothing lookup: the memoized cells of `keys` (cell texts)
+    /// All-or-nothing lookup: the memoized lines of `keys` (cell texts)
     /// in request order, or `None` if any cell is missing (the engine run
     /// then recomputes only what the result cache cannot answer).
-    fn lookup_all<'k>(
-        &self,
-        keys: impl IntoIterator<Item = &'k str>,
-    ) -> Option<Vec<Arc<MemoCell>>> {
+    fn lookup_all<'k>(&self, keys: impl IntoIterator<Item = &'k str>) -> Option<Vec<Arc<str>>> {
         keys.into_iter()
             .map(|key| self.entries.get(key).cloned())
             .collect()
     }
 
-    fn insert(&mut self, key: String, cell: MemoCell) {
+    fn insert(&mut self, key: String, line: String) {
         if let Some(slot) = self.entries.get_mut(key.as_str()) {
-            *slot = Arc::new(cell);
+            *slot = line.into();
             return;
         }
         while self.entries.len() >= self.cap {
@@ -438,7 +427,7 @@ impl CellMemo {
         }
         let key: Arc<str> = key.into();
         self.order.push_back(Arc::clone(&key));
-        self.entries.insert(key, Arc::new(cell));
+        self.entries.insert(key, line.into());
     }
 
     #[cfg(test)]
@@ -512,10 +501,10 @@ pub(crate) enum Ran {
     /// Every cell went through the emit callback; the batch's cache
     /// split.
     Cells { hits: usize, misses: usize },
-    /// Every cell is memoized: the runtime replays the cells'
-    /// pre-serialized frames (raw v2 `Cell` lines, or the spliced v1
-    /// line) and nothing is evaluated.
-    Memo(Vec<Arc<MemoCell>>),
+    /// Every cell is memoized: the runtime replays the cells' lines
+    /// (raw v2 `Cell` lines, or spliced into the v1 line) and nothing is
+    /// evaluated.
+    Memo(Vec<Arc<str>>),
 }
 
 /// The server behind both `yoco-serve` modes: an admission gate, this
@@ -608,6 +597,12 @@ impl Runtime {
                 workers,
             },
         }
+    }
+
+    /// This runtime with `metrics` as its registry, such as a traced
+    /// one ([`Registry::traced`]); `yoco-serve` builds both modes so.
+    pub fn with_registry(self, metrics: Registry) -> Self {
+        Self { metrics, ..self }
     }
 
     /// The admission gate (exposed for observability).
@@ -784,14 +779,14 @@ impl Runtime {
     }
 
     /// Runs steps 1–5 (see [`Runtime`]) for one counted v1/v2 request.
-    /// `warm` holds the batch's memoized cells when the reactor already
+    /// `warm` holds the batch's memoized lines when the reactor already
     /// found them all ([`Runtime::try_handle_warm`]).
     fn serve(
         &self,
         req: EvalRequest,
         received: Instant,
         sink: &mut dyn FrameSink,
-        warm: Option<Vec<Arc<MemoCell>>>,
+        warm: Option<Vec<Arc<str>>>,
     ) -> io::Result<Served> {
         let streamed = req.version == API_V2;
         let mut ticket = match self.admit(&req, received) {
@@ -799,10 +794,11 @@ impl Runtime {
             Err(busy) => return self.reject(sink, req.id, streamed, busy),
         };
         let queued = received.elapsed();
-        self.metrics.observe_queue_wait(queued);
-        let traced =
-            trace::span_for_request(&req.id).map(|span| Traced::new(span, &req, warm.as_deref()));
-        record_stage(traced.as_ref(), &req.id, "queued", queued);
+        let span = self
+            .metrics
+            .span(&req.id, || batch_name(&req, warm.as_deref()));
+        let span = span.as_ref();
+        self.metrics.stage(Stage::Queued, queued, span);
         if streamed {
             sink.send(&Response::Accepted {
                 id: req.id.clone(),
@@ -818,8 +814,7 @@ impl Runtime {
         let eval_started = Instant::now();
         let latch = LatchSink::new(sink);
         let lines = Mutex::new(Vec::new());
-        let span = traced.as_ref().map(|t| t.span.as_str());
-        let ran = self.call_backend(&req, warm, span, &|i, line| {
+        let ran = self.call_backend(&req, warm, span.map(|s| s.span.as_str()), &|i, line| {
             if streamed {
                 latch.send_raw(line);
             } else {
@@ -832,9 +827,8 @@ impl Runtime {
         }
         let flush_started = Instant::now();
         if !matches!(ran, Ok(Ran::Memo(_))) {
-            let evaled = flush_started - eval_started;
-            self.metrics.observe_eval(evaled);
-            record_stage(traced.as_ref(), &req.id, "eval", evaled);
+            self.metrics
+                .stage(Stage::Eval, flush_started - eval_started, span);
         }
         let done = |hits, misses| {
             let id = req.id.clone();
@@ -859,16 +853,15 @@ impl Runtime {
             // Memo replays finish in microseconds and never queue
             // anyone; folding them into the service-time EWMA would
             // collapse the busy hint while slow requests hold slots.
-            Ok(Ran::Memo(cells)) => {
+            Ok(Ran::Memo(lines)) => {
                 ticket.skip_service_record();
                 self.metrics.note_memo_served();
-                let n = cells.len();
+                let n = lines.len();
                 if !streamed {
-                    let lines = cells.iter().map(|cell| cell.line.as_str());
-                    (n, 0, eval_line(&req.id, lines, n, 0))
+                    (n, 0, eval_line(&req.id, lines.iter().map(|l| &**l), n, 0))
                 } else {
-                    for cell in &cells {
-                        sink.send_raw(&cell.line)?;
+                    for line in &lines {
+                        sink.send_raw(line)?;
                     }
                     (n, 0, done(n, 0))
                 }
@@ -882,9 +875,8 @@ impl Runtime {
         let cells = hits + misses;
         self.metrics
             .note_served(cells as u64, hits as u64, misses as u64);
-        let flushed = flush_started.elapsed();
-        self.metrics.observe_flush(flushed);
-        record_stage(traced.as_ref(), &req.id, "flush", flushed);
+        self.metrics
+            .stage(Stage::Flush, flush_started.elapsed(), span);
         sink.send_raw(&terminal)?;
         Ok(Served::Eval {
             id: req.id,
@@ -900,13 +892,13 @@ impl Runtime {
     fn call_backend(
         &self,
         req: &EvalRequest,
-        warm: Option<Vec<Arc<MemoCell>>>,
+        warm: Option<Vec<Arc<str>>>,
         span: Option<&str>,
         emit: &Emit,
     ) -> Result<Ran, Busy> {
         match &self.backend {
             Backend::Local(local) => Ok(match warm {
-                Some(cells) => Ran::Memo(cells),
+                Some(lines) => Ran::Memo(lines),
                 None => local.run(req, self.gate.occupancy(), emit),
             }),
             Backend::Cluster {
@@ -971,8 +963,8 @@ impl Local {
             .then(|| req.scenarios.iter().map(memo_key).collect());
         if let Some(keys) = keys.as_ref().filter(|_| !req.force) {
             let memo = self.memo.lock().expect("memo lock");
-            if let Some(cells) = memo.lookup_all(keys.iter().map(String::as_str)) {
-                return Ran::Memo(cells);
+            if let Some(lines) = memo.lookup_all(keys.iter().map(String::as_str)) {
+                return Ran::Memo(lines);
             }
         }
         self.evaluate(req, keys, in_flight, emit)
@@ -1017,8 +1009,7 @@ impl Local {
                         outcome.status = CellStatus::Hit;
                         cell_line(outcome)
                     });
-                    let id = cell.scenario.id.clone();
-                    memo.insert(key, MemoCell { id, line });
+                    memo.insert(key, line);
                 }
             }
         }
@@ -1029,39 +1020,28 @@ impl Local {
     }
 }
 
-/// A traced request's span, and how its stage records name the batch:
-/// by its first cell's id (requests built from the named-grid CLI are
-/// homogeneous, so one id names the whole batch) and its cell count.
-struct Traced {
-    span: String,
-    grid: String,
-    cells: usize,
-}
-
-impl Traced {
-    /// The batch is `warm`'s cells when the reactor found them, else the
-    /// request's decoded scenarios.
-    fn new(span: String, req: &EvalRequest, warm: Option<&[Arc<MemoCell>]>) -> Self {
-        let (first, cells) = match warm {
-            Some(cells) => (cells.first().map(|c| c.id.as_str()), cells.len()),
-            None => (
-                req.scenarios.first().map(|s| s.id.as_str()),
-                req.scenarios.len(),
-            ),
-        };
-        Self {
-            span,
-            grid: first.unwrap_or("empty").to_owned(),
-            cells,
+/// How a traced request's span records name its batch: by its first
+/// cell's id (requests built from the named-grid CLI are homogeneous,
+/// so one id names the whole batch) and its cell count. The batch is
+/// `warm`'s lines when the reactor found them, the first id read back
+/// from the first line, else the request's decoded scenarios.
+fn batch_name(req: &EvalRequest, warm: Option<&[Arc<str>]>) -> (String, usize) {
+    let (first, cells) = match warm {
+        Some(lines) => {
+            let first = lines
+                .first()
+                .and_then(|line| match serde_json::from_str(line) {
+                    Ok(Response::Cell(cell)) => Some(cell.id),
+                    _ => None,
+                });
+            (first, lines.len())
         }
-    }
-}
-
-/// Appends one stage record for a traced request.
-fn record_stage(traced: Option<&Traced>, id: &str, stage: &str, dur: Duration) {
-    if let Some(t) = traced {
-        trace::record(&t.span, id, &t.grid, stage, dur, t.cells);
-    }
+        None => (
+            req.scenarios.first().map(|s| s.id.clone()),
+            req.scenarios.len(),
+        ),
+    };
+    (first.unwrap_or_else(|| "empty".into()), cells)
 }
 
 /// A finished cell's `{"Cell":…}` line, serialized on the engine thread
@@ -1812,6 +1792,46 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn a_traced_warm_hit_names_its_batch_by_its_first_line() {
+        let cache = temp_cache("traced-warm");
+        let spans =
+            std::env::temp_dir().join(format!("yoco-serve-traced-warm-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&spans);
+        let rt = Runtime::new(
+            Engine::ephemeral().with_cache(cache.clone()),
+            ServeConfig {
+                queue_depth: 2,
+                jobs: 2,
+            },
+        )
+        .with_registry(Registry::traced(&spans).expect("trace dir opens"));
+        let cold = line(&Request::Eval(EvalRequest::new("t-cold", tiny_batch())));
+        rt.handle_line(&cold, &mut RawLines::default()).unwrap();
+        let warm = line(&Request::Eval(EvalRequest::new("t-warm", tiny_batch())));
+        let served = rt.try_handle_warm(&warm, Instant::now(), &mut RawLines::default());
+        assert!(matches!(served, Some(Ok(Served::Eval { hits: 2, .. }))));
+
+        let records = crate::telemetry::trace::read_spans(&spans).expect("spans parse");
+        let named: Vec<(&str, &str, &str, usize)> = records
+            .iter()
+            .map(|r| (r.id.as_str(), r.stage.as_str(), r.grid.as_str(), r.cells))
+            .collect();
+        let fig9a = "study/fig9a";
+        assert_eq!(
+            named,
+            [
+                ("t-cold", "queued", fig9a, 2),
+                ("t-cold", "eval", fig9a, 2),
+                ("t-cold", "flush", fig9a, 2),
+                ("t-warm", "queued", fig9a, 2),
+                ("t-warm", "flush", fig9a, 2),
+            ]
+        );
+        let _ = std::fs::remove_dir_all(cache.dir());
+        let _ = std::fs::remove_dir_all(spans);
+    }
+
+    #[test]
     fn warm_buffered_line_is_byte_identical_to_serde_serialization() {
         let cache = temp_cache("memo-bytes");
         let rt = Runtime::new(
@@ -1968,16 +1988,8 @@ pub(crate) mod tests {
         }
     }
 
-    /// A memo cell whose frame line is just `line`.
-    fn memo_cell(scenario: &Scenario, line: &str) -> MemoCell {
-        MemoCell {
-            id: scenario.id.clone(),
-            line: line.into(),
-        }
-    }
-
     /// Looks `keys` up as the warm path does, by text.
-    fn lookup(memo: &CellMemo, keys: &[String]) -> Option<Vec<Arc<MemoCell>>> {
+    fn lookup(memo: &CellMemo, keys: &[String]) -> Option<Vec<Arc<str>>> {
         memo.lookup_all(keys.iter().map(String::as_str))
     }
 
@@ -1991,7 +2003,7 @@ pub(crate) mod tests {
         ];
         let keys: Vec<String> = scenarios.iter().map(memo_key).collect();
         for (s, key) in scenarios.iter().zip(&keys) {
-            memo.insert(key.clone(), memo_cell(s, &format!("frame-{}", s.id)));
+            memo.insert(key.clone(), format!("frame-{}", s.id));
         }
         assert_eq!(memo.len(), 2, "cap bounds the entry count");
         assert!(
@@ -2005,10 +2017,10 @@ pub(crate) mod tests {
 
         // Re-inserting a live key replaces in place: nothing else is
         // evicted and the count stays at cap.
-        memo.insert(keys[1].clone(), memo_cell(&scenarios[1], "frame-refreshed"));
+        memo.insert(keys[1].clone(), "frame-refreshed".into());
         assert_eq!(memo.len(), 2);
         let cells = lookup(&memo, &keys[1..2]).expect("refreshed key still present");
-        assert_eq!(cells[0].line, "frame-refreshed");
+        assert_eq!(&*cells[0], "frame-refreshed");
         assert!(
             lookup(&memo, &keys[2..]).is_some(),
             "replacing a live key must not evict its neighbour"
@@ -2118,7 +2130,7 @@ pub(crate) mod tests {
         );
         let mut memo = CellMemo::new(4);
         let key = memo_key(&table2);
-        memo.insert(key.clone(), memo_cell(&table2, "frame-table2"));
+        memo.insert(key.clone(), "frame-table2".into());
         assert!(
             lookup(&memo, &[memo_key(&fig9a)]).is_none(),
             "Fig9a's text must not answer Table2's cell"
@@ -2143,7 +2155,7 @@ pub(crate) mod tests {
             );
         }
         let cells = lookup(&memo, &[key]).expect("the key itself hits");
-        assert_eq!(cells[0].line, "frame-table2");
+        assert_eq!(&*cells[0], "frame-table2");
     }
 
     #[test]
@@ -2494,13 +2506,7 @@ mod microbench {
             });
             let mut memo = CellMemo::new(MEMO_CAP);
             for s in &scenarios {
-                memo.insert(
-                    memo_key(s),
-                    MemoCell {
-                        id: s.id.clone(),
-                        line: String::new(),
-                    },
-                );
+                memo.insert(memo_key(s), String::new());
             }
             let (_, spans) = warm_envelope(&line).expect("warm line");
             time(label, "text lookup", || {

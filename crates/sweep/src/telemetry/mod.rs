@@ -2,20 +2,22 @@
 //!
 //! The observability substrate of the serve/cluster runtime: a
 //! [`Registry`] of atomic counters, gauges, and log-linear histograms
-//! ([`hist`]), plus request-scoped stage tracing ([`trace`]).
+//! ([`hist`]), which also writes request-scoped stage records when its
+//! server traces ([`Registry::traced`]; [`trace`] reads them back).
 //!
 //! ## One registry per server
 //!
 //! Each server — a [`Runtime`](crate::serve::Runtime), single box or
-//! coordinator — owns its registry and commits every request to it.
-//! The layers that share no other state with the runtime reach the same
-//! registry through it: the reactor records its loop passes, reads, fd
-//! sheds and slow-reader disconnects via
-//! [`Runtime::metrics`](crate::serve::Runtime::metrics), and the
-//! cluster fan-out is handed it per request. Two servers in one process
-//! therefore never mix their counts, `Status` is a view over the
-//! registry plus the admission gate, and tests assert absolute values
-//! on a fresh instance.
+//! coordinator — owns its registry and commits every request to it,
+//! one [`Registry::stage`] call per stage. The layers that share no
+//! other state with the runtime reach the same registry through it: the
+//! reactor records its loop passes, reads, fd sheds and slow-reader
+//! disconnects via [`Runtime::metrics`](crate::serve::Runtime::metrics),
+//! and the cluster fan-out is handed it per request. Two servers in one
+//! process therefore never mix their counts or, tracing into separate
+//! directories, their spans; `Status` is a view over the registry plus
+//! the admission gate, and tests assert absolute values on a fresh
+//! instance. Production runs one server per process.
 //!
 //! ## Exposition
 //!
@@ -48,12 +50,34 @@ pub use trace::SpanRecord;
 
 use crate::api::StatusReport;
 use serde::{Deserialize, Serialize};
+use std::fs::{File, OpenOptions};
+use std::io::{self, Write};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
 /// Schema tag of the [`MetricsReport`] answered to a `Metrics` frame.
 pub const METRICS_SCHEMA: &str = "yoco-metrics/v1";
+
+/// One stage of an admitted request ([`Registry::stage`]).
+#[derive(Debug, Clone, Copy)]
+pub enum Stage {
+    /// Receipt → admission.
+    Queued,
+    /// The backend call (a memo replay has none).
+    Eval,
+    /// Backend end → terminal frame serialized, before it leaves.
+    Flush,
+}
+
+/// Each [`Stage`]'s name in span records and its histogram's name, in
+/// `Stage` order: the one place either is written.
+const STAGES: [(&str, &str); 3] = [
+    ("queued", "queue_wait_us"),
+    ("eval", "eval_us"),
+    ("flush", "flush_us"),
+];
 
 /// One server's metrics registry, owned by its [`Runtime`](crate::serve::Runtime).
 #[derive(Debug, Default)]
@@ -75,11 +99,14 @@ pub struct Registry {
     // Histograms (µs).
     loop_iter_us: Mutex<LatencyHistogram>,
     read_parse_us: Mutex<LatencyHistogram>,
-    queue_wait_us: Mutex<LatencyHistogram>,
-    eval_us: Mutex<LatencyHistogram>,
-    flush_us: Mutex<LatencyHistogram>,
+    /// One histogram per [`Stage`], in `Stage` order.
+    stage_us: [Mutex<LatencyHistogram>; 3],
     /// Per-worker cluster dispatch latency, keyed by worker address.
     dispatch_us: Mutex<Vec<(String, LatencyHistogram)>>,
+    /// A traced server's span file ([`Registry::traced`]).
+    span_file: Option<Mutex<File>>,
+    /// The sequence this server's own span ids are minted from.
+    span_seq: AtomicU64,
 }
 
 /// Saturating micros of a duration, the unit every histogram records.
@@ -88,6 +115,75 @@ fn micros(d: Duration) -> u64 {
 }
 
 impl Registry {
+    /// A registry that also writes span records: each stage of a
+    /// request whose span is open ([`Registry::span`]) appends one line
+    /// to `dir/spans-<pid>.ndjson`, creating `dir`. The file is named by
+    /// the process, so two servers in one process trace into separate
+    /// directories.
+    pub fn traced(dir: &Path) -> io::Result<Self> {
+        std::fs::create_dir_all(dir)?;
+        let path = dir.join(format!("spans-{}.ndjson", std::process::id()));
+        let file = OpenOptions::new().create(true).append(true).open(path)?;
+        Ok(Self {
+            span_file: Some(Mutex::new(file)),
+            ..Self::default()
+        })
+    }
+
+    /// Opens request `id`'s span when this registry traces (`None`
+    /// otherwise): the span a coordinator embedded in `id`
+    /// ([`trace::embedded_span`]), adopted so the two hosts' records
+    /// stitch, or else a fresh `PID-SEQ` one (both hex). `batch` names
+    /// what the records describe, a grid and a cell count, and runs only
+    /// when tracing. The record returned is every stage's, short of the
+    /// stage and its duration.
+    pub fn span(&self, id: &str, batch: impl FnOnce() -> (String, usize)) -> Option<SpanRecord> {
+        self.span_file.as_ref()?;
+        let span = match trace::embedded_span(id) {
+            Some(embedded) => embedded.to_owned(),
+            None => format!(
+                "{:x}-{:x}",
+                std::process::id(),
+                self.span_seq.fetch_add(1, Ordering::Relaxed)
+            ),
+        };
+        let (grid, cells) = batch();
+        Some(SpanRecord {
+            span,
+            id: id.to_owned(),
+            grid,
+            stage: String::new(),
+            dur_us: 0,
+            cells,
+        })
+    }
+
+    /// Records one stage of a request: its histogram sample and, when
+    /// the request's `span` is open, its span record. The record is
+    /// written through at once, so a live server's spans are readable;
+    /// a write error is swallowed (observability must not fail
+    /// requests).
+    pub fn stage(&self, stage: Stage, dur: Duration, span: Option<&SpanRecord>) {
+        let dur_us = micros(dur);
+        self.stage_us[stage as usize]
+            .lock()
+            .expect("stage histogram lock")
+            .record_us(dur_us);
+        if let (Some(file), Some(span)) = (&self.span_file, span) {
+            let record = SpanRecord {
+                stage: STAGES[stage as usize].0.to_owned(),
+                dur_us,
+                ..span.clone()
+            };
+            let mut line =
+                serde_json::to_string(&record).expect("span serialization is infallible");
+            line.push('\n');
+            // One write per record, so an append lands whole.
+            let mut file = file.lock().expect("span file lock");
+            let _ = file.write_all(line.as_bytes());
+        }
+    }
+
     /// One evaluation request reached the server (admitted or not).
     pub fn note_request(&self) {
         self.requests_total.fetch_add(1, Ordering::Relaxed);
@@ -150,23 +246,6 @@ impl Registry {
         self.read_parse_us.lock().unwrap().record_us(micros(d));
     }
 
-    /// Records one request's receipt→admission wait.
-    pub fn observe_queue_wait(&self, d: Duration) {
-        self.queue_wait_us.lock().unwrap().record_us(micros(d));
-    }
-
-    /// Records one request's engine evaluation time.
-    pub fn observe_eval(&self, d: Duration) {
-        self.eval_us.lock().unwrap().record_us(micros(d));
-    }
-
-    /// Records one request's response-flush time: eval end → terminal
-    /// frame serialized, just before it is handed to the connection
-    /// (the sample commits before the frame leaves).
-    pub fn observe_flush(&self, d: Duration) {
-        self.flush_us.lock().unwrap().record_us(micros(d));
-    }
-
     /// Records one cluster shard dispatch against `worker`.
     pub fn observe_dispatch(&self, worker: &str, d: Duration) {
         let mut per_worker = self.dispatch_us.lock().unwrap();
@@ -202,10 +281,10 @@ impl Registry {
         let mut hists = vec![
             self.loop_iter_us.lock().unwrap().snapshot("loop_iter_us"),
             self.read_parse_us.lock().unwrap().snapshot("read_parse_us"),
-            self.queue_wait_us.lock().unwrap().snapshot("queue_wait_us"),
-            self.eval_us.lock().unwrap().snapshot("eval_us"),
-            self.flush_us.lock().unwrap().snapshot("flush_us"),
         ];
+        for (hist, (_, name)) in self.stage_us.iter().zip(STAGES) {
+            hists.push(hist.lock().unwrap().snapshot(name));
+        }
         for (worker, hist) in self.dispatch_us.lock().unwrap().iter() {
             hists.push(hist.snapshot(format!("cluster_dispatch_us:{worker}")));
         }
@@ -345,7 +424,7 @@ mod tests {
         registry.note_request();
         registry.note_rejected();
         registry.note_served(5, 3, 2);
-        registry.observe_queue_wait(Duration::from_micros(250));
+        registry.stage(Stage::Queued, Duration::from_micros(250), None);
         let report = registry.snapshot();
         assert_eq!(report.counter("requests_total"), Some(2));
         assert_eq!(report.counter("requests_served_total"), Some(1));
@@ -378,7 +457,7 @@ mod tests {
     fn report_round_trips_and_renders_prometheus() {
         let registry = Registry::default();
         registry.note_request();
-        registry.observe_eval(Duration::from_millis(3));
+        registry.stage(Stage::Eval, Duration::from_millis(3), None);
         registry.observe_dispatch("127.0.0.1:7177", Duration::from_millis(2));
         let report = registry.snapshot();
         let text = serde_json::to_string(&report).unwrap();

@@ -1,35 +1,33 @@
-//! Request-scoped stage tracing: span ids and NDJSON span records.
+//! Reading request traces back: the [`SpanRecord`] a traced server
+//! writes per request stage, the span a coordinator embeds in its
+//! sub-request ids ([`embedded_span`]), and the span files of a
+//! directory ([`read_spans`]) folded into the per-grid stage table
+//! `sweep trace report` prints ([`render_stage_table`]).
 //!
-//! When a server starts with `--trace-dir DIR`, every evaluation
-//! request gets a **span id** minted at admission (`PID-SEQ`, both
-//! hex), and each stage it passes through — `queued` (receipt →
-//! admission), `eval` (engine run), `flush` (eval end → terminal frame
-//! ready to send) — appends one [`SpanRecord`] line to
-//! `DIR/spans-<pid>.ndjson`. Every record is written before the
-//! request's terminal frame leaves, so a client that has its answer can
-//! read all of its spans.
+//! A server started with `--trace-dir DIR` owns a traced registry
+//! ([`Registry::traced`](super::Registry::traced)): every evaluation
+//! request gets a **span id** at admission (`PID-SEQ`, both hex), and
+//! each stage it passes through — `queued` (receipt → admission),
+//! `eval` (the backend call), `flush` (eval end → terminal frame ready
+//! to send) — appends one record to `DIR/spans-<pid>.ndjson`. Every
+//! record is written before the request's terminal frame leaves, so a
+//! client that has its answer can read all of its spans.
 //!
 //! ## Cross-host stitching
 //!
 //! A tracing cluster coordinator embeds its span in the sub-request ids
-//! it fans out (`{id}#t{span}r{round}w{worker}`); a worker *adopts* an
-//! embedded span instead of minting its own, so the coordinator's and
-//! workers' span files — collected into one directory — stitch into a
-//! single trace under one span id. Span ids live only in server-bound
-//! request ids and server-local span files, never in a response frame:
-//! the client-visible bytes are identical with tracing on or off.
-//!
-//! `sweep trace report` aggregates a directory of span files into the
-//! per-grid stage-breakdown table ([`render_stage_table`]).
+//! it fans out (`{id}#t{span}#r{round}w{k}`, where `k` is the shard's
+//! 0-based position in its round); a worker *adopts* an embedded span
+//! instead of minting its own, so the coordinator's and workers' span
+//! files — collected into one directory — stitch into a single trace
+//! under one span id. Span ids live only in server-bound request ids
+//! and server-local span files, never in a response frame: the
+//! client-visible bytes are identical with tracing on or off.
 
-use super::LatencyHistogram;
+use super::{LatencyHistogram, STAGES};
 use serde::{Deserialize, Serialize};
-use std::fs::{File, OpenOptions};
-use std::io::{self, BufWriter, Write};
+use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
-use std::time::Duration;
 
 /// One stage of one traced request, as written to the span file.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -49,79 +47,15 @@ pub struct SpanRecord {
     pub cells: usize,
 }
 
-/// The live trace sink: one append-only NDJSON file per process.
-struct Tracer {
-    writer: Mutex<BufWriter<File>>,
-    seq: AtomicU64,
-}
-
-static TRACER: OnceLock<Tracer> = OnceLock::new();
-
-/// Enables tracing for this process, appending span records to
-/// `dir/spans-<pid>.ndjson`. Idempotent: a second call (same or
-/// different directory) keeps the first sink.
-pub fn init(dir: &Path) -> io::Result<()> {
-    if TRACER.get().is_some() {
-        return Ok(());
-    }
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("spans-{}.ndjson", std::process::id()));
-    let file = OpenOptions::new().create(true).append(true).open(path)?;
-    let _ = TRACER.set(Tracer {
-        writer: Mutex::new(BufWriter::new(file)),
-        seq: AtomicU64::new(0),
-    });
-    Ok(())
-}
-
-/// The span id for a request: the one embedded in a coordinator-minted
-/// sub-request id if present, a fresh mint otherwise. `None` when
-/// tracing is disabled — callers skip all span bookkeeping.
-pub fn span_for_request(id: &str) -> Option<String> {
-    let tracer = TRACER.get()?;
-    if let Some(embedded) = embedded_span(id) {
-        return Some(embedded.to_owned());
-    }
-    Some(format!(
-        "{:x}-{:x}",
-        std::process::id(),
-        tracer.seq.fetch_add(1, Ordering::Relaxed)
-    ))
-}
-
 /// Extracts the span embedded in a sub-request id of the form
-/// `…#t<span>r<round>w<worker>`. Span ids are hex-and-dash only, so the
-/// scan stops exactly at the `r` of the round counter.
+/// `…#t<span>#r<round>w<k>`. Span ids are hex-and-dash only, so the
+/// scan stops exactly at the `#` before the round counter.
 pub fn embedded_span(id: &str) -> Option<&str> {
     let (_, tail) = id.rsplit_once("#t")?;
     let end = tail
         .find(|c: char| !c.is_ascii_hexdigit() && c != '-')
         .unwrap_or(tail.len());
     (end > 0).then(|| &tail[..end])
-}
-
-/// Appends one stage record for `span`. A no-op when tracing is off;
-/// write errors are swallowed (observability must not fail requests).
-pub fn record(span: &str, id: &str, grid: &str, stage: &str, dur: Duration, cells: usize) {
-    let Some(tracer) = TRACER.get() else {
-        return;
-    };
-    let record = SpanRecord {
-        span: span.to_owned(),
-        id: id.to_owned(),
-        grid: grid.to_owned(),
-        stage: stage.to_owned(),
-        dur_us: dur.as_micros().min(u128::from(u64::MAX)) as u64,
-        cells,
-    };
-    let Ok(line) = serde_json::to_string(&record) else {
-        return;
-    };
-    let mut writer = tracer.writer.lock().unwrap();
-    // Flush per record so scrapers and the e2e read a live server's
-    // spans without waiting for shutdown.
-    let _ = writeln!(writer, "{line}");
-    let _ = writer.flush();
 }
 
 /// Reads every `*.ndjson` span file under `dir` (one per traced
@@ -166,7 +100,7 @@ pub fn render_stage_table(records: &[SpanRecord]) -> String {
         "| grid | stage | spans | p50 ms | p99 ms | max ms |\n|---|---|---|---|---|---|\n",
     );
     for grid in grids {
-        for stage in ["queued", "eval", "flush"] {
+        for (stage, _) in STAGES {
             let mut hist = LatencyHistogram::default();
             for r in records {
                 if r.grid == grid && r.stage == stage {
@@ -194,6 +128,8 @@ mod tests {
 
     #[test]
     fn embedded_spans_parse_out_of_sub_request_ids() {
+        // The shape `fan_out` writes: `{id}#t{span}#r{round}w{k}`.
+        assert_eq!(embedded_span("stitch-1#t1aff-0#r0w0"), Some("1aff-0"));
         assert_eq!(embedded_span("req-1#t3f2a-7r0w2"), Some("3f2a-7"));
         assert_eq!(embedded_span("req-1#tdeadbeef-0r12w0"), Some("deadbeef-0"));
         // Plain ids, and degenerate tails, carry no span.

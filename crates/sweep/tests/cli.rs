@@ -371,6 +371,12 @@ const SERVE: &[Case] = &[
     ),
     (&["--cache-dir"], 1, "error: --cache-dir needs a path"),
     (&["--trace-dir"], 1, "error: --trace-dir needs a path"),
+    // The trace dir opens before the bind, so no ready line precedes this.
+    (
+        &["--trace-dir", "/dev/null/spans"],
+        1,
+        "error: cannot open trace dir /dev/null/spans: Not a directory (os error 20)",
+    ),
     (&["--worker"], 1, "error: --worker needs HOST:PORT"),
     (&["--bogus"], 1, "error: unknown flag `--bogus`"),
     (&["--threaded"], 1, "error: unknown flag `--threaded`"),

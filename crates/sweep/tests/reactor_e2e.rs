@@ -4,8 +4,8 @@
 //! output cap, a 1024-connection concurrency smoke (guarded by the
 //! process fd limit), byte parity between the single-box runtime and
 //! the cluster coordinator's merge, the bound on a request line, and
-//! what the reactor reads and drains while a request is held in flight
-//! by a [`HeldPool`].
+//! what the reactor reads, drains and answers (a half-closed client
+//! included) while a request is held in flight by a [`HeldPool`].
 //!
 //! Readiness is the server's announce line ("yoco-serve listening on
 //! …") or a channel the fixture signals — never a sleep.
@@ -595,6 +595,50 @@ fn a_shutdown_drains_a_held_request_and_the_line_read_behind_it() {
         ),
         "{reply}"
     );
+    reactor
+        .join()
+        .expect("reactor thread joins")
+        .expect("reactor exits cleanly");
+}
+
+#[test]
+fn a_client_that_half_closes_still_gets_its_reply() {
+    let (addr, started, hold, reactor) = held_reactor();
+    let mut stream = TcpStream::connect(addr).expect("connects");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(120)))
+        .expect("timeout set");
+    stream
+        .write_all(eval_line("half").as_bytes())
+        .expect("line sends");
+    // The FIN: `nc -N` and any client that closes its write side once
+    // its request is out still read the reply.
+    stream.shutdown(Shutdown::Write).expect("write side closes");
+    started.recv().expect("the held request reaches the pool");
+
+    // A ping on a second connection, so the reactor runs a pass after
+    // the FIN arrived.
+    let mut c = ServeClient::connect(&addr.to_string()).expect("connects");
+    c.set_read_timeout(Some(Duration::from_secs(120)))
+        .expect("timeout set");
+    c.ping().expect("ping answers");
+    drop(hold);
+
+    let mut reply = String::new();
+    stream.read_to_string(&mut reply).expect("reads to EOF");
+    let frames: Vec<Response> = reply
+        .lines()
+        .map(|line| serde_json::from_str(line).expect("frame parses"))
+        .collect();
+    assert!(
+        matches!(
+            frames.as_slice(),
+            [Response::Eval(held)]
+                if held.id == "half" && matches!(held.error, Some(SweepError::Busy { .. }))
+        ),
+        "{reply}"
+    );
+    c.shutdown().expect("clean shutdown");
     reactor
         .join()
         .expect("reactor thread joins")
