@@ -453,6 +453,67 @@ mod tests {
     }
 
     #[test]
+    fn a_history_row_keeps_its_key_order() {
+        let mut run = row("serve", 2.0, 1);
+        run.entries = vec![EntryRecord {
+            label: "fig9a".into(),
+            sent: 100,
+            completed: 100,
+            busy: 0,
+            errors: 0,
+            p50_ms: 1.0,
+            p99_ms: 2.0,
+            p999_ms: 2.4,
+        }];
+        let keys = |value: &serde_json::Value| -> Vec<String> {
+            let object = value.as_object().expect("a row is an object");
+            object.iter().map(|(key, _)| key.clone()).collect()
+        };
+        let value = serde_json::to_value(&run);
+        assert_eq!(
+            keys(&value),
+            [
+                "schema",
+                "target",
+                "mix",
+                "arrivals",
+                "rate",
+                "duration_ms",
+                "connections",
+                "offered",
+                "sent",
+                "completed",
+                "busy",
+                "errors",
+                "achieved_rps",
+                "busy_rate",
+                "p50_ms",
+                "p90_ms",
+                "p99_ms",
+                "p999_ms",
+                "max_ms",
+                "mean_ms",
+                "recorded_at_unix_s",
+                "entries",
+            ]
+        );
+        let entries = value.as_object().unwrap().get("entries").unwrap();
+        assert_eq!(
+            keys(&entries.as_array().unwrap()[0]),
+            [
+                "label",
+                "sent",
+                "completed",
+                "busy",
+                "errors",
+                "p50_ms",
+                "p99_ms",
+                "p999_ms",
+            ]
+        );
+    }
+
+    #[test]
     fn multi_entry_mixes_render_per_entry_sub_rows() {
         let entry = |label: &str, sent: usize, p99: f64| EntryRecord {
             label: label.into(),

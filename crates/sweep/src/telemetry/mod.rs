@@ -477,6 +477,49 @@ mod tests {
     }
 
     #[test]
+    fn a_snapshot_names_every_metric_in_a_fixed_order() {
+        let registry = Registry::default();
+        let names = |report: &MetricsReport| {
+            let samples =
+                |s: &[MetricSample]| -> Vec<String> { s.iter().map(|s| s.name.clone()).collect() };
+            let hists: Vec<String> = report.hists.iter().map(|h| h.name.clone()).collect();
+            (samples(&report.counters), samples(&report.gauges), hists)
+        };
+        let (counters, gauges, hists) = names(&registry.snapshot());
+        assert_eq!(
+            counters,
+            [
+                "requests_total",
+                "requests_served_total",
+                "requests_rejected_total",
+                "deadline_drops_total",
+                "memo_served_total",
+                "cells_total",
+                "cache_hits_total",
+                "cache_misses_total",
+                "fd_sheds_total",
+                "slow_reader_disconnects_total",
+                "cluster_requeues_total",
+            ]
+        );
+        assert_eq!(gauges, ["outbuf_highwater_bytes"]);
+        let mut expected = vec![
+            "loop_iter_us",
+            "read_parse_us",
+            "queue_wait_us",
+            "eval_us",
+            "flush_us",
+        ];
+        assert_eq!(hists, expected);
+
+        registry.observe_dispatch("a:1", Duration::from_millis(1));
+        expected.push("cluster_dispatch_us:a:1");
+        let (counters_after, gauges_after, hists) = names(&registry.snapshot());
+        assert_eq!((counters_after, gauges_after), (counters, gauges));
+        assert_eq!(hists, expected);
+    }
+
+    #[test]
     fn dispatch_histograms_accumulate_per_worker() {
         let registry = Registry::default();
         registry.observe_dispatch("a:1", Duration::from_millis(1));
