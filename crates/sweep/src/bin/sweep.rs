@@ -739,23 +739,17 @@ fn loadgen_run(args: &[String]) -> Outcome {
         duration.as_secs_f64(),
         mix.label()
     );
-    let summary = loadgen::run(&plan, &assignment, mix.entries(), issuers, duration);
-    let shape = loadgen::RunShape {
+    let record = loadgen::LoadgenRecord {
         target: target.to_owned(),
         mix: mix.label(),
         arrivals: arrivals.label(),
         rate,
-        duration,
-        connections,
-    };
-    let record = loadgen::LoadgenRecord::from_summary(
-        &summary,
-        &shape,
-        SystemTime::now()
+        recorded_at_unix_s: SystemTime::now()
             .duration_since(UNIX_EPOCH)
             .map(|d| d.as_secs())
             .unwrap_or(0),
-    );
+        ..loadgen::run(&plan, &assignment, mix.entries(), issuers, duration)
+    };
     println!(
         "  offered {:.1}/s, achieved {:.1}/s ({} sent: {} ok, {} busy, {} errors; \
          busy rate {:.1}%)",
@@ -772,8 +766,8 @@ fn loadgen_run(args: &[String]) -> Outcome {
          max {:.2} ms (mean {:.2} ms)",
         record.p50_ms, record.p90_ms, record.p99_ms, record.p999_ms, record.max_ms, record.mean_ms
     );
-    if summary.entries.len() > 1 {
-        for entry in &summary.entries {
+    if record.entries.len() > 1 {
+        for entry in &record.entries {
             println!(
                 "    {}: {} sent ({} ok, {} busy, {} err), p50 {:.2} ms, p99 {:.2} ms",
                 entry.label,
@@ -781,17 +775,18 @@ fn loadgen_run(args: &[String]) -> Outcome {
                 entry.completed,
                 entry.busy,
                 entry.errors,
-                entry.latency.quantile_ms(0.50),
-                entry.latency.quantile_ms(0.99)
+                entry.p50_ms,
+                entry.p99_ms
             );
         }
     }
+    let errors = record.errors;
     if let Some(path) = out {
         let total = loadgen::append_history(&path, record)?;
         println!("  appended to {path} ({total} runs)");
     }
-    if summary.errors > 0 {
-        eprintln!("error: {} request(s) failed outright", summary.errors);
+    if errors > 0 {
+        eprintln!("error: {errors} request(s) failed outright");
         return Ok(ExitCode::FAILURE);
     }
     Ok(ExitCode::SUCCESS)

@@ -16,7 +16,7 @@ use crate::cluster::pool::WorkerPool;
 use crate::engine::{CellResult, SweepReport};
 use crate::scenario::Scenario;
 use crate::serve::{cell_line, splices, Busy, Emit, Ran, RETRY_QUANTUM_MS};
-use crate::telemetry::Registry;
+use crate::telemetry::{trace, Counter, Registry};
 use std::io;
 use std::sync::Mutex;
 use std::time::Instant;
@@ -89,13 +89,6 @@ pub(crate) fn fan_out(
     emit: &Emit,
 ) -> Result<Ran, Busy> {
     let scenarios = &req.scenarios;
-    // Embedding the span after a `#t` marker in the sub-request ids
-    // stitches a fan-out trace across hosts: each worker adopts it for
-    // its own stage records instead of minting a fresh one.
-    let id = match span {
-        Some(span) => format!("{}#t{span}", req.id),
-        None => req.id.clone(),
-    };
     let state = Mutex::new(FanState {
         delivered: vec![false; scenarios.len()],
         hits: 0,
@@ -115,7 +108,7 @@ pub(crate) fn fan_out(
         // Rounds past the first re-dispatch cells a lost worker left
         // unfinished — the requeue volume the metrics surface.
         if round > 0 {
-            metrics.note_requeued_cells(remaining.len() as u64);
+            metrics.add(Counter::ClusterRequeues, remaining.len() as u64);
         }
         let shards = live.len().min(remaining.len());
         // Deal the shards to the least-loaded live workers under one
@@ -150,8 +143,10 @@ pub(crate) fn fan_out(
                     let addr = &workers[w];
                     let sub_scenarios: Vec<Scenario> =
                         part.iter().map(|&i| scenarios[i].clone()).collect();
-                    let mut sub =
-                        EvalRequest::streaming(format!("{id}#r{round}w{k}"), sub_scenarios);
+                    // A traced request's span rides in the sub-request
+                    // id, so each worker's stage records stitch to it.
+                    let id = trace::sub_request_id(&req.id, span, round, k);
+                    let mut sub = EvalRequest::streaming(id, sub_scenarios);
                     sub.force = req.force;
                     let state = &state;
                     let keys = &keys;

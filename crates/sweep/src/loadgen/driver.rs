@@ -17,7 +17,7 @@
 //! connection.
 
 use super::mix::MixEntry;
-use super::report::{EntrySummary, LatencyHistogram, Outcome, Summary};
+use super::report::{EntryRecord, LatencyHistogram, LoadgenRecord, Outcome, LOADGEN_SCHEMA};
 use crate::api::{CellStatus, EvalRequest, Request, Response};
 use crate::client::ServeClient;
 use std::io;
@@ -135,17 +135,20 @@ impl Issuer for TcpIssuer {
 
 /// Runs the open loop: `schedule[i]` fires entry
 /// `entries[assignment[i]]` on connection `i % issuers.len()`. Returns
-/// the aggregated [`Summary`]; `duration` is the configured window the
-/// schedule was built for (it sets the offered rate — the wall clock
-/// may run longer when the server lags, and that shows up as
-/// `achieved_rps < offered_rps`).
+/// the run measured into its history row — the counts, rates and
+/// latency percentiles, overall and per entry, plus `offered`,
+/// `connections` and `duration_ms` — leaving the labels chosen up front
+/// (`target`, `mix`, `arrivals`, `rate`, `recorded_at_unix_s`) to the
+/// caller. `duration` is the configured window the schedule was built
+/// for: the wall clock may run longer when the server lags, and that
+/// shows up as `achieved_rps` below the offered rate.
 pub fn run(
     schedule: &[Duration],
     assignment: &[usize],
     entries: &[MixEntry],
     issuers: Vec<Box<dyn Issuer>>,
     duration: Duration,
-) -> Summary {
+) -> LoadgenRecord {
     assert_eq!(schedule.len(), assignment.len());
     assert!(!issuers.is_empty(), "the driver needs at least one issuer");
     let connections = issuers.len();
@@ -187,52 +190,62 @@ pub fn run(
             .collect()
     });
     let elapsed = start.elapsed();
-    let mut per_entry: Vec<EntrySummary> = entries
+    // Latency of successful requests only: a `Busy` or failed exchange
+    // has no service time to report.
+    let mut latencies = vec![LatencyHistogram::default(); entries.len()];
+    let mut rows: Vec<EntryRecord> = entries
         .iter()
-        .map(|entry| EntrySummary {
+        .map(|entry| EntryRecord {
             label: entry.label(),
-            sent: 0,
-            completed: 0,
-            busy: 0,
-            errors: 0,
-            latency: LatencyHistogram::default(),
+            ..EntryRecord::default()
         })
         .collect();
     for (entry_idx, lat, outcome) in per_conn.into_iter().flatten() {
-        let slot = &mut per_entry[entry_idx];
-        slot.sent += 1;
+        let row = &mut rows[entry_idx];
+        row.sent += 1;
         match outcome {
             Outcome::Ok => {
-                slot.completed += 1;
-                slot.latency.record(lat);
+                row.completed += 1;
+                latencies[entry_idx].record(lat);
             }
-            Outcome::Busy => slot.busy += 1,
-            Outcome::Error => slot.errors += 1,
+            Outcome::Busy => row.busy += 1,
+            Outcome::Error => row.errors += 1,
         }
     }
-    // The run totals are the entry slices folded back together — same
+    // The run's histogram is the entry histograms merged — same
     // buckets, disjoint samples, so nothing is lost to the split.
     let mut latency = LatencyHistogram::default();
-    let (mut sent, mut completed, mut busy, mut errors) = (0usize, 0usize, 0usize, 0usize);
-    for slot in &per_entry {
-        sent += slot.sent;
-        completed += slot.completed;
-        busy += slot.busy;
-        errors += slot.errors;
-        latency.merge(&slot.latency);
+    for (row, entry_latency) in rows.iter_mut().zip(&latencies) {
+        row.p50_ms = entry_latency.quantile_ms(0.50);
+        row.p99_ms = entry_latency.quantile_ms(0.99);
+        row.p999_ms = entry_latency.quantile_ms(0.999);
+        latency.merge(entry_latency);
     }
-    let secs = elapsed.as_secs_f64().max(1e-9);
-    Summary {
+    let total = |count: fn(&EntryRecord) -> usize| rows.iter().map(count).sum::<usize>();
+    let (sent, completed, busy) = (total(|r| r.sent), total(|r| r.completed), total(|r| r.busy));
+    LoadgenRecord {
+        schema: LOADGEN_SCHEMA.to_owned(),
+        duration_ms: duration.as_millis() as u64,
+        connections,
         offered: schedule.len(),
         sent,
         completed,
         busy,
-        errors,
-        elapsed,
-        offered_rps: schedule.len() as f64 / duration.as_secs_f64().max(1e-9),
-        achieved_rps: completed as f64 / secs,
-        latency,
-        entries: per_entry,
+        errors: total(|r| r.errors),
+        achieved_rps: completed as f64 / elapsed.as_secs_f64().max(1e-9),
+        busy_rate: if sent == 0 {
+            0.0
+        } else {
+            busy as f64 / sent as f64
+        },
+        p50_ms: latency.quantile_ms(0.50),
+        p90_ms: latency.quantile_ms(0.90),
+        p99_ms: latency.quantile_ms(0.99),
+        p999_ms: latency.quantile_ms(0.999),
+        max_ms: latency.max_ms(),
+        mean_ms: latency.mean_ms(),
+        entries: rows,
+        ..LoadgenRecord::default()
     }
 }
 
@@ -294,27 +307,28 @@ mod tests {
         let mix = Mix::parse("fig9a").unwrap();
         let assignment = mix.assign(plan.len(), 0);
         let (fleet, issued) = stalled_fleet(2, Duration::from_millis(20), Outcome::Ok);
-        let summary = run(&plan, &assignment, mix.entries(), fleet, duration);
-        assert_eq!(summary.offered, 40);
-        assert_eq!(summary.sent, 40, "open loop issues every arrival");
+        let record = run(&plan, &assignment, mix.entries(), fleet, duration);
+        assert_eq!(record.offered, 40);
+        assert_eq!(record.sent, 40, "open loop issues every arrival");
         assert_eq!(issued.load(Ordering::SeqCst), 40);
-        assert_eq!(summary.completed, 40);
-        assert_eq!(summary.busy + summary.errors, 0);
+        assert_eq!(record.completed, 40);
+        assert_eq!(record.busy + record.errors, 0);
+        assert_eq!((record.connections, record.duration_ms), (2, 200));
         // 40 requests × 20 ms over 2 connections = ~400 ms of work for
         // a 200 ms window: achieved must trail offered.
+        let offered_rps = record.offered as f64 / duration.as_secs_f64();
         assert!(
-            summary.achieved_rps < summary.offered_rps * 0.8,
-            "achieved {:.1} should trail offered {:.1}",
-            summary.achieved_rps,
-            summary.offered_rps
+            record.achieved_rps < offered_rps * 0.8,
+            "achieved {:.1} should trail offered {offered_rps:.1}",
+            record.achieved_rps,
         );
         // Coordinated omission shows up: the tail (scheduled-instant
         // latency) must reflect the queue that built up, far above the
         // 20 ms service time.
         assert!(
-            summary.latency.quantile_ms(0.99) > 60.0,
+            record.p99_ms > 60.0,
             "p99 {:.1} ms should carry the backlog",
-            summary.latency.quantile_ms(0.99)
+            record.p99_ms
         );
     }
 
@@ -325,14 +339,14 @@ mod tests {
         let mix = Mix::parse("fig9a").unwrap();
         let assignment = mix.assign(plan.len(), 0);
         let (fleet, _) = stalled_fleet(4, Duration::from_millis(1), Outcome::Busy);
-        let summary = run(&plan, &assignment, mix.entries(), fleet, duration);
-        assert_eq!(summary.offered, 20);
-        assert_eq!(summary.sent, 20);
-        assert_eq!(summary.completed, 0);
-        assert_eq!(summary.busy, 20);
-        assert_eq!(summary.achieved_rps, 0.0);
-        assert_eq!(summary.busy_rate(), 1.0);
-        assert_eq!(summary.latency.count(), 0, "Busy has no service latency");
+        let record = run(&plan, &assignment, mix.entries(), fleet, duration);
+        assert_eq!(record.offered, 20);
+        assert_eq!(record.sent, 20);
+        assert_eq!(record.completed, 0);
+        assert_eq!(record.busy, 20);
+        assert_eq!(record.achieved_rps, 0.0);
+        assert_eq!(record.busy_rate, 1.0);
+        assert_eq!(record.max_ms, 0.0, "Busy has no service latency");
     }
 
     #[test]
@@ -342,33 +356,27 @@ mod tests {
         let mix = Mix::parse("fig9a=3,fig9a:v1=1").unwrap();
         let assignment = mix.assign(plan.len(), 7);
         let (fleet, _) = stalled_fleet(4, Duration::from_millis(1), Outcome::Ok);
-        let summary = run(&plan, &assignment, mix.entries(), fleet, duration);
-        assert_eq!(summary.entries.len(), 2);
-        assert_eq!(summary.entries[0].label, "fig9a=3");
-        assert_eq!(summary.entries[1].label, "fig9a:v1");
-        // The slices partition the totals: counts and histogram alike.
+        let record = run(&plan, &assignment, mix.entries(), fleet, duration);
+        assert_eq!(record.entries.len(), 2);
+        assert_eq!(record.entries[0].label, "fig9a=3");
+        assert_eq!(record.entries[1].label, "fig9a:v1");
+        // The slices partition the totals. A latency sample is recorded
+        // exactly when an issue completes, so `completed` partitions the
+        // histograms too.
         assert_eq!(
-            summary.entries.iter().map(|e| e.sent).sum::<usize>(),
-            summary.sent
+            record.entries.iter().map(|e| e.sent).sum::<usize>(),
+            record.sent
         );
         assert_eq!(
-            summary.entries.iter().map(|e| e.completed).sum::<usize>(),
-            summary.completed
-        );
-        assert_eq!(
-            summary
-                .entries
-                .iter()
-                .map(|e| e.latency.count())
-                .sum::<u64>(),
-            summary.latency.count()
+            record.entries.iter().map(|e| e.completed).sum::<usize>(),
+            record.completed
         );
         // The seeded 3:1 weighting shows up in the per-entry counts.
         assert!(
-            summary.entries[0].sent > summary.entries[1].sent,
+            record.entries[0].sent > record.entries[1].sent,
             "heavier entry issues more requests ({} vs {})",
-            summary.entries[0].sent,
-            summary.entries[1].sent
+            record.entries[0].sent,
+            record.entries[1].sent
         );
     }
 
@@ -505,11 +513,11 @@ mod tests {
                 Box::new(TcpIssuer::connect(&live.addr, None).expect("connects")) as Box<dyn Issuer>
             })
             .collect();
-        let summary = run(&plan, &assignment, mix.entries(), issuers, duration);
-        assert_eq!(summary.sent, 40);
-        assert_eq!(summary.completed, summary.sent);
-        assert_eq!(summary.busy + summary.errors, 0);
-        assert!(summary.achieved_rps < summary.offered_rps);
+        let record = run(&plan, &assignment, mix.entries(), issuers, duration);
+        assert_eq!(record.sent, 40);
+        assert_eq!(record.completed, record.sent);
+        assert_eq!(record.busy + record.errors, 0);
+        assert!(record.achieved_rps < record.offered as f64 / duration.as_secs_f64());
         live.stop();
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! Everything `sweep loadgen` runs on: deterministic arrival schedules
 //! ([`arrivals`]), weighted request mixes over named grids
-//! ([`mix`]), the open-loop multi-connection driver ([`driver`]), and
-//! latency aggregation plus the persisted trajectory history
-//! ([`report`]).
+//! ([`mix`]), the open-loop multi-connection driver ([`driver`]), which
+//! measures each run straight into its history row, and that persisted
+//! trajectory history ([`report`]).
 //!
 //! ## Open loop vs closed loop
 //!
@@ -38,8 +38,8 @@
 //!         Box::new(TcpIssuer::connect("127.0.0.1:7177", None).unwrap()) as Box<dyn Issuer>
 //!     })
 //!     .collect();
-//! let summary = driver::run(&plan, &assignment, mix.entries(), issuers, duration);
-//! println!("p99 {:.2} ms", summary.latency.quantile_ms(0.99));
+//! let record = driver::run(&plan, &assignment, mix.entries(), issuers, duration);
+//! println!("p99 {:.2} ms", record.p99_ms);
 //! ```
 
 pub mod arrivals;
@@ -51,7 +51,6 @@ pub use arrivals::{offered_count, schedule, ArrivalKind};
 pub use driver::{run, Issuer, TcpIssuer};
 pub use mix::{Mix, MixEntry};
 pub use report::{
-    append_history, gate, read_history, render_table, EntryRecord, EntrySummary, LatencyHistogram,
-    LoadgenHistory, LoadgenRecord, Outcome, RunShape, Summary, LOADGEN_HISTORY_SCHEMA,
-    LOADGEN_SCHEMA,
+    append_history, gate, read_history, render_table, EntryRecord, LatencyHistogram,
+    LoadgenHistory, LoadgenRecord, Outcome, LOADGEN_HISTORY_SCHEMA, LOADGEN_SCHEMA,
 };

@@ -1,19 +1,19 @@
-//! Latency aggregation and the persisted loadgen trajectory.
+//! The persisted loadgen trajectory: one run is one [`LoadgenRecord`].
 //!
 //! * [`LatencyHistogram`] — re-exported from [`crate::telemetry::hist`],
 //!   where the HDR-style log-linear histogram now lives so the server's
 //!   metrics registry and this client-side aggregation share one bucket
 //!   layout (and one `merge`).
-//! * [`Summary`] — one run boiled down: achieved-vs-offered rate,
-//!   Busy/error/deadline shares, the latency percentiles, and the
-//!   per-mix-entry breakdown ([`EntrySummary`]).
-//! * [`LoadgenRecord`] / history helpers — the append-only
-//!   `results/loadgen_history.json` rows (method × config × timestamp),
-//!   the `loadgen report` trajectory table, and the CI p99 gate.
+//! * [`LoadgenRecord`] — one history row: what [`run`](super::run)
+//!   measured (achieved rate, Busy/error counts, the latency
+//!   percentiles, and the per-mix-entry breakdown, [`EntryRecord`]),
+//!   plus the labels `sweep loadgen` chose up front.
+//! * History helpers — the append-only `results/loadgen_history.json`
+//!   rows (method × config × timestamp), the `loadgen report`
+//!   trajectory table, and the CI p99 gate.
 
 pub use crate::telemetry::hist::LatencyHistogram;
 use serde::{Deserialize, Serialize};
-use std::time::Duration;
 
 /// How one issued request ended, as the driver saw it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,71 +28,13 @@ pub enum Outcome {
     Error,
 }
 
-/// One run summarized: counts, rates, and percentiles.
-#[derive(Debug, Clone)]
-pub struct Summary {
-    /// Arrivals the schedule offered.
-    pub offered: usize,
-    /// Requests actually issued (== offered unless the run was cut).
-    pub sent: usize,
-    /// Requests that completed successfully.
-    pub completed: usize,
-    /// Requests answered `Busy`.
-    pub busy: usize,
-    /// Requests that failed in transport or evaluation.
-    pub errors: usize,
-    /// Wall-clock run time.
-    pub elapsed: Duration,
-    /// Offered arrival rate (requests/s).
-    pub offered_rps: f64,
-    /// Completed requests per wall-clock second.
-    pub achieved_rps: f64,
-    /// Latency of *successful* requests, measured from the scheduled
-    /// send instant (coordinated-omission-aware: queueing behind a
-    /// stalled connection counts against the server).
-    pub latency: LatencyHistogram,
-    /// The same run sliced per mix entry, in mix order — one histogram
-    /// per entry, so a tail regression attributes to the grid /
-    /// protocol / cache-temperature combination that caused it.
-    pub entries: Vec<EntrySummary>,
-}
-
-/// One mix entry's slice of a run: its own counts and latency
-/// histogram. The entry histograms merge back into [`Summary::latency`]
-/// exactly (same buckets, disjoint samples).
-#[derive(Debug, Clone)]
-pub struct EntrySummary {
-    /// The entry's canonical label ([`super::MixEntry::label`]).
-    pub label: String,
-    /// Requests issued for this entry.
-    pub sent: usize,
-    /// Requests that completed successfully.
-    pub completed: usize,
-    /// Requests answered `Busy`.
-    pub busy: usize,
-    /// Requests that failed in transport or evaluation.
-    pub errors: usize,
-    /// Latency of this entry's successful requests.
-    pub latency: LatencyHistogram,
-}
-
-impl Summary {
-    /// `Busy` share of issued requests (`0.0..=1.0`).
-    pub fn busy_rate(&self) -> f64 {
-        if self.sent == 0 {
-            return 0.0;
-        }
-        self.busy as f64 / self.sent as f64
-    }
-}
-
 /// Schema tag of one history row.
 pub const LOADGEN_SCHEMA: &str = "yoco-loadgen/v1";
 /// Schema tag of the history envelope.
 pub const LOADGEN_HISTORY_SCHEMA: &str = "yoco-loadgen-history/v1";
 
 /// One persisted loadgen run: method × config × outcome × timestamp.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct LoadgenRecord {
     /// Always [`LOADGEN_SCHEMA`].
     pub schema: String,
@@ -142,8 +84,10 @@ pub struct LoadgenRecord {
     pub entries: Vec<EntryRecord>,
 }
 
-/// One mix entry's persisted slice of a run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// One mix entry's persisted slice of a run. The entry histograms
+/// behind its percentiles merge into the run's exactly (same buckets,
+/// disjoint samples).
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct EntryRecord {
     /// The entry's canonical label (e.g. `fig9a:v1=3`).
     pub label: String,
@@ -163,66 +107,7 @@ pub struct EntryRecord {
     pub p999_ms: f64,
 }
 
-/// The configuration labels identifying one loadgen run: everything
-/// about a row that was chosen up front rather than measured.
-#[derive(Debug, Clone)]
-pub struct RunShape {
-    /// What was driven (`serve`, `coordinator`, `cluster`, ...).
-    pub target: String,
-    /// Request mix label.
-    pub mix: String,
-    /// Arrival schedule label.
-    pub arrivals: String,
-    /// Offered rate, requests/second.
-    pub rate: f64,
-    /// Run window.
-    pub duration: Duration,
-    /// Driver connections.
-    pub connections: usize,
-}
-
 impl LoadgenRecord {
-    /// Builds a row from a run summary plus its configuration labels.
-    pub fn from_summary(summary: &Summary, shape: &RunShape, recorded_at_unix_s: u64) -> Self {
-        Self {
-            schema: LOADGEN_SCHEMA.to_owned(),
-            target: shape.target.clone(),
-            mix: shape.mix.clone(),
-            arrivals: shape.arrivals.clone(),
-            rate: shape.rate,
-            duration_ms: shape.duration.as_millis() as u64,
-            connections: shape.connections,
-            offered: summary.offered,
-            sent: summary.sent,
-            completed: summary.completed,
-            busy: summary.busy,
-            errors: summary.errors,
-            achieved_rps: summary.achieved_rps,
-            busy_rate: summary.busy_rate(),
-            p50_ms: summary.latency.quantile_ms(0.50),
-            p90_ms: summary.latency.quantile_ms(0.90),
-            p99_ms: summary.latency.quantile_ms(0.99),
-            p999_ms: summary.latency.quantile_ms(0.999),
-            max_ms: summary.latency.max_ms(),
-            mean_ms: summary.latency.mean_ms(),
-            recorded_at_unix_s,
-            entries: summary
-                .entries
-                .iter()
-                .map(|e| EntryRecord {
-                    label: e.label.clone(),
-                    sent: e.sent,
-                    completed: e.completed,
-                    busy: e.busy,
-                    errors: e.errors,
-                    p50_ms: e.latency.quantile_ms(0.50),
-                    p99_ms: e.latency.quantile_ms(0.99),
-                    p999_ms: e.latency.quantile_ms(0.999),
-                })
-                .collect(),
-        }
-    }
-
     /// The grouping key for trajectory comparison: two rows with equal
     /// keys measured the same thing and may be gated against each
     /// other.

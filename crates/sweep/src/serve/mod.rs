@@ -57,7 +57,7 @@ use crate::cluster::{fan_out, TcpPool, WorkerPool};
 use crate::engine::Engine;
 use crate::executor;
 use crate::scenario::Scenario;
-use crate::telemetry::{Registry, Stage};
+use crate::telemetry::{Counter, Hist, Registry};
 use serde::Deserialize;
 use std::collections::{HashMap, VecDeque};
 use std::io;
@@ -690,7 +690,7 @@ impl Runtime {
                 // rejected, or refused — so `requests_total` reconciles
                 // with a load generator's sent count. Warm memo hits skip
                 // this dispatch and count in `Runtime::try_handle_warm`.
-                self.metrics.note_request();
+                self.metrics.add(Counter::Requests, 1);
                 if req.version == API_V1 || req.version == API_V2 {
                     return self.serve(req, received, sink, None);
                 }
@@ -754,7 +754,7 @@ impl Runtime {
         let cells = local.memo.lock().expect("memo lock").lookup_all(spans)?;
         // This request is handled here for good — it never reaches
         // `Runtime::handle_line_at` — so it joins `requests_total` now.
-        self.metrics.note_request();
+        self.metrics.add(Counter::Requests, 1);
         Some(self.serve(req, received, sink, Some(cells)))
     }
 
@@ -770,7 +770,7 @@ impl Runtime {
             .deadline_ms
             .is_some_and(|ms| received.elapsed() >= Duration::from_millis(ms));
         if expired {
-            self.metrics.note_deadline_drop();
+            self.metrics.add(Counter::DeadlineDrops, 1);
             return Err(Busy {
                 retry_after_ms: self.gate.retry_hint_ms(),
             });
@@ -798,7 +798,7 @@ impl Runtime {
             .metrics
             .span(&req.id, || batch_name(&req, warm.as_deref()));
         let span = span.as_ref();
-        self.metrics.stage(Stage::Queued, queued, span);
+        self.metrics.observe(Hist::Queued, queued, span);
         if streamed {
             sink.send(&Response::Accepted {
                 id: req.id.clone(),
@@ -828,7 +828,7 @@ impl Runtime {
         let flush_started = Instant::now();
         if !matches!(ran, Ok(Ran::Memo(_))) {
             self.metrics
-                .stage(Stage::Eval, flush_started - eval_started, span);
+                .observe(Hist::Eval, flush_started - eval_started, span);
         }
         let done = |hits, misses| {
             let id = req.id.clone();
@@ -855,7 +855,7 @@ impl Runtime {
             // collapse the busy hint while slow requests hold slots.
             Ok(Ran::Memo(lines)) => {
                 ticket.skip_service_record();
-                self.metrics.note_memo_served();
+                self.metrics.add(Counter::MemoServed, 1);
                 let n = lines.len();
                 if !streamed {
                     (n, 0, eval_line(&req.id, lines.iter().map(|l| &**l), n, 0))
@@ -873,10 +873,12 @@ impl Runtime {
         // slot available and its request counted.
         drop(ticket);
         let cells = hits + misses;
+        self.metrics.add(Counter::Served, 1);
+        self.metrics.add(Counter::Cells, cells as u64);
+        self.metrics.add(Counter::CacheHits, hits as u64);
+        self.metrics.add(Counter::CacheMisses, misses as u64);
         self.metrics
-            .note_served(cells as u64, hits as u64, misses as u64);
-        self.metrics
-            .stage(Stage::Flush, flush_started.elapsed(), span);
+            .observe(Hist::Flush, flush_started.elapsed(), span);
         sink.send_raw(&terminal)?;
         Ok(Served::Eval {
             id: req.id,
@@ -919,7 +921,7 @@ impl Runtime {
         streamed: bool,
         busy: Busy,
     ) -> io::Result<Served> {
-        self.metrics.note_rejected();
+        self.metrics.add(Counter::Rejected, 1);
         let retry_after_ms = busy.retry_after_ms;
         sink.send(&if streamed {
             Response::Busy {

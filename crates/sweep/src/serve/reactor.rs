@@ -59,7 +59,7 @@
 
 use super::{FrameSink, Runtime, Served};
 use crate::api::{Response, SweepError};
-use crate::telemetry::Registry;
+use crate::telemetry::{Counter, Hist, Registry};
 use mio::unix::SourceFd;
 use mio::{Events, Interest, Poll, Token, Waker};
 use std::collections::HashMap;
@@ -532,7 +532,7 @@ impl Reactor {
             }
             self.runtime
                 .metrics()
-                .observe_loop_iter(pass_started.elapsed());
+                .observe(Hist::LoopIter, pass_started.elapsed(), None);
             if let Some(since) = self.shutdown {
                 let drained = self
                     .conns
@@ -573,7 +573,7 @@ impl Reactor {
                 // the client sees an immediate close and can back off —
                 // then re-arm and let epoll re-fire for any backlog.
                 Err(e) if matches!(e.raw_os_error(), Some(23) | Some(24)) => {
-                    self.runtime.metrics().note_fd_shed();
+                    self.runtime.metrics().add(Counter::FdSheds, 1);
                     self.fd_reserve.take();
                     if let Some(listener) = self.listener.as_ref() {
                         match listener.accept() {
@@ -681,7 +681,7 @@ impl Reactor {
         }
         self.runtime
             .metrics()
-            .observe_read_parse(read_started.elapsed());
+            .observe(Hist::ReadParse, read_started.elapsed(), None);
         self.advance(id);
     }
 
@@ -759,7 +759,9 @@ impl Reactor {
             let mut out = conn.out.lock().expect("outbuf lock");
             if out.overflowed() {
                 drop(out);
-                self.runtime.metrics().note_slow_reader_disconnect();
+                self.runtime
+                    .metrics()
+                    .add(Counter::SlowReaderDisconnects, 1);
                 eprintln!(
                     "warning: [{}] output buffer full (slow reader) — disconnecting",
                     conn.peer

@@ -1,15 +1,17 @@
 //! # yoco-telemetry — server-side metrics and request tracing
 //!
 //! The observability substrate of the serve/cluster runtime: a
-//! [`Registry`] of atomic counters, gauges, and log-linear histograms
+//! [`Registry`] of atomic counters, one gauge, and log-linear histograms
 //! ([`hist`]), which also writes request-scoped stage records when its
 //! server traces ([`Registry::traced`]; [`trace`] reads them back).
 //!
 //! ## One registry per server
 //!
 //! Each server — a [`Runtime`](crate::serve::Runtime), single box or
-//! coordinator — owns its registry and commits every request to it,
-//! one [`Registry::stage`] call per stage. The layers that share no
+//! coordinator — owns its registry and commits every request to it.
+//! Counters and histograms are two tables, each metric one row: `add`
+//! moves a counter, and `observe` records a sample plus, for a request
+//! stage whose span is open, its span record. The layers that share no
 //! other state with the runtime reach the same registry through it: the
 //! reactor records its loop passes, reads, fd sheds and slow-reader
 //! disconnects via [`Runtime::metrics`](crate::serve::Runtime::metrics),
@@ -60,47 +62,85 @@ use std::time::Duration;
 /// Schema tag of the [`MetricsReport`] answered to a `Metrics` frame.
 pub const METRICS_SCHEMA: &str = "yoco-metrics/v1";
 
-/// One stage of an admitted request ([`Registry::stage`]).
+/// A monotone count ([`Registry::add`]), in `COUNTERS` order.
 #[derive(Debug, Clone, Copy)]
-pub enum Stage {
-    /// Receipt → admission.
+pub(crate) enum Counter {
+    /// Evaluation requests that reached the server, admitted or not.
+    Requests,
+    /// Evaluation requests completed.
+    Served,
+    /// Evaluation requests refused at admission (`Busy`).
+    Rejected,
+    /// Queued requests shed unserved past their deadline.
+    DeadlineDrops,
+    /// Requests answered from the warm response memo.
+    MemoServed,
+    /// Cells the completed requests delivered.
+    Cells,
+    /// Delivered cells the cache (or memo) answered.
+    CacheHits,
+    /// Delivered cells computed (or failed) fresh.
+    CacheMisses,
+    /// Accepted connections the reactor shed at the fd limit.
+    FdSheds,
+    /// Slow readers the reactor disconnected (output buffer overflow).
+    SlowReaderDisconnects,
+    /// Cells the coordinator requeued off a lost worker.
+    ClusterRequeues,
+}
+
+/// Each [`Counter`]'s name, in `Counter` order: the one place it is
+/// written.
+const COUNTERS: [&str; 11] = [
+    "requests_total",
+    "requests_served_total",
+    "requests_rejected_total",
+    "deadline_drops_total",
+    "memo_served_total",
+    "cells_total",
+    "cache_hits_total",
+    "cache_misses_total",
+    "fd_sheds_total",
+    "slow_reader_disconnects_total",
+    "cluster_requeues_total",
+];
+
+/// A latency histogram in µs ([`Registry::observe`]), in `HISTS` order.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Hist {
+    /// One reactor event-loop pass.
+    LoopIter,
+    /// One readable-socket drain plus line parse.
+    ReadParse,
+    /// Request stage: receipt → admission.
     Queued,
-    /// The backend call (a memo replay has none).
+    /// Request stage: the backend call (a memo replay has none).
     Eval,
-    /// Backend end → terminal frame serialized, before it leaves.
+    /// Request stage: backend end → terminal frame serialized, before
+    /// it leaves.
     Flush,
 }
 
-/// Each [`Stage`]'s name in span records and its histogram's name, in
-/// `Stage` order: the one place either is written.
-const STAGES: [(&str, &str); 3] = [
-    ("queued", "queue_wait_us"),
-    ("eval", "eval_us"),
-    ("flush", "flush_us"),
+/// Each [`Hist`]'s name and, for a request stage, the stage's name in
+/// span records, in `Hist` order: the one place either is written.
+const HISTS: [(&str, Option<&str>); 5] = [
+    ("loop_iter_us", None),
+    ("read_parse_us", None),
+    ("queue_wait_us", Some("queued")),
+    ("eval_us", Some("eval")),
+    ("flush_us", Some("flush")),
 ];
 
 /// One server's metrics registry, owned by its [`Runtime`](crate::serve::Runtime).
 #[derive(Debug, Default)]
 pub struct Registry {
-    // Counters (monotone).
-    requests_total: AtomicU64,
-    requests_served_total: AtomicU64,
-    requests_rejected_total: AtomicU64,
-    deadline_drops_total: AtomicU64,
-    memo_served_total: AtomicU64,
-    cells_total: AtomicU64,
-    cache_hits_total: AtomicU64,
-    cache_misses_total: AtomicU64,
-    fd_sheds_total: AtomicU64,
-    slow_reader_disconnects_total: AtomicU64,
-    cluster_requeues_total: AtomicU64,
-    // Gauges.
+    /// One count per [`Counter`].
+    counters: [AtomicU64; COUNTERS.len()],
+    /// The one gauge: the out-buffer high-water mark in bytes, a
+    /// running max.
     outbuf_highwater_bytes: AtomicU64,
-    // Histograms (µs).
-    loop_iter_us: Mutex<LatencyHistogram>,
-    read_parse_us: Mutex<LatencyHistogram>,
-    /// One histogram per [`Stage`], in `Stage` order.
-    stage_us: [Mutex<LatencyHistogram>; 3],
+    /// One histogram per [`Hist`].
+    hists: [Mutex<LatencyHistogram>; HISTS.len()],
     /// Per-worker cluster dispatch latency, keyed by worker address.
     dispatch_us: Mutex<Vec<(String, LatencyHistogram)>>,
     /// A traced server's span file ([`Registry::traced`]).
@@ -158,20 +198,26 @@ impl Registry {
         })
     }
 
-    /// Records one stage of a request: its histogram sample and, when
-    /// the request's `span` is open, its span record. The record is
-    /// written through at once, so a live server's spans are readable;
-    /// a write error is swallowed (observability must not fail
-    /// requests).
-    pub fn stage(&self, stage: Stage, dur: Duration, span: Option<&SpanRecord>) {
+    /// Adds `n` to `counter`.
+    pub(crate) fn add(&self, counter: Counter, n: u64) {
+        self.counters[counter as usize].fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Records one `hist` sample and, when `hist` is a request stage
+    /// and the request's `span` is open, the stage's span record. The
+    /// record is written through at once, so a live server's spans are
+    /// readable; a write error is swallowed (observability must not
+    /// fail requests).
+    pub(crate) fn observe(&self, hist: Hist, dur: Duration, span: Option<&SpanRecord>) {
         let dur_us = micros(dur);
-        self.stage_us[stage as usize]
+        self.hists[hist as usize]
             .lock()
-            .expect("stage histogram lock")
+            .expect("histogram lock")
             .record_us(dur_us);
-        if let (Some(file), Some(span)) = (&self.span_file, span) {
+        let stage = HISTS[hist as usize].1;
+        if let (Some(stage), Some(file), Some(span)) = (stage, &self.span_file, span) {
             let record = SpanRecord {
-                stage: STAGES[stage as usize].0.to_owned(),
+                stage: stage.to_owned(),
                 dur_us,
                 ..span.clone()
             };
@@ -184,66 +230,10 @@ impl Registry {
         }
     }
 
-    /// One evaluation request reached the server (admitted or not).
-    pub fn note_request(&self) {
-        self.requests_total.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One evaluation request was refused at admission (`Busy`).
-    pub fn note_rejected(&self) {
-        self.requests_rejected_total.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One queued request expired its deadline and was shed unserved.
-    pub fn note_deadline_drop(&self) {
-        self.deadline_drops_total.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One request was answered from the warm response memo.
-    pub fn note_memo_served(&self) {
-        self.memo_served_total.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One evaluation request completed, delivering `cells` cells split
-    /// into cache `hits` and `misses`.
-    pub fn note_served(&self, cells: u64, hits: u64, misses: u64) {
-        self.requests_served_total.fetch_add(1, Ordering::Relaxed);
-        self.cells_total.fetch_add(cells, Ordering::Relaxed);
-        self.cache_hits_total.fetch_add(hits, Ordering::Relaxed);
-        self.cache_misses_total.fetch_add(misses, Ordering::Relaxed);
-    }
-
-    /// The reactor shed an accepted connection at the fd limit.
-    pub fn note_fd_shed(&self) {
-        self.fd_sheds_total.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The reactor disconnected a slow reader (output buffer overflow).
-    pub fn note_slow_reader_disconnect(&self) {
-        self.slow_reader_disconnects_total
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The cluster coordinator requeued `cells` cells off a lost worker.
-    pub fn note_requeued_cells(&self, cells: u64) {
-        self.cluster_requeues_total
-            .fetch_add(cells, Ordering::Relaxed);
-    }
-
     /// Raises the out-buffer high-water mark to `bytes` if higher.
     pub fn note_outbuf_depth(&self, bytes: u64) {
         self.outbuf_highwater_bytes
             .fetch_max(bytes, Ordering::Relaxed);
-    }
-
-    /// Records one reactor event-loop pass.
-    pub fn observe_loop_iter(&self, d: Duration) {
-        self.loop_iter_us.lock().unwrap().record_us(micros(d));
-    }
-
-    /// Records one readable-socket drain + line parse.
-    pub fn observe_read_parse(&self, d: Duration) {
-        self.read_parse_us.lock().unwrap().record_us(micros(d));
     }
 
     /// Records one cluster shard dispatch against `worker`.
@@ -262,51 +252,46 @@ impl Registry {
     /// Copies the service counters into a [`StatusReport`] (the caller
     /// supplies role, sizing, and the gate's load figures).
     pub fn fill_status(&self, report: &mut StatusReport) {
-        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        report.served = load(&self.requests_served_total);
-        report.cells = load(&self.cells_total);
-        report.hits = load(&self.cache_hits_total);
-        report.misses = load(&self.cache_misses_total);
-        report.rejected = load(&self.requests_rejected_total);
-        report.fd_sheds = load(&self.fd_sheds_total);
-        report.slow_reader_disconnects = load(&self.slow_reader_disconnects_total);
+        for (counter, field) in [
+            (Counter::Served, &mut report.served),
+            (Counter::Cells, &mut report.cells),
+            (Counter::CacheHits, &mut report.hits),
+            (Counter::CacheMisses, &mut report.misses),
+            (Counter::Rejected, &mut report.rejected),
+            (Counter::FdSheds, &mut report.fd_sheds),
+            (
+                Counter::SlowReaderDisconnects,
+                &mut report.slow_reader_disconnects,
+            ),
+        ] {
+            *field = self.counters[counter as usize].load(Ordering::Relaxed);
+        }
     }
 
-    /// Freezes every metric into a serializable report.
+    /// Freezes every metric into a serializable report, each table in
+    /// its order and the dispatch histograms last.
     pub fn snapshot(&self) -> MetricsReport {
-        let counter = |name: &str, v: &AtomicU64| MetricSample {
+        let sample = |name: &str, value: &AtomicU64| MetricSample {
             name: name.to_owned(),
-            value: v.load(Ordering::Relaxed),
+            value: value.load(Ordering::Relaxed),
         };
-        let mut hists = vec![
-            self.loop_iter_us.lock().unwrap().snapshot("loop_iter_us"),
-            self.read_parse_us.lock().unwrap().snapshot("read_parse_us"),
-        ];
-        for (hist, (_, name)) in self.stage_us.iter().zip(STAGES) {
-            hists.push(hist.lock().unwrap().snapshot(name));
-        }
-        for (worker, hist) in self.dispatch_us.lock().unwrap().iter() {
+        let mut hists: Vec<HistSnapshot> = HISTS
+            .iter()
+            .zip(&self.hists)
+            .map(|(&(name, _), hist)| hist.lock().expect("histogram lock").snapshot(name))
+            .collect();
+        let per_worker = self.dispatch_us.lock().expect("dispatch histogram lock");
+        for (worker, hist) in per_worker.iter() {
             hists.push(hist.snapshot(format!("cluster_dispatch_us:{worker}")));
         }
         MetricsReport {
             schema: METRICS_SCHEMA.to_owned(),
-            counters: vec![
-                counter("requests_total", &self.requests_total),
-                counter("requests_served_total", &self.requests_served_total),
-                counter("requests_rejected_total", &self.requests_rejected_total),
-                counter("deadline_drops_total", &self.deadline_drops_total),
-                counter("memo_served_total", &self.memo_served_total),
-                counter("cells_total", &self.cells_total),
-                counter("cache_hits_total", &self.cache_hits_total),
-                counter("cache_misses_total", &self.cache_misses_total),
-                counter("fd_sheds_total", &self.fd_sheds_total),
-                counter(
-                    "slow_reader_disconnects_total",
-                    &self.slow_reader_disconnects_total,
-                ),
-                counter("cluster_requeues_total", &self.cluster_requeues_total),
-            ],
-            gauges: vec![counter(
+            counters: COUNTERS
+                .iter()
+                .zip(&self.counters)
+                .map(|(name, value)| sample(name, value))
+                .collect(),
+            gauges: vec![sample(
                 "outbuf_highwater_bytes",
                 &self.outbuf_highwater_bytes,
             )],
@@ -420,11 +405,14 @@ mod tests {
         assert!(fresh.counters.iter().all(|c| c.value == 0), "{fresh:?}");
         assert_eq!(fresh.hist("queue_wait_us").unwrap().count, 0);
 
-        registry.note_request();
-        registry.note_request();
-        registry.note_rejected();
-        registry.note_served(5, 3, 2);
-        registry.stage(Stage::Queued, Duration::from_micros(250), None);
+        registry.add(Counter::Requests, 1);
+        registry.add(Counter::Requests, 1);
+        registry.add(Counter::Rejected, 1);
+        registry.add(Counter::Served, 1);
+        registry.add(Counter::Cells, 5);
+        registry.add(Counter::CacheHits, 3);
+        registry.add(Counter::CacheMisses, 2);
+        registry.observe(Hist::Queued, Duration::from_micros(250), None);
         let report = registry.snapshot();
         assert_eq!(report.counter("requests_total"), Some(2));
         assert_eq!(report.counter("requests_served_total"), Some(1));
@@ -456,8 +444,8 @@ mod tests {
     #[test]
     fn report_round_trips_and_renders_prometheus() {
         let registry = Registry::default();
-        registry.note_request();
-        registry.stage(Stage::Eval, Duration::from_millis(3), None);
+        registry.add(Counter::Requests, 1);
+        registry.observe(Hist::Eval, Duration::from_millis(3), None);
         registry.observe_dispatch("127.0.0.1:7177", Duration::from_millis(2));
         let report = registry.snapshot();
         let text = serde_json::to_string(&report).unwrap();
@@ -517,6 +505,70 @@ mod tests {
         let (counters_after, gauges_after, hists) = names(&registry.snapshot());
         assert_eq!((counters_after, gauges_after), (counters, gauges));
         assert_eq!(hists, expected);
+    }
+
+    #[test]
+    fn each_counter_and_histogram_moves_only_its_own_name() {
+        let moved = |registry: &Registry| -> Vec<String> {
+            let report = registry.snapshot();
+            let counters = report.counters.iter().filter(|c| c.value > 0);
+            let hists = report.hists.iter().filter(|h| h.count > 0);
+            let counters = counters.map(|c| c.name.clone());
+            counters.chain(hists.map(|h| h.name.clone())).collect()
+        };
+        for (counter, name) in [
+            (Counter::Requests, "requests_total"),
+            (Counter::Served, "requests_served_total"),
+            (Counter::Rejected, "requests_rejected_total"),
+            (Counter::DeadlineDrops, "deadline_drops_total"),
+            (Counter::MemoServed, "memo_served_total"),
+            (Counter::Cells, "cells_total"),
+            (Counter::CacheHits, "cache_hits_total"),
+            (Counter::CacheMisses, "cache_misses_total"),
+            (Counter::FdSheds, "fd_sheds_total"),
+            (
+                Counter::SlowReaderDisconnects,
+                "slow_reader_disconnects_total",
+            ),
+            (Counter::ClusterRequeues, "cluster_requeues_total"),
+        ] {
+            let registry = Registry::default();
+            registry.add(counter, 1);
+            assert_eq!(moved(&registry), [name], "{counter:?}");
+        }
+        // Traced, so a stage row that names the wrong stage shows too.
+        let dir = std::env::temp_dir().join(format!("yoco-telemetry-moves-{}", std::process::id()));
+        for (hist, name, stage) in [
+            (Hist::LoopIter, "loop_iter_us", None),
+            (Hist::ReadParse, "read_parse_us", None),
+            (Hist::Queued, "queue_wait_us", Some("queued")),
+            (Hist::Eval, "eval_us", Some("eval")),
+            (Hist::Flush, "flush_us", Some("flush")),
+        ] {
+            let dir = dir.join(name);
+            let registry = Registry::traced(&dir).expect("trace dir opens");
+            let span = registry.span("r-1", || ("study/fig9a".into(), 1));
+            registry.observe(hist, Duration::from_micros(7), span.as_ref());
+            assert_eq!(moved(&registry), [name], "{hist:?}");
+            let records = trace::read_spans(&dir).expect("spans parse");
+            let stages: Vec<String> = records.into_iter().map(|r| r.stage).collect();
+            assert_eq!(stages, Vec::from_iter(stage), "{hist:?}");
+        }
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn two_client_ids_with_one_span_marker_get_two_minted_spans() {
+        let dir =
+            std::env::temp_dir().join(format!("yoco-telemetry-client-span-{}", std::process::id()));
+        let registry = Registry::traced(&dir).expect("trace dir opens");
+        let batch = || ("study/fig9a".to_owned(), 1);
+        let a = registry.span("client-a#tbeef", batch).expect("traced").span;
+        let b = registry.span("client-b#tbeef", batch).expect("traced").span;
+        let minted = format!("{:x}-", std::process::id());
+        assert!(a.starts_with(&minted) && b.starts_with(&minted), "{a} {b}");
+        assert_ne!(a, b);
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]

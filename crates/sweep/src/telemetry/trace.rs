@@ -20,11 +20,13 @@
 //! 0-based position in its round); a worker *adopts* an embedded span
 //! instead of minting its own, so the coordinator's and workers' span
 //! files — collected into one directory — stitch into a single trace
-//! under one span id. Span ids live only in server-bound request ids
+//! under one span id. Only an id that ends in that whole suffix carries
+//! a span, so a client's own id (`client-a#tbeef`, say) cannot set one.
+//! Span ids live only in server-bound request ids
 //! and server-local span files, never in a response frame: the
 //! client-visible bytes are identical with tracing on or off.
 
-use super::{LatencyHistogram, STAGES};
+use super::{LatencyHistogram, HISTS};
 use serde::{Deserialize, Serialize};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -47,15 +49,29 @@ pub struct SpanRecord {
     pub cells: usize,
 }
 
-/// Extracts the span embedded in a sub-request id of the form
-/// `…#t<span>#r<round>w<k>`. Span ids are hex-and-dash only, so the
-/// scan stops exactly at the `#` before the round counter.
+/// The id of shard `k` in fan-out round `round` of request `id`:
+/// `{id}#t{span}#r{round}w{k}` from a coordinator that traces, whose
+/// workers then adopt `span` ([`embedded_span`]), else
+/// `{id}#r{round}w{k}`.
+pub(crate) fn sub_request_id(id: &str, span: Option<&str>, round: usize, k: usize) -> String {
+    match span {
+        Some(span) => format!("{id}#t{span}#r{round}w{k}"),
+        None => format!("{id}#r{round}w{k}"),
+    }
+}
+
+/// The span a traced coordinator embedded in sub-request id `id`
+/// ([`sub_request_id`]): `Some` only when `id` ends in the whole
+/// suffix `#t{span}#r{round}w{k}`, with `span` a minted `PID-SEQ` (hex,
+/// a dash, hex) and `round` and `k` decimal.
 pub fn embedded_span(id: &str) -> Option<&str> {
-    let (_, tail) = id.rsplit_once("#t")?;
-    let end = tail
-        .find(|c: char| !c.is_ascii_hexdigit() && c != '-')
-        .unwrap_or(tail.len());
-    (end > 0).then(|| &tail[..end])
+    let (head, shard) = id.rsplit_once("#r")?;
+    let (round, k) = shard.split_once('w')?;
+    let (_, span) = head.rsplit_once("#t")?;
+    let (pid, seq) = span.split_once('-')?;
+    let decimal = |s: &str| !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit());
+    let hex = |s: &str| !s.is_empty() && s.bytes().all(|b| b.is_ascii_hexdigit());
+    (decimal(round) && decimal(k) && hex(pid) && hex(seq)).then_some(span)
 }
 
 /// Reads every `*.ndjson` span file under `dir` (one per traced
@@ -100,7 +116,7 @@ pub fn render_stage_table(records: &[SpanRecord]) -> String {
         "| grid | stage | spans | p50 ms | p99 ms | max ms |\n|---|---|---|---|---|---|\n",
     );
     for grid in grids {
-        for (stage, _) in STAGES {
+        for stage in HISTS.iter().filter_map(|&(_, stage)| stage) {
             let mut hist = LatencyHistogram::default();
             for r in records {
                 if r.grid == grid && r.stage == stage {
@@ -128,16 +144,33 @@ mod tests {
 
     #[test]
     fn embedded_spans_parse_out_of_sub_request_ids() {
-        // The shape `fan_out` writes: `{id}#t{span}#r{round}w{k}`.
+        // The shape a traced coordinator writes: `{id}#t{span}#r{round}w{k}`.
         assert_eq!(embedded_span("stitch-1#t1aff-0#r0w0"), Some("1aff-0"));
-        assert_eq!(embedded_span("req-1#t3f2a-7r0w2"), Some("3f2a-7"));
-        assert_eq!(embedded_span("req-1#tdeadbeef-0r12w0"), Some("deadbeef-0"));
+        // Tails that do not end in that whole suffix carry no span.
+        assert_eq!(embedded_span("req-1#t3f2a-7r0w2"), None);
+        assert_eq!(embedded_span("req-1#tdeadbeef-0r12w0"), None);
         // Plain ids, and degenerate tails, carry no span.
         assert_eq!(embedded_span("req-1"), None);
         assert_eq!(embedded_span("req-1#r0w2"), None);
         assert_eq!(embedded_span("req#t"), None);
-        // A span at the very end of the id (no round suffix) still parses.
-        assert_eq!(embedded_span("req#tab-1"), Some("ab-1"));
+        // A span at the very end of the id (no round suffix) is a
+        // client's own text, not a coordinator's.
+        assert_eq!(embedded_span("req#tab-1"), None);
+
+        // The writer and the reader agree, and an untraced coordinator
+        // embeds nothing.
+        let sub = sub_request_id("stitch-1", Some("1aff-0"), 0, 0);
+        assert_eq!(sub, "stitch-1#t1aff-0#r0w0");
+        assert_eq!(embedded_span(&sub), Some("1aff-0"));
+        let sub = sub_request_id("client-a#tbeef", Some("2b-17"), 12, 3);
+        assert_eq!(embedded_span(&sub), Some("2b-17"));
+        let sub = sub_request_id("req-1", None, 1, 2);
+        assert_eq!(sub, "req-1#r1w2");
+        assert_eq!(embedded_span(&sub), None);
+        assert_eq!(
+            embedded_span(&sub_request_id("client-a#tbeef", None, 0, 0)),
+            None
+        );
     }
 
     #[test]
