@@ -84,9 +84,7 @@ pub struct LoadgenRecord {
     pub entries: Vec<EntryRecord>,
 }
 
-/// One mix entry's persisted slice of a run. The entry histograms
-/// behind its percentiles merge into the run's exactly (same buckets,
-/// disjoint samples).
+/// One mix entry's persisted slice of a run.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct EntryRecord {
     /// The entry's canonical label (e.g. `fig9a:v1=3`).

@@ -252,20 +252,14 @@ impl Registry {
     /// Copies the service counters into a [`StatusReport`] (the caller
     /// supplies role, sizing, and the gate's load figures).
     pub fn fill_status(&self, report: &mut StatusReport) {
-        for (counter, field) in [
-            (Counter::Served, &mut report.served),
-            (Counter::Cells, &mut report.cells),
-            (Counter::CacheHits, &mut report.hits),
-            (Counter::CacheMisses, &mut report.misses),
-            (Counter::Rejected, &mut report.rejected),
-            (Counter::FdSheds, &mut report.fd_sheds),
-            (
-                Counter::SlowReaderDisconnects,
-                &mut report.slow_reader_disconnects,
-            ),
-        ] {
-            *field = self.counters[counter as usize].load(Ordering::Relaxed);
-        }
+        let count = |counter: Counter| self.counters[counter as usize].load(Ordering::Relaxed);
+        report.served = count(Counter::Served);
+        report.cells = count(Counter::Cells);
+        report.hits = count(Counter::CacheHits);
+        report.misses = count(Counter::CacheMisses);
+        report.rejected = count(Counter::Rejected);
+        report.fd_sheds = count(Counter::FdSheds);
+        report.slow_reader_disconnects = count(Counter::SlowReaderDisconnects);
     }
 
     /// Freezes every metric into a serializable report, each table in

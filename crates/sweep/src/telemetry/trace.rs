@@ -22,9 +22,9 @@
 //! files — collected into one directory — stitch into a single trace
 //! under one span id. Only an id that ends in that whole suffix carries
 //! a span, so a client's own id (`client-a#tbeef`, say) cannot set one.
-//! Span ids live only in server-bound request ids
-//! and server-local span files, never in a response frame: the
-//! client-visible bytes are identical with tracing on or off.
+//! Span ids live only in server-bound request ids and server-local span
+//! files, never in a response frame: the client-visible bytes are
+//! identical with tracing on or off.
 
 use super::{LatencyHistogram, HISTS};
 use serde::{Deserialize, Serialize};
