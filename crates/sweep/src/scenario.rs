@@ -598,4 +598,47 @@ mod tests {
         let back: Vec<Scenario> = serde_json::from_str(&text).unwrap();
         assert_eq!(scenarios, back);
     }
+
+    #[test]
+    fn studies_keep_their_names_and_order() {
+        // `sweep list`, the grid order behind `all.digest` and perfbench's
+        // `studies.<name>` spans all read these names in this order.
+        let names = [
+            ("fig1c", "Fig1c"),
+            ("fig6a", "Fig6a"),
+            ("fig6bc", "Fig6bc"),
+            ("fig6d", "Fig6d"),
+            ("fig6e", "Fig6e"),
+            ("fig6f", "Fig6f"),
+            ("fig7", "Fig7"),
+            ("fig9a", "Fig9a"),
+            ("fig9b", "Fig9b"),
+            ("table1", "Table1"),
+            ("table2", "Table2"),
+            ("models", "Models"),
+            ("breakdown", "Breakdown"),
+            ("ablation-slicing", "AblationSlicing"),
+            ("ablation-tda", "AblationTda"),
+            ("ablation-hybrid", "AblationHybrid"),
+            ("ablation-pipeline-depth", "AblationPipelineDepth"),
+            ("ablation-corners", "AblationCorners"),
+        ];
+        let got: Vec<&str> = StudyId::ALL.iter().map(|s| s.name()).collect();
+        let want: Vec<&str> = names.iter().map(|(cli, _)| *cli).collect();
+        assert_eq!(got, want);
+        for (study, (cli, variant)) in StudyId::ALL.into_iter().zip(names) {
+            assert_eq!(
+                serde_json::to_string(&study).unwrap(),
+                format!("\"{variant}\"")
+            );
+            assert_eq!(StudyId::from_name(cli), Some(study), "{cli}");
+        }
+        let cell = ScenarioKind::Study {
+            study: StudyId::Fig6bc,
+        };
+        assert_eq!(
+            serde_json::to_string(&cell).unwrap(),
+            r#"{"Study":{"study":"Fig6bc"}}"#
+        );
+    }
 }
