@@ -1,5 +1,5 @@
-//! Result output helpers: aligned console tables and JSON records under
-//! the workspace `results/` directory.
+//! Result output helpers: JSON records under the workspace `results/`
+//! directory.
 
 use serde::Serialize;
 use std::fs;
@@ -24,16 +24,6 @@ pub fn write_json<T: Serialize>(name: &str, value: &T) {
         }
         Err(e) => eprintln!("warning: could not serialize {name}: {e}"),
     }
-}
-
-/// Prints a rule line of the given width.
-pub fn rule(width: usize) {
-    println!("{}", "-".repeat(width));
-}
-
-/// Formats a ratio like the paper's figures (`19.9x`).
-pub fn ratio(x: f64) -> String {
-    format!("{x:.1}x")
 }
 
 #[cfg(test)]

@@ -15,9 +15,7 @@ use crate::config::YocoConfig;
 use serde::{Deserialize, Serialize};
 use yoco_circuit::energy::table2;
 use yoco_circuit::units::Volt;
-use yoco_circuit::{
-    ArrayGeometry, CircuitError, FastArray, MemoryKind, Tdc, TimeDomainAccumulator, Vtc,
-};
+use yoco_circuit::{ArrayGeometry, CircuitError, FastArray, Tdc, TimeDomainAccumulator, Vtc};
 
 /// Whether an IMA's memory clusters are SRAM (dynamic) or ReRAM (static).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -26,16 +24,6 @@ pub enum ImaRole {
     Dynamic,
     /// Static IMA (SIMA): ReRAM clusters, resident model weights.
     Static,
-}
-
-impl ImaRole {
-    /// The memory technology backing this role.
-    pub fn memory_kind(self) -> MemoryKind {
-        match self {
-            ImaRole::Dynamic => MemoryKind::Sram,
-            ImaRole::Static => MemoryKind::ReRam,
-        }
-    }
 }
 
 /// A functional IMA holding an explicit weight matrix.

@@ -215,17 +215,12 @@ pub fn gate(
         return Err("loadgen history is empty — nothing to gate".into());
     }
     let mut verdicts = Vec::new();
-    let mut seen_keys: Vec<String> = Vec::new();
     for (i, latest) in runs.iter().enumerate() {
         let key = latest.config_key();
         // Gate only each key's latest row.
         if runs[i + 1..].iter().any(|r| r.config_key() == key) {
             continue;
         }
-        if seen_keys.contains(&key) {
-            continue;
-        }
-        seen_keys.push(key.clone());
         if let Some(floor) = max_p99_ms {
             if latest.p99_ms > floor {
                 return Err(format!(

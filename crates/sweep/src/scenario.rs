@@ -6,9 +6,13 @@
 //! engine treats a scenario as a pure function input: its content hash is
 //! the cache key, so two textually different invocations that resolve to
 //! the same scenario share one cache entry.
+//!
+//! A study cell names its study by [`StudyId`], which [`crate::studies`]
+//! declares in its table of studies and this module re-exports.
 
 use crate::api::SweepError;
 use crate::hash;
+pub use crate::studies::StudyId;
 use serde::{Deserialize, Serialize};
 use yoco::pipeline::AttentionDims;
 use yoco::YocoConfig;
@@ -203,95 +207,7 @@ impl WorkloadSpec {
     }
 }
 
-/// Named single-shot studies: every figure/table computation that is not a
-/// (accelerator × workload) grid. Each is pure and therefore cacheable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum StudyId {
-    /// Fig 1(c): throughput-vs-efficiency scatter of recent IMC macros.
-    Fig1c,
-    /// Fig 6(a): input-conversion transfer curve with INL/DNL.
-    Fig6a,
-    /// Fig 6(b)/(c): 8-bit MAC transfer curves and errors, 128 channels.
-    Fig6bc,
-    /// Fig 6(d): 2000-run Monte-Carlo voltage-offset distribution.
-    Fig6d,
-    /// Fig 6(e): end-to-end MAC error vs prior designs.
-    Fig6e,
-    /// Fig 6(f): DNN inference accuracy, FP32 vs YOCO-based.
-    Fig6f,
-    /// Fig 7: YOCO IMA vs eight prior IMC macros.
-    Fig7,
-    /// Fig 9(a): DAC overhead ratios.
-    Fig9a,
-    /// Fig 9(b): ADC conversions per 8-bit MAC output.
-    Fig9b,
-    /// Table I: the ADCs/DACs cost taxonomy.
-    Table1,
-    /// Table II: the derived YOCO parameter summary.
-    Table2,
-    /// The Fig 8 model zoo at a glance: GEMM counts, MACs, placement.
-    Models,
-    /// Per-component energy breakdown, YOCO vs ISAAC's converter share.
-    Breakdown,
-    /// Ablation: input bit-slicing (charge-once vs bit-serial).
-    AblationSlicing,
-    /// Ablation: time-domain vs voltage-domain accumulation.
-    AblationTda,
-    /// Ablation: all-SRAM vs all-ReRAM vs hybrid tiles.
-    AblationHybrid,
-    /// Ablation: pipeline speedup vs sequence length.
-    AblationPipelineDepth,
-    /// Ablation: PVT corner sweep with digital calibration.
-    AblationCorners,
-}
-
 impl StudyId {
-    /// Every study, in figure order.
-    pub const ALL: [StudyId; 18] = [
-        StudyId::Fig1c,
-        StudyId::Fig6a,
-        StudyId::Fig6bc,
-        StudyId::Fig6d,
-        StudyId::Fig6e,
-        StudyId::Fig6f,
-        StudyId::Fig7,
-        StudyId::Fig9a,
-        StudyId::Fig9b,
-        StudyId::Table1,
-        StudyId::Table2,
-        StudyId::Models,
-        StudyId::Breakdown,
-        StudyId::AblationSlicing,
-        StudyId::AblationTda,
-        StudyId::AblationHybrid,
-        StudyId::AblationPipelineDepth,
-        StudyId::AblationCorners,
-    ];
-
-    /// CLI/report name.
-    pub fn name(self) -> &'static str {
-        match self {
-            StudyId::Fig1c => "fig1c",
-            StudyId::Fig6a => "fig6a",
-            StudyId::Fig6bc => "fig6bc",
-            StudyId::Fig6d => "fig6d",
-            StudyId::Fig6e => "fig6e",
-            StudyId::Fig6f => "fig6f",
-            StudyId::Fig7 => "fig7",
-            StudyId::Fig9a => "fig9a",
-            StudyId::Fig9b => "fig9b",
-            StudyId::Table1 => "table1",
-            StudyId::Table2 => "table2",
-            StudyId::Models => "models",
-            StudyId::Breakdown => "breakdown",
-            StudyId::AblationSlicing => "ablation-slicing",
-            StudyId::AblationTda => "ablation-tda",
-            StudyId::AblationHybrid => "ablation-hybrid",
-            StudyId::AblationPipelineDepth => "ablation-pipeline-depth",
-            StudyId::AblationCorners => "ablation-corners",
-        }
-    }
-
     /// Parses a CLI/report name back.
     pub fn from_name(name: &str) -> Option<Self> {
         Self::ALL.into_iter().find(|s| s.name() == name)

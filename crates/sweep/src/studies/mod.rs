@@ -1,15 +1,21 @@
 //! Named single-shot studies: every figure/table computation that is not a
 //! plain (accelerator × workload) grid, packaged as cacheable engine
 //! cells with typed payloads.
+//!
+//! Each study is declared once, as one row of the `studies!` table in
+//! this file: its [`StudyId`] variant, CLI name, payload type and compute
+//! call. The table generates [`StudyId`] (with `ALL` and `name`),
+//! [`StudyMetrics`] (with `study_id`) and the dispatch behind [`run`], so
+//! a new study is one row and no list of studies can miss it.
 
 pub mod ablations;
 pub mod fig6;
 pub mod overview;
 
 use crate::api::SweepError;
-use crate::scenario::StudyId;
 use serde::{Deserialize, Serialize};
 use yoco::YocoChip;
+use yoco_baselines::{adc_dac, prior, taxonomy};
 use yoco_circuit::energy::{array_area, array_vmm_energy, ima_area, ima_vmm_cost, table2};
 use yoco_circuit::variation::MonteCarloReport;
 
@@ -26,7 +32,7 @@ pub struct Fig9aRecord {
 
 /// Computes Fig 9(a).
 pub fn fig9a() -> Fig9aRecord {
-    let (area_ratio, energy_ratio, latency_ratio) = yoco_baselines::adc_dac::fig9a_dac_ratios();
+    let (area_ratio, energy_ratio, latency_ratio) = adc_dac::fig9a_dac_ratios();
     Fig9aRecord {
         area_ratio,
         energy_ratio,
@@ -73,106 +79,102 @@ pub fn table2_record() -> Table2Record {
     }
 }
 
-/// Typed payload of one study cell: one variant per [`StudyId`], named
-/// like it, each wrapping the record the study computes. Serialization
-/// is externally tagged (`{"Fig7": [...]}`); cache entries store the
-/// untagged inner value (see [`crate::Metrics::cache_value`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum StudyMetrics {
-    /// Fig 1(c) scatter points.
-    Fig1c(Vec<overview::Fig1cPoint>),
-    /// Fig 6(a) transfer-curve record.
-    Fig6a(fig6::Fig6aRecord),
-    /// Fig 6(b)/(c) MAC sweep record.
-    Fig6bc(fig6::Fig6bcRecord),
-    /// Fig 6(d) Monte-Carlo offsets.
-    Fig6d(MonteCarloReport),
-    /// Fig 6(e) error ladder: `(design, error %)` pairs.
-    Fig6e(Vec<(&'static str, f64)>),
-    /// Fig 6(f) accuracy rows.
-    Fig6f(Vec<fig6::Fig6fRow>),
-    /// Fig 7 comparison rows.
-    Fig7(Vec<yoco_baselines::prior::Fig7Row>),
-    /// Fig 9(a) DAC overhead ratios.
-    Fig9a(Fig9aRecord),
-    /// Fig 9(b) conversion schemes.
-    Fig9b(Vec<yoco_baselines::adc_dac::AdcScheme>),
-    /// Table I taxonomy rows.
-    Table1(Vec<yoco_baselines::taxonomy::TaxonomyRow>),
-    /// Table II derived parameters.
-    Table2(Table2Record),
-    /// Model-zoo summary records.
-    Models(Vec<overview::ModelRecord>),
-    /// Energy-breakdown record.
-    Breakdown(overview::BreakdownRecord),
-    /// Bit-slicing ablation points.
-    AblationSlicing(Vec<ablations::SlicingPoint>),
-    /// Time-domain-accumulation ablation points.
-    AblationTda(Vec<ablations::TdaPoint>),
-    /// Tile-mix ablation points.
-    AblationHybrid(Vec<ablations::HybridPoint>),
-    /// Pipeline-depth ablation points.
-    AblationPipelineDepth(Vec<ablations::PipelineDepthPoint>),
-    /// PVT-corner ablation points.
-    AblationCorners(Vec<ablations::CornerPoint>),
+/// Generates the study types from the table below. Each row is
+/// `Variant "cli-name": Payload = compute,` under a single doc line, in
+/// figure order; a compute call may use `?` and the thread budget named
+/// before the rows.
+macro_rules! studies {
+    ($jobs:ident => $(#[doc = $doc:literal] $id:ident $name:literal: $ty:ty = $run:expr,)*) => {
+        /// Named single-shot studies: every figure/table computation that is not a
+        /// (accelerator × workload) grid. Each is pure and therefore cacheable.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+        pub enum StudyId {
+            $(#[doc = $doc] $id,)*
+        }
+
+        impl StudyId {
+            /// Every study, in figure order.
+            pub const ALL: [StudyId; [$(StudyId::$id),*].len()] = [$(StudyId::$id),*];
+
+            /// CLI/report name.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(StudyId::$id => $name,)*
+                }
+            }
+        }
+
+        /// Typed payload of one study cell: one variant per [`StudyId`], named
+        /// like it, each wrapping the record the study computes. Serialization
+        /// is externally tagged (`{"Fig7": [...]}`); cache entries store the
+        /// untagged inner value (see [`crate::Metrics::cache_value`]).
+        #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+        pub enum StudyMetrics {
+            $(#[doc = $doc] $id($ty),)*
+        }
+
+        impl StudyMetrics {
+            /// The study this payload belongs to.
+            pub fn study_id(&self) -> StudyId {
+                match self {
+                    $(StudyMetrics::$id(_) => StudyId::$id,)*
+                }
+            }
+        }
+
+        /// [`run`] with at most `jobs` threads per study (the engine's setting).
+        pub(crate) fn run_with(study: StudyId, $jobs: usize) -> Result<StudyMetrics, SweepError> {
+            Ok(match study {
+                $(StudyId::$id => StudyMetrics::$id($run),)*
+            })
+        }
+    };
 }
 
-impl StudyMetrics {
-    /// The study this payload belongs to.
-    pub fn study_id(&self) -> StudyId {
-        match self {
-            StudyMetrics::Fig1c(_) => StudyId::Fig1c,
-            StudyMetrics::Fig6a(_) => StudyId::Fig6a,
-            StudyMetrics::Fig6bc(_) => StudyId::Fig6bc,
-            StudyMetrics::Fig6d(_) => StudyId::Fig6d,
-            StudyMetrics::Fig6e(_) => StudyId::Fig6e,
-            StudyMetrics::Fig6f(_) => StudyId::Fig6f,
-            StudyMetrics::Fig7(_) => StudyId::Fig7,
-            StudyMetrics::Fig9a(_) => StudyId::Fig9a,
-            StudyMetrics::Fig9b(_) => StudyId::Fig9b,
-            StudyMetrics::Table1(_) => StudyId::Table1,
-            StudyMetrics::Table2(_) => StudyId::Table2,
-            StudyMetrics::Models(_) => StudyId::Models,
-            StudyMetrics::Breakdown(_) => StudyId::Breakdown,
-            StudyMetrics::AblationSlicing(_) => StudyId::AblationSlicing,
-            StudyMetrics::AblationTda(_) => StudyId::AblationTda,
-            StudyMetrics::AblationHybrid(_) => StudyId::AblationHybrid,
-            StudyMetrics::AblationPipelineDepth(_) => StudyId::AblationPipelineDepth,
-            StudyMetrics::AblationCorners(_) => StudyId::AblationCorners,
-        }
-    }
+studies! { jobs =>
+    /// Fig 1(c): throughput-vs-efficiency scatter of recent IMC macros.
+    Fig1c "fig1c": Vec<overview::Fig1cPoint> = overview::fig1c(),
+    /// Fig 6(a): input-conversion transfer curve with INL/DNL.
+    Fig6a "fig6a": fig6::Fig6aRecord = fig6::fig6a()?,
+    /// Fig 6(b)/(c): 8-bit MAC transfer curves and errors, 128 channels.
+    Fig6bc "fig6bc": fig6::Fig6bcRecord = fig6::fig6bc()?,
+    /// Fig 6(d): 2000-run Monte-Carlo voltage-offset distribution.
+    Fig6d "fig6d": MonteCarloReport = fig6::fig6d(jobs)?,
+    /// Fig 6(e): end-to-end MAC error vs prior designs, as `(design, error %)` pairs.
+    Fig6e "fig6e": Vec<(&'static str, f64)> = prior::fig6e_error_ladder(),
+    /// Fig 6(f): DNN inference accuracy, FP32 vs YOCO-based.
+    Fig6f "fig6f": Vec<fig6::Fig6fRow> = fig6::fig6f()?,
+    /// Fig 7: YOCO IMA vs eight prior IMC macros.
+    Fig7 "fig7": Vec<prior::Fig7Row> = prior::fig7_rows(),
+    /// Fig 9(a): DAC overhead ratios.
+    Fig9a "fig9a": Fig9aRecord = fig9a(),
+    /// Fig 9(b): ADC conversions per 8-bit MAC output.
+    Fig9b "fig9b": Vec<adc_dac::AdcScheme> = adc_dac::fig9b_schemes(),
+    /// Table I: the ADCs/DACs cost taxonomy.
+    Table1 "table1": Vec<taxonomy::TaxonomyRow> = taxonomy::table1_rows(),
+    /// Table II: the derived YOCO parameter summary.
+    Table2 "table2": Table2Record = table2_record(),
+    /// The Fig 8 model zoo at a glance: GEMM counts, MACs, placement.
+    Models "models": Vec<overview::ModelRecord> = overview::models(),
+    /// Per-component energy breakdown, YOCO vs ISAAC's converter share.
+    Breakdown "breakdown": overview::BreakdownRecord = overview::breakdown(),
+    /// Ablation: input bit-slicing (charge-once vs bit-serial).
+    AblationSlicing "ablation-slicing": Vec<ablations::SlicingPoint> = ablations::slicing_sweep(),
+    /// Ablation: time-domain vs voltage-domain accumulation.
+    AblationTda "ablation-tda": Vec<ablations::TdaPoint> = ablations::tda_ablation(),
+    /// Ablation: all-SRAM vs all-ReRAM vs hybrid tiles.
+    AblationHybrid "ablation-hybrid": Vec<ablations::HybridPoint> = ablations::hybrid_ablation(),
+    /// Ablation: pipeline speedup vs sequence length.
+    AblationPipelineDepth "ablation-pipeline-depth": Vec<ablations::PipelineDepthPoint> =
+        ablations::pipeline_depth_sweep(),
+    /// Ablation: PVT corner sweep with digital calibration.
+    AblationCorners "ablation-corners": Vec<ablations::CornerPoint> = ablations::corner_sweep(),
 }
 
 /// Evaluates one study to its typed payload, with one thread per core
 /// for the studies that fan out (fig6d).
 pub fn run(study: StudyId) -> Result<StudyMetrics, SweepError> {
     run_with(study, crate::executor::default_jobs())
-}
-
-/// [`run`] with at most `jobs` threads per study (the engine's setting).
-pub(crate) fn run_with(study: StudyId, jobs: usize) -> Result<StudyMetrics, SweepError> {
-    Ok(match study {
-        StudyId::Fig1c => StudyMetrics::Fig1c(overview::fig1c()),
-        StudyId::Fig6a => StudyMetrics::Fig6a(fig6::fig6a()?),
-        StudyId::Fig6bc => StudyMetrics::Fig6bc(fig6::fig6bc()?),
-        StudyId::Fig6d => StudyMetrics::Fig6d(fig6::fig6d(jobs)?),
-        StudyId::Fig6e => StudyMetrics::Fig6e(yoco_baselines::prior::fig6e_error_ladder()),
-        StudyId::Fig6f => StudyMetrics::Fig6f(fig6::fig6f()?),
-        StudyId::Fig7 => StudyMetrics::Fig7(yoco_baselines::prior::fig7_rows()),
-        StudyId::Fig9a => StudyMetrics::Fig9a(fig9a()),
-        StudyId::Fig9b => StudyMetrics::Fig9b(yoco_baselines::adc_dac::fig9b_schemes()),
-        StudyId::Table1 => StudyMetrics::Table1(yoco_baselines::taxonomy::table1_rows()),
-        StudyId::Table2 => StudyMetrics::Table2(table2_record()),
-        StudyId::Models => StudyMetrics::Models(overview::models()),
-        StudyId::Breakdown => StudyMetrics::Breakdown(overview::breakdown()),
-        StudyId::AblationSlicing => StudyMetrics::AblationSlicing(ablations::slicing_sweep()),
-        StudyId::AblationTda => StudyMetrics::AblationTda(ablations::tda_ablation()),
-        StudyId::AblationHybrid => StudyMetrics::AblationHybrid(ablations::hybrid_ablation()),
-        StudyId::AblationPipelineDepth => {
-            StudyMetrics::AblationPipelineDepth(ablations::pipeline_depth_sweep())
-        }
-        StudyId::AblationCorners => StudyMetrics::AblationCorners(ablations::corner_sweep()),
-    })
 }
 
 #[cfg(test)]
