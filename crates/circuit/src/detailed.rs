@@ -10,10 +10,9 @@
 // Index loops here deliberately walk several same-length arrays in lockstep.
 #![allow(clippy::needless_range_loop)]
 
-use crate::charge::{share, CapNode};
 use crate::geometry::ArrayGeometry;
 use crate::mcc::MemoryKind;
-use crate::units::{Farad, Joule, Volt};
+use crate::units::{Joule, Volt};
 use crate::variation::{standard_normal, MismatchField, NoiseModel};
 use crate::CircuitError;
 use rand_chacha::rand_core::SeedableRng;
@@ -224,10 +223,6 @@ impl DetailedArray {
         self.mismatch.set(row, col, 1e-6);
     }
 
-    fn cap_at(&self, row: usize, col: usize) -> Farad {
-        Farad::new(crate::UNIT_CAP * self.mismatch.get(row, col))
-    }
-
     /// Phase 1 — DAC-less input conversion for every row.
     ///
     /// Returns the row voltages and the number of capacitors charged to
@@ -256,27 +251,31 @@ impl DetailedArray {
         let group_sizes = self.geom.edac_group_sizes();
         let mut charged = 0usize;
         let mut rows = Vec::with_capacity(self.geom.rows());
-        let mut nodes: Vec<CapNode> = Vec::with_capacity(self.geom.cols());
-        for (r, &x) in inputs.iter().enumerate() {
-            nodes.clear();
-            let mut col = 0usize;
+        // One charge share per row over all of its capacitors (the groups
+        // tile the row), summed in column order.
+        for (&x, mults) in inputs
+            .iter()
+            .zip(self.mismatch.row_major().chunks_exact(self.geom.cols()))
+        {
+            let (mut q, mut cap) = (0.0f64, 0.0f64);
+            let mut group = mults;
             for (g, &size) in group_sizes.iter().enumerate() {
                 // Group 0 is tied to VSS; group g>=1 carries input bit g-1.
-                let v = if g == 0 {
-                    Volt::ZERO
-                } else if (x >> (g - 1)) & 1 == 1 {
+                let v = if g > 0 && (x >> (g - 1)) & 1 == 1 {
                     charged += size;
-                    Volt::new(crate::VDD)
+                    crate::VDD
                 } else {
-                    Volt::ZERO
+                    0.0
                 };
-                for _ in 0..size {
-                    nodes.push(CapNode::new(self.cap_at(r, col), v));
-                    col += 1;
+                let (these, rest) = group.split_at(size);
+                for &m in these {
+                    let c = crate::UNIT_CAP * m;
+                    q += c * v;
+                    cap += c;
                 }
+                group = rest;
             }
-            let ideal = share(&nodes);
-            let v = self.noise.settle(self.noise.inject(ideal.value()));
+            let v = self.noise.settle(self.noise.inject(q / cap));
             rows.push(Volt::new(v));
         }
         Ok((rows, charged))
@@ -304,28 +303,37 @@ impl DetailedArray {
     fn compute_inner(&self, inputs: &[u32], seed: Option<u64>) -> Result<VmmOutput, CircuitError> {
         let (row_voltages, charged_caps) = self.convert_inputs(inputs)?;
         let cols = self.geom.cols();
-        let rows = self.geom.rows();
+        let mults = self.mismatch.row_major();
 
         // Phase 2 (multiply) + Phase 3 (column accumulation). Cells whose
         // weight bit is 0 discharge but stay connected, so the denominator
-        // covers every cell of the column.
-        let mut column_voltages = Vec::with_capacity(cols);
-        for c in 0..cols {
-            let mut q = 0.0f64;
-            let mut cap = 0.0f64;
-            for r in 0..rows {
-                let c_ij = self.cap_at(r, c).value();
-                cap += c_ij;
-                if self.bits[r * cols + c] {
-                    q += c_ij * row_voltages[r].value();
-                }
+        // covers every cell of the column. The walk goes row by row, with
+        // one charge and one capacitance accumulator per column, so each
+        // column sums its cells in row order. Adding 0.0 for a cleared bit
+        // leaves a sum's bits as they are (it starts at +0.0 and so is
+        // never -0.0), and keeps the inner loop free of branches.
+        let mut q = vec![0.0f64; cols];
+        let mut cap = vec![0.0f64; cols];
+        for ((row_mults, row_bits), v) in mults
+            .chunks_exact(cols)
+            .zip(self.bits.chunks_exact(cols))
+            .zip(&row_voltages)
+        {
+            let v = v.value();
+            for (((q, cap), &m), &bit) in q.iter_mut().zip(&mut cap).zip(row_mults).zip(row_bits) {
+                let c_ij = crate::UNIT_CAP * m;
+                *cap += c_ij;
+                *q += if bit { c_ij * v } else { 0.0 };
             }
-            let ideal = q / cap;
-            column_voltages.push(Volt::new(self.noise.settle(self.noise.inject(ideal))));
         }
+        let column_voltages: Vec<Volt> = q
+            .iter()
+            .zip(&cap)
+            .map(|(q, cap)| Volt::new(self.noise.settle(self.noise.inject(q / cap))))
+            .collect();
 
         // Phase 4 — weighted summation within each compute bar: 2^b cells of
-        // the bit-b column join the final output line.
+        // the bit-b column join the final output line, summed in row order.
         let wb = self.geom.weight_bits() as usize;
         let mut rng = seed.map(ChaCha12Rng::seed_from_u64);
         let mut cb_voltages = Vec::with_capacity(self.geom.num_cbs());
@@ -335,10 +343,11 @@ impl DetailedArray {
             for b in 0..wb {
                 let col = cb * wb + b;
                 let participating = self.geom.esa_caps_for_bit(b as u8);
-                for r in 0..participating {
-                    let c_ij = self.cap_at(r, col).value();
+                let v = column_voltages[col].value();
+                for &m in mults[col..].iter().step_by(cols).take(participating) {
+                    let c_ij = crate::UNIT_CAP * m;
                     cap += c_ij;
-                    q += c_ij * column_voltages[col].value();
+                    q += c_ij * v;
                 }
             }
             let ideal = q / cap;
@@ -385,6 +394,9 @@ impl DetailedArray {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::charge::{share, CapNode};
+    use crate::units::Farad;
+    use rand::Rng;
 
     fn fig2_array() -> DetailedArray {
         let geom = ArrayGeometry::fig2_example();
@@ -548,6 +560,172 @@ mod tests {
                 let ideal_v = geom.dot_to_voltage(dots[cb]).value();
                 let err = (out.cb_voltages[cb].value() - ideal_v).abs() / fs;
                 assert!(err < 0.0068, "trial {trial} cb {cb}: err {err}");
+            }
+        }
+    }
+
+    /// The column-major pass the row-major one replaced, kept as its
+    /// oracle: every capacitor is a `Farad` read through `cap_at`, each
+    /// row's input conversion is one `charge::share` over `CapNode`s, and
+    /// the phase 2+3 sums walk each column down its rows.
+    mod reference {
+        use super::*;
+
+        fn cap_at(array: &DetailedArray, row: usize, col: usize) -> Farad {
+            Farad::new(crate::UNIT_CAP * array.mismatch.get(row, col))
+        }
+
+        fn convert_inputs(array: &DetailedArray, inputs: &[u32]) -> (Vec<Volt>, usize) {
+            let group_sizes = array.geom.edac_group_sizes();
+            let mut charged = 0usize;
+            let mut rows = Vec::with_capacity(array.geom.rows());
+            let mut nodes: Vec<CapNode> = Vec::with_capacity(array.geom.cols());
+            for (r, &x) in inputs.iter().enumerate() {
+                nodes.clear();
+                let mut col = 0usize;
+                for (g, &size) in group_sizes.iter().enumerate() {
+                    let v = if g == 0 {
+                        Volt::ZERO
+                    } else if (x >> (g - 1)) & 1 == 1 {
+                        charged += size;
+                        Volt::new(crate::VDD)
+                    } else {
+                        Volt::ZERO
+                    };
+                    for _ in 0..size {
+                        nodes.push(CapNode::new(cap_at(array, r, col), v));
+                        col += 1;
+                    }
+                }
+                let ideal = share(&nodes);
+                let v = array.noise.settle(array.noise.inject(ideal.value()));
+                rows.push(Volt::new(v));
+            }
+            (rows, charged)
+        }
+
+        pub(super) fn compute(
+            array: &DetailedArray,
+            inputs: &[u32],
+            seed: Option<u64>,
+        ) -> VmmOutput {
+            let (row_voltages, charged_caps) = convert_inputs(array, inputs);
+            let cols = array.geom.cols();
+            let rows = array.geom.rows();
+            let mut column_voltages = Vec::with_capacity(cols);
+            for c in 0..cols {
+                let mut q = 0.0f64;
+                let mut cap = 0.0f64;
+                for r in 0..rows {
+                    let c_ij = cap_at(array, r, c).value();
+                    cap += c_ij;
+                    if array.bits[r * cols + c] {
+                        q += c_ij * row_voltages[r].value();
+                    }
+                }
+                let ideal = q / cap;
+                column_voltages.push(Volt::new(array.noise.settle(array.noise.inject(ideal))));
+            }
+            let wb = array.geom.weight_bits() as usize;
+            let mut rng = seed.map(ChaCha12Rng::seed_from_u64);
+            let mut cb_voltages = Vec::with_capacity(array.geom.num_cbs());
+            for cb in 0..array.geom.num_cbs() {
+                let mut q = 0.0f64;
+                let mut cap = 0.0f64;
+                for b in 0..wb {
+                    let col = cb * wb + b;
+                    let participating = array.geom.esa_caps_for_bit(b as u8);
+                    for r in 0..participating {
+                        let c_ij = cap_at(array, r, col).value();
+                        cap += c_ij;
+                        q += c_ij * column_voltages[col].value();
+                    }
+                }
+                let ideal = q / cap;
+                let mut v = array.noise.settle(array.noise.inject(ideal));
+                if let Some(rng) = rng.as_mut() {
+                    v += array.noise.readout_offset_sigma * standard_normal(rng);
+                }
+                cb_voltages.push(Volt::new(v));
+            }
+            let energy =
+                Joule::new(charged_caps as f64 * crate::UNIT_CAP * crate::VDD * crate::VDD);
+            VmmOutput {
+                row_voltages,
+                column_voltages,
+                cb_voltages,
+                charged_caps,
+                energy,
+            }
+        }
+    }
+
+    /// Every field of a `VmmOutput` as raw bits.
+    fn output_bits(out: &VmmOutput) -> [Vec<u64>; 5] {
+        let bits = |vs: &[Volt]| vs.iter().map(|v| v.value().to_bits()).collect();
+        [
+            bits(&out.row_voltages),
+            bits(&out.column_voltages),
+            bits(&out.cb_voltages),
+            vec![out.charged_caps as u64],
+            vec![out.energy.value().to_bits()],
+        ]
+    }
+
+    #[test]
+    fn row_major_pass_matches_the_column_major_reference_bit_for_bit() {
+        let wide = NoiseModel {
+            cap_mismatch_sigma: 0.3,
+            ..NoiseModel::tt_corner()
+        };
+        let shapes = [
+            (ArrayGeometry::fig2_example(), 32),
+            (ArrayGeometry::yoco_default(), 3),
+        ];
+        for (geom, instances) in shapes {
+            for noise in [NoiseModel::tt_corner(), wide] {
+                for i in 0..instances {
+                    let mut rng = ChaCha12Rng::seed_from_u64(i);
+                    let weights: Vec<Vec<u32>> = (0..geom.rows())
+                        .map(|_| {
+                            (0..geom.num_cbs())
+                                .map(|_| rng.gen_range(0..=geom.max_weight()))
+                                .collect()
+                        })
+                        .collect();
+                    let inputs: Vec<u32> = (0..geom.rows())
+                        .map(|_| rng.gen_range(0..=geom.max_input()))
+                        .collect();
+                    let mut array = DetailedArray::with_seeded_noise(
+                        geom,
+                        &weights,
+                        MemoryKind::Sram,
+                        noise,
+                        1000 + i,
+                    )
+                    .unwrap();
+                    // Then again with a few dead capacitors (some may
+                    // repeat), each pass with and without a readout seed.
+                    for killed in [0, 3] {
+                        for _ in 0..killed {
+                            let (r, c) =
+                                (rng.gen_range(0..geom.rows()), rng.gen_range(0..geom.cols()));
+                            array.kill_capacitor(r, c);
+                        }
+                        for seed in [None, Some(7 + i)] {
+                            let got = array.compute_inner(&inputs, seed).unwrap();
+                            let want = reference::compute(&array, &inputs, seed);
+                            assert_eq!(
+                                output_bits(&got),
+                                output_bits(&want),
+                                "{}x{} sigma {} instance {i}, {killed} killed, seed {seed:?}",
+                                geom.rows(),
+                                geom.cols(),
+                                noise.cap_mismatch_sigma
+                            );
+                        }
+                    }
+                }
             }
         }
     }

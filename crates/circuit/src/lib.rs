@@ -62,6 +62,8 @@ pub mod fast;
 pub mod faults;
 pub mod geometry;
 pub mod mcc;
+#[cfg(test)]
+mod microbench;
 pub mod phases;
 pub mod rc;
 pub mod tdc;

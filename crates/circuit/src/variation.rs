@@ -136,6 +136,12 @@ impl MismatchField {
         self.mult[row * self.cols + col]
     }
 
+    /// Every multiplier, row by row: `(row, col)` is at
+    /// `row * cols + col`.
+    pub(crate) fn row_major(&self) -> &[f64] {
+        &self.mult
+    }
+
     /// Overrides the multiplier at `(row, col)` — used by fault injection
     /// (a dead capacitor is a near-zero multiplier).
     ///

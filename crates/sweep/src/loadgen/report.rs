@@ -14,6 +14,7 @@
 
 pub use crate::telemetry::hist::LatencyHistogram;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 
 /// How one issued request ended, as the driver saw it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -214,11 +215,22 @@ pub fn gate(
     if runs.is_empty() {
         return Err("loadgen history is empty — nothing to gate".into());
     }
+    let keys: Vec<String> = runs.iter().map(LoadgenRecord::config_key).collect();
+    // Each key's latest row: a later index overwrites an earlier one.
+    let last: HashMap<&str, usize> = keys
+        .iter()
+        .enumerate()
+        .map(|(i, key)| (key.as_str(), i))
+        .collect();
+    // The best p99 of each key's rows before the current one.
+    let mut best: HashMap<&str, f64> = HashMap::new();
     let mut verdicts = Vec::new();
-    for (i, latest) in runs.iter().enumerate() {
-        let key = latest.config_key();
+    for (i, (latest, key)) in runs.iter().zip(&keys).enumerate() {
+        let prior = best.entry(key).or_insert(f64::INFINITY);
+        let best_prior = *prior;
+        *prior = prior.min(latest.p99_ms);
         // Gate only each key's latest row.
-        if runs[i + 1..].iter().any(|r| r.config_key() == key) {
+        if last[key.as_str()] != i {
             continue;
         }
         if let Some(floor) = max_p99_ms {
@@ -229,11 +241,6 @@ pub fn gate(
                 ));
             }
         }
-        let best_prior = runs[..i]
-            .iter()
-            .filter(|r| r.config_key() == key)
-            .map(|r| r.p99_ms)
-            .fold(f64::INFINITY, f64::min);
         if best_prior.is_finite() {
             let limit = best_prior * factor;
             if latest.p99_ms > limit {
@@ -310,6 +317,48 @@ mod tests {
         let err = gate(&[row("serve", 30.0, 1)], 2.0, Some(10.0)).expect_err("absolute floor");
         assert!(err.contains("absolute floor"), "{err}");
         assert!(gate(&[], 2.0, None).is_err(), "empty history fails loudly");
+    }
+
+    /// Verdicts come in the order of each key's latest row, and the first
+    /// failing latest row wins, its absolute floor before its factor.
+    #[test]
+    fn gate_verdicts_and_the_first_failure_follow_each_keys_latest_row() {
+        let runs = vec![
+            row("serve", 2.0, 1),
+            row("cluster", 4.0, 2),
+            row("coordinator", 3.0, 3),
+            row("serve", 1.5, 4),
+            row("cluster", 5.0, 5),
+            row("serve", 2.5, 6),
+        ];
+        assert_eq!(
+            gate(&runs, 2.0, Some(10.0)).unwrap(),
+            [
+                "coordinator|fig9a|fixed|100|4: p99 3.00 ms (first row for this config)",
+                "cluster|fig9a|fixed|100|4: p99 5.00 ms within 2x of best prior 4.00 ms",
+                "serve|fig9a|fixed|100|4: p99 2.50 ms within 2x of best prior 1.50 ms",
+            ]
+        );
+        // A spike that a later row supersedes is not gated; the latest
+        // cluster row breaks both the floor and the factor, before the
+        // coordinator's and serve's latest rows fail too.
+        let runs = vec![
+            row("serve", 2.0, 1),
+            row("cluster", 1.0, 2),
+            row("serve", 60.0, 3),
+            row("cluster", 12.0, 4),
+            row("coordinator", 30.0, 5),
+            row("serve", 50.0, 6),
+        ];
+        assert_eq!(
+            gate(&runs, 2.0, Some(10.0)).unwrap_err(),
+            "cluster|fig9a|fixed|100|4: p99 12.00 ms exceeds the absolute floor 10.00 ms"
+        );
+        assert_eq!(
+            gate(&runs, 2.0, None).unwrap_err(),
+            "cluster|fig9a|fixed|100|4: p99 regressed to 12.00 ms (best prior 1.00 ms, limit \
+             2.00 ms = 2x)"
+        );
     }
 
     #[test]
