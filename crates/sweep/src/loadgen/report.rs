@@ -14,7 +14,6 @@
 
 pub use crate::telemetry::hist::LatencyHistogram;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// How one issued request ended, as the driver saw it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -215,22 +214,11 @@ pub fn gate(
     if runs.is_empty() {
         return Err("loadgen history is empty — nothing to gate".into());
     }
-    let keys: Vec<String> = runs.iter().map(LoadgenRecord::config_key).collect();
-    // Each key's latest row: a later index overwrites an earlier one.
-    let last: HashMap<&str, usize> = keys
-        .iter()
-        .enumerate()
-        .map(|(i, key)| (key.as_str(), i))
-        .collect();
-    // The best p99 of each key's rows before the current one.
-    let mut best: HashMap<&str, f64> = HashMap::new();
     let mut verdicts = Vec::new();
-    for (i, (latest, key)) in runs.iter().zip(&keys).enumerate() {
-        let prior = best.entry(key).or_insert(f64::INFINITY);
-        let best_prior = *prior;
-        *prior = prior.min(latest.p99_ms);
+    for (i, latest) in runs.iter().enumerate() {
+        let key = latest.config_key();
         // Gate only each key's latest row.
-        if last[key.as_str()] != i {
+        if runs[i + 1..].iter().any(|r| r.config_key() == key) {
             continue;
         }
         if let Some(floor) = max_p99_ms {
@@ -241,6 +229,11 @@ pub fn gate(
                 ));
             }
         }
+        let best_prior = runs[..i]
+            .iter()
+            .filter(|r| r.config_key() == key)
+            .map(|r| r.p99_ms)
+            .fold(f64::INFINITY, f64::min);
         if best_prior.is_finite() {
             let limit = best_prior * factor;
             if latest.p99_ms > limit {
