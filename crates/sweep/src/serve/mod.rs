@@ -2428,13 +2428,19 @@ pub(crate) mod tests {
 /// subset) it times the two halves of the `Value` path, text → `Value`
 /// and `Value` → `Request`, against the typed decode that
 /// `serde_json::from_str` runs on a worker and a `skip_value` walk of
-/// the line (the lexer alone), and then the two steps of the reactor's
-/// warm path: the span scan (the envelope decoded, each cell's text
-/// found) and the text lookup of those spans in the memo.
+/// the line (the lexer alone), then the two steps of the reactor's warm
+/// path: the span scan (the envelope decoded, each cell's text found)
+/// and the text lookup of those spans in the memo, and then the whole
+/// warm path, [`Runtime::try_handle_warm`] on a runtime whose cache and
+/// memo hold the shape's cells, into a fresh sink that keeps the raw
+/// reply lines. For fig8 it also times [`eval_line`], the splice of the
+/// reply.
 #[cfg(test)]
 mod microbench {
+    use super::tests::RawLines;
     use super::*;
     use crate::api::{EvalRequest, Request};
+    use crate::cache::ResultCache;
     use crate::grids;
     use serde::Deserialize;
     use std::hint::black_box;
@@ -2473,6 +2479,13 @@ mod microbench {
             ),
             ("dse-full/8", EvalRequest::streaming("bench", subset)),
         ];
+        let dir =
+            std::env::temp_dir().join(format!("yoco-serve-microbench-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let rt = Runtime::new(
+            Engine::ephemeral().with_cache(ResultCache::at(&dir)),
+            ServeConfig::default(),
+        );
         for (label, req) in shapes {
             let scenarios = req.scenarios.clone();
             let request = Request::Eval(req);
@@ -2517,6 +2530,31 @@ mod microbench {
                         .expect("all memoized"),
                 );
             });
+            // The first call computes the cells and fills the memo.
+            rt.handle_line(&line, &mut RawLines::default())
+                .expect("cold call");
+            time(label, "try_handle_warm", || {
+                let mut sink = RawLines::default();
+                let served = rt.try_handle_warm(black_box(&line), Instant::now(), &mut sink);
+                black_box(served.expect("a warm hit").expect("an in-memory sink"));
+                black_box(sink);
+            });
+            if label == "fig8" {
+                let Backend::Local(local) = &rt.backend else {
+                    unreachable!("Runtime::new is a single box")
+                };
+                let cells = local
+                    .memo
+                    .lock()
+                    .expect("memo lock")
+                    .lookup_all(spans)
+                    .expect("all memoized");
+                time(label, "eval_line", || {
+                    let lines = cells.iter().map(|l| &**l);
+                    black_box(eval_line("bench", lines, cells.len(), 0));
+                });
+            }
         }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
